@@ -10,6 +10,7 @@ from .diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
     convert,
+    count_diagrams,
     diagram_stats,
     enumerate_diagrams,
     hf_leq,
@@ -39,6 +40,7 @@ from .strata import (
     stratum_dim,
     stratum_info,
     tangent_bundle_sections,
+    tangent_excess,
     tangent_function,
     tangent_leq,
 )

@@ -196,6 +196,21 @@ def enumerate_diagrams(n: int):
     return out
 
 
+def count_diagrams(n: int) -> int:
+    """Number of weight-n diagrams, without listing them.
+
+    They are as many as the partitions of n into distinct parts, counted
+    here by the knapsack recurrence over the part sizes in O(n^2) steps.
+    """
+    if n < 0:
+        raise ValueError("weight must be non-negative")
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(n, part - 1, -1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
 def hf_leq(a: HilbertFunction, b: HilbertFunction) -> bool:
     """Coefficientwise comparison of two Hilbert functions of equal degree."""
     if a.degree != b.degree:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, run_of_ones
 from .resolution import BettiTable, generic_betti
-from .strata import stratum_dim, tangent_leq
+from .strata import required_window, stratum_dim, tangent_excess
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,14 @@ def cover_conditions(pair: CoverPair, betti_phi=None, betti_psi=None, dims=None)
     """(dimension comparison, tangent comparison) for a cover.
 
     The first asks that the smaller stratum have strictly smaller
-    dimension; the second that its tangent function dominate coefficientwise.
+    dimension; the second that its tangent function dominate coefficientwise,
+    compared on the window that the move (u, v) of the pair decides.
     """
     if dims is None:
         dims = (stratum_dim(pair.phi), stratum_dim(pair.psi))
     dim_ok = dims[0] < dims[1]
-    tangent_ok = tangent_leq(pair.psi, pair.phi, betti_phi=betti_phi, betti_psi=betti_psi)
+    lo, hi = required_window(pair.u, pair.v)
+    tangent_ok = not tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
     return dim_ok, tangent_ok
 
 

@@ -6,6 +6,15 @@ forced by h alone: the numerator q(t) of the ideal's Hilbert series over
 the three-variable polynomial ring splits its positive coefficients into
 generators and its negative ones into relations (genericity means no
 degree carries both).
+
+Closed form.  Since (1-t) h(t) is the height series s(t) of the diagram and
+(1-t)^3 times the ambient series is 1, the numerator is
+q(t) = 1 - (1-t)^2 s(t), that is
+
+    q_l = [l = 0] - (s_l - 2 s_{l-1} + s_{l-2}),
+
+the negated second difference of the heights plus the unit of rank one.
+Its support lies in degrees 0 .. len(s) + 1 and q(1) = 1.
 """
 
 from .diagrams import HilbertFunction
@@ -19,16 +28,23 @@ def ambient_hilbert(m: int) -> int:
     return (m + 2) * (m + 1) // 2
 
 
-def series_numerator(hf: HilbertFunction) -> IntLaurentPoly:
-    """Numerator q(t) of the ideal's Hilbert series.
+def _numerator_coeffs(s) -> list:
+    """Dense numerator coefficients q_0 .. q_{len(s)+1} of the height tuple ``s``."""
+    q = []
+    before = last = 0
+    for x in s + (0, 0):
+        q.append(2 * last - before - x)
+        before, last = last, x
+    q[0] += 1
+    return q
 
-    q(t) = (1-t)^3 * (ambient series - h(t)); since (1-t) * h(t) is the
-    height sequence of the diagram and (1-t)^3 times the ambient series is
-    1, this reduces to the finite computation q = 1 - (1-t)^2 * s(t).
+
+def series_numerator(hf: HilbertFunction) -> IntLaurentPoly:
+    """Numerator q(t) of the ideal's Hilbert series, q = 1 - (1-t)^2 * s(t).
+
     Always q(1) = 1 (the ideal has rank one).
     """
-    one_minus_t_sq = IntLaurentPoly({0: 1, 1: -2, 2: 1})
-    return IntLaurentPoly.one() - one_minus_t_sq * hf.diagram.poly()
+    return IntLaurentPoly.from_list(_numerator_coeffs(hf.diagram.s))
 
 
 class BettiTable:
@@ -64,12 +80,11 @@ class BettiTable:
 
 def generic_betti(hf: HilbertFunction) -> BettiTable:
     """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0)."""
-    q = series_numerator(hf)
     a = {}
     b = {}
-    for d, c in q.coeffs.items():
+    for d, c in enumerate(_numerator_coeffs(hf.diagram.s)):
         if c > 0:
             a[d] = c
-        else:
+        elif c < 0:
             b[d] = -c
     return BettiTable(a, b)

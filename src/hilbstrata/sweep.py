@@ -11,20 +11,20 @@ counterexample; a clean sweep is the reproducible evidence that the two
 cover criteria agree on the whole range.
 """
 
+import os
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import Pool
 
-from .diagrams import CastelnuovoDiagram, enumerate_diagrams
+from .diagrams import CastelnuovoDiagram, count_diagrams, enumerate_diagrams
 from .incidence import (
     CoverPair,
     betti_criterion,
-    cover_conditions,
     cover_moves,
     is_type_zero,
     verify_intersections,
 )
 from .resolution import generic_betti
-from .strata import required_window, stratum_dim, tangent_function
+from .strata import required_window, stratum_dim, tangent_excess
 
 
 @dataclass
@@ -65,9 +65,13 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
             f"u={u} v={v}{' ' + detail if detail else ''}"
         )
 
-    dim_ok, tangent_ok = cover_conditions(
-        pair, betti_phi=betti_phi, betti_psi=betti_psi, dims=(dim_phi, dim_psi)
-    )
+    # The dimension and tangent comparisons, the independent side of every
+    # equivalence below.  Each tangent window is built once, on the window
+    # the move (u, v) decides, and also feeds the pointwise bound.
+    lo, hi = required_window(u, v)
+    excess = tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
+    dim_ok = dim_phi < dim_psi
+    tangent_ok = not excess
     incident = dim_ok and tangent_ok
     betti_ok = betti_criterion(pair, betti_phi)
 
@@ -112,13 +116,8 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
 
     # Pointwise tangent bound: outside two exceptional degrees the bigger
     # stratum never gains sections.
-    lo, hi = required_window(u, v)
-    t_phi = tangent_function(pair.phi, lo, hi, betti_phi)
-    t_psi = tangent_function(pair.psi, lo, hi, betti_psi)
-    for m in range(lo, hi + 1):
-        if m in (u - 3, v):
-            continue
-        if t_psi[m] > t_phi[m]:
+    for m in excess:
+        if m not in (u - 3, v):
             fail("tangent-bound", f"degree {m}")
     shortcut = betti_phi.a_at(u) != 0 and betti_phi.b_at(v + 3) != 0
     if tangent_ok != shortcut:
@@ -179,17 +178,34 @@ def _chunks(items, count):
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+def pool_size(requested: int, tasks: int, cpus: int | None = None) -> int:
+    """Worker processes worth starting for ``tasks`` separable pieces of work.
+
+    At least one, and no more than requested, than the CPUs (``cpus``,
+    default ``os.cpu_count()``) or than the tasks.
+    """
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, tasks))
+
+
 def sweep_weight(n: int, workers: int = 1, pool=None) -> SweepSummary:
-    """Verify every cover of weight ``n``; deterministic regardless of workers."""
+    """Verify every cover of weight ``n``; deterministic regardless of workers.
+
+    Without ``pool`` the worker count is first clamped by ``pool_size`` to
+    the CPUs and to the number of diagrams.
+    """
     tuples = [d.s for d in enumerate_diagrams(n)]
-    if workers <= 1 and pool is None:
-        return _sweep_chunk((n, tuples))
+    if pool is None:
+        workers = pool_size(workers, len(tuples))
+        if workers == 1:
+            return _sweep_chunk((n, tuples))
     parts = _chunks(tuples, workers * 4)
     tasks = [(n, part) for part in parts]
     if pool is not None:
         results = pool.map(_sweep_chunk, tasks)
     else:
-        with get_context("fork").Pool(workers) as local:
+        with Pool(workers) as local:
             results = local.map(_sweep_chunk, tasks)
     summary = SweepSummary(n=n)
     for part in results:
@@ -198,12 +214,18 @@ def sweep_weight(n: int, workers: int = 1, pool=None) -> SweepSummary:
 
 
 def verify_range(n_values, workers: int = 1):
-    """Sweep each weight in turn, yielding one summary per weight."""
+    """Sweep each weight in turn, yielding one summary per weight.
+
+    One pool serves the whole range, sized by ``pool_size`` against the
+    diagram count of the largest weight (the count never decreases with
+    the weight), and started with the platform's default method.
+    """
     ns = list(n_values)
-    if workers <= 1:
+    workers = pool_size(workers, count_diagrams(max(ns))) if ns else 1
+    if workers == 1:
         for n in ns:
             yield sweep_weight(n)
         return
-    with get_context("fork").Pool(workers) as pool:
+    with Pool(workers) as pool:
         for n in ns:
             yield sweep_weight(n, workers, pool=pool)

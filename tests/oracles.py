@@ -102,16 +102,34 @@ def numerator_by_truncation(hf):
     return coeffs
 
 
-def dim_constant_direct(diagram):
-    """Constant coefficient of the dimension series, expanded by hand:
-    sum_i s_i * (s_{i+1} - s_{i+2})."""
-    s = diagram.s
-    total = 0
+def dim_constant_by_product(diagram):
+    """Constant coefficient of (t^-1 - t^-2) * s(t^-1) * s(t), by multiplying
+    the three Laurent polynomials out as dense coefficient lists (index k
+    holds the degree k - offset) and reading off degree 0."""
+    s = list(diagram.s)
+    if not s:
+        return 0
+    top = len(s) - 1
+    # s(t^-1) * s(t): degrees -top .. top.
+    square = [0] * (2 * top + 1)
     for i, x in enumerate(s):
-        nxt = s[i + 1] if i + 1 < len(s) else 0
-        nxt2 = s[i + 2] if i + 2 < len(s) else 0
-        total += x * (nxt - nxt2)
-    return total
+        for j, y in enumerate(s):
+            square[j - i + top] += x * y
+    # times t^-1 - t^-2: degrees -top-2 .. top-1.
+    factor = {-1: 1, -2: -1}
+    offset = top + 2
+    full = [0] * (2 * top + 3)
+    for k, c in enumerate(square):
+        for shift, f in factor.items():
+            full[k - top + shift + offset] += c * f
+    return full[offset]
+
+
+def tangent_sections_by_euler(m):
+    """Sections of the twisted tangent bundle of the plane from the Euler
+    sequence: three copies of O(m+2) minus one O(m+3), plus the single unit
+    of higher cohomology at m = -3."""
+    return 3 * binomial(m + 4, 2) - binomial(m + 5, 2) + (1 if m == -3 else 0)
 
 
 def greedy_maximal_diagram(n):

@@ -5,6 +5,7 @@ from hilbstrata.diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
     convert,
+    count_diagrams,
     diagram_stats,
     enumerate_diagrams,
     hf_leq,
@@ -80,7 +81,9 @@ class TestEnumerate:
 
     def test_counts_match_partition_oracle(self):
         for n in range(0, 26):
-            assert len(enumerate_diagrams(n)) == count_distinct_partitions(n)
+            assert len(enumerate_diagrams(n)) == count_distinct_partitions(n) == count_diagrams(n)
+        with pytest.raises(ValueError):
+            count_diagrams(-1)
 
     def test_all_valid_unique_and_ordered(self):
         for n in range(1, 21):

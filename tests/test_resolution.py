@@ -63,6 +63,17 @@ class TestGenericBetti:
                 assert all(c > 0 for c in t.a.values())
                 assert all(c > 0 for c in t.b.values())
 
+    def test_split_of_truncated_series_oracle(self):
+        # Generators are the positive, relations the negated negative
+        # coefficients of the numerator found from the ideal's value table.
+        for n in range(0, 26):
+            for d in enumerate_diagrams(n):
+                h = d.hilbert_function()
+                q = numerator_by_truncation(h)
+                t = generic_betti(h)
+                assert t.a == {l: c for l, c in q.items() if c > 0}
+                assert t.b == {l: -c for l, c in q.items() if c < 0}
+
     def test_rank_one_total(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):

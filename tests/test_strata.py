@@ -12,7 +12,12 @@ from hilbstrata.strata import (
     tangent_function,
     tangent_leq,
 )
-from oracles import dim_constant_direct, greedy_maximal_diagram
+from oracles import (
+    dim_constant_by_product,
+    greedy_maximal_diagram,
+    numerator_by_truncation,
+    tangent_sections_by_euler,
+)
 
 
 class TestStratumDim:
@@ -40,9 +45,9 @@ class TestStratumDim:
                 assert (dim == 2 * n) == (d == top)
 
     def test_matches_direct_expansion(self):
-        for n in range(1, 21):
+        for n in range(1, 26):
             for d in enumerate_diagrams(n):
-                assert stratum_dim(d.hilbert_function()) == 1 + n + dim_constant_direct(d)
+                assert stratum_dim(d.hilbert_function()) == 1 + n + dim_constant_by_product(d)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -56,6 +61,8 @@ def test_tangent_bundle_section_counts():
     assert tangent_bundle_sections(-3) == 0
     assert tangent_bundle_sections(-4) == 0
     assert tangent_bundle_sections(1) == 15
+    for m in range(-12, 40):
+        assert tangent_bundle_sections(m) == tangent_sections_by_euler(m)
 
 
 class TestTangentFunction:
@@ -88,6 +95,25 @@ class TestTangentFunction:
                     for m in range(lo, hi + 1):
                         if not (pair.u - 3 <= m <= pair.v + 1):
                             assert t_phi[m] == t_psi[m]
+
+    def test_matches_degreewise_formula(self):
+        # Windows below degree 0, across the whole diagram, past its end and
+        # of width one, against h(m), the truncated-series relation counts and
+        # the Euler-sequence section counts evaluated degree by degree.
+        for n in range(1, 16):
+            for d in enumerate_diagrams(n):
+                phi = d.hilbert_function()
+                q = numerator_by_truncation(phi)
+                top = len(d.s)
+                for lo, hi in ((-9, -6), (-7, top + 6), (top, top + 3), (2, 2)):
+                    expected = {
+                        m: tangent_sections_by_euler(m)
+                        - 3 * phi.value(m + 1)
+                        + phi.value(m)
+                        + max(-q.get(m + 3, 0), 0)
+                        for m in range(lo, hi + 1)
+                    }
+                    assert tangent_function(phi, lo, hi) == expected
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,194 @@
+import inspect
+import re
+
+import pytest
+
+from conftest import hf
+from hilbstrata import sweep
+from hilbstrata.incidence import is_length_zero
+from hilbstrata.resolution import BettiTable, generic_betti
+from hilbstrata.strata import stratum_dim
+from hilbstrata.sweep import check_cover, pool_size, verify_range
+
+# Real covers, named by the width of their move; all four are incident.
+COVERS = {
+    "v=u": ("1,1,1", "1,2"),
+    "v=u+1": ("1,1,1,1", "1,2,1"),
+    "v>=u+2": ("1,1,1,1,1", "1,2,1,1"),
+    "type-zero": ("1,2,2,1,1,1", "1,2,2,2,1"),
+}
+# Not incident: b_{v+3} of phi vanishes, and the dimensions are equal.
+FAILS_AT_V = ("1,2,2,2,1", "1,2,3,1,1")
+# Not incident: a_u of phi vanishes, so the tangent comparison fails at u-3.
+FAILS_AT_U = ("1,2,3,2,1,1", "1,2,3,2,2")
+
+
+def _inputs(lower, upper):
+    pair = is_length_zero(hf(lower), hf(upper))
+    assert pair is not None
+    return pair, generic_betti(pair.phi), generic_betti(pair.psi), stratum_dim(pair.phi), stratum_dim(pair.psi)
+
+
+def _failures(pair, betti_phi, betti_psi, dim_phi, dim_psi):
+    return check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)[3]
+
+
+def _kinds(*inputs):
+    return {line.split(":")[0] for line in _failures(*inputs)}
+
+
+def _kind(entry):
+    return entry.partition("/")[0]
+
+
+def _fired(lines, entry):
+    """Does a failure match ``entry``: a kind, optionally '/' and a fragment of its detail?"""
+    kind, _, detail = entry.partition("/")
+    return any(line.startswith(kind + ":") and detail in line for line in lines)
+
+
+def _bump(table, which, degree, by):
+    """A copy of ``table`` with one generator (``a``) or relation (``b``) count moved by ``by``."""
+    counts = {"a": dict(table.a), "b": dict(table.b)}
+    counts[which][degree] = counts[which].get(degree, 0) + by
+    return BettiTable(counts["a"], counts["b"])
+
+
+@pytest.mark.parametrize("cover", [*COVERS.values(), FAILS_AT_V, FAILS_AT_U])
+def test_clean_inputs_give_no_failures(cover):
+    pair, betti_phi, betti_psi, dim_phi, dim_psi = _inputs(*cover)
+    incident, betti_ok, _, failures = check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)
+    assert failures == []
+    assert incident == betti_ok == (cover in COVERS.values())
+
+
+def test_cover_widths_and_type_zero():
+    widths = {name: _inputs(*cover)[0] for name, cover in COVERS.items()}
+    assert widths["v=u"].v == widths["v=u"].u
+    assert widths["v=u+1"].v == widths["v=u+1"].u + 1
+    assert widths["v>=u+2"].v >= widths["v>=u+2"].u + 2
+    pair, betti_phi, betti_psi, dim_phi, dim_psi = _inputs(*COVERS["type-zero"])
+    assert check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)[2]
+
+
+# (cover, mutation, failures that must appear).  A mutation gets the clean
+# inputs (pair, betti_phi, betti_psi, dim_phi, dim_psi) and returns the
+# corrupted ones.  An expected failure is a kind, or a kind and a fragment
+# of its detail after '/' where one kind has several checks.
+MUTATIONS = [
+    # One Betti coefficient of psi shifted: a generator at u ...
+    *[
+        (cover, "psi a_u + 1", lambda p, t, s, d, e: (p, t, _bump(s, "a", p.u, 1), d, e), {"numerator-shift"})
+        for cover in COVERS.values()
+    ],
+    # ... or a relation at v+5, which also lifts psi's tangent value at v+2.
+    *[
+        (
+            cover,
+            "psi b_{v+5} + 1",
+            lambda p, t, s, d, e: (p, t, _bump(s, "b", p.v + 5, 1), d, e),
+            {"numerator-shift", "tangent-bound", "tangent-shortcut", "criterion-equivalence"},
+        )
+        for cover in COVERS.values()
+    ],
+    (FAILS_AT_V, "psi b_{v+5} + 1", lambda p, t, s, d, e: (p, t, _bump(s, "b", p.v + 5, 1), d, e),
+     {"numerator-shift", "tangent-bound"}),
+    # dim_psi off by one.
+    *[
+        (cover, "dim_psi + 1", lambda p, t, s, d, e: (p, t, s, d, e + 1),
+         {"dimension-delta/betti formula", "dimension-delta/height formula"})
+        for cover in COVERS.values()
+    ],
+    (COVERS["v=u"], "dim_psi - 1", lambda p, t, s, d, e: (p, t, s, d, e - 1),
+     {"dimension-delta", "criterion-equivalence"}),
+    (COVERS["v>=u+2"], "dim_psi + 1", lambda p, t, s, d, e: (p, t, s, d, e + 1),
+     {"dimension-delta", "wide-move-dim-law"}),
+    (COVERS["v>=u+2"], "dim_psi - 1", lambda p, t, s, d, e: (p, t, s, d, e - 1),
+     {"dimension-delta", "wide-move-dim-law", "criterion-equivalence"}),
+    (COVERS["type-zero"], "dim_psi - 1", lambda p, t, s, d, e: (p, t, s, d, e - 1),
+     {"dimension-delta", "type-zero-incidence", "criterion-equivalence"}),
+    # One relation count of phi changed so that phi's tangent window moves:
+    # at v+3 the shortcut moves with it and only the dimension side disagrees ...
+    (FAILS_AT_V, "phi b_{v+3} + 1", lambda p, t, s, d, e: (p, _bump(t, "b", p.v + 3, 1), s, d, e),
+     {"criterion-equivalence"}),
+    # ... at u the window passes while a_u still vanishes ...
+    (FAILS_AT_U, "phi b_u + 1", lambda p, t, s, d, e: (p, _bump(t, "b", p.u, 1), s, d, e),
+     {"tangent-shortcut", "numerator-shift", "dimension-delta/betti formula"}),
+    # ... and one relation fewer at v+4 lets psi win at v+1, outside the exceptional degrees.
+    (FAILS_AT_V, "phi b_{v+4} - 1", lambda p, t, s, d, e: (p, _bump(t, "b", p.v + 4, -1), s, d, e),
+     {"tangent-bound", "numerator-shift"}),
+    # The zero pattern of phi's table around a move wider than one column.
+    *[
+        (COVERS[name], "phi a_{u+1} + 1", lambda p, t, s, d, e: (p, _bump(t, "a", p.u + 1, 1), s, d, e),
+         {"betti-zero-pattern/generator in the plateau", "numerator-shift"})
+        for name in ("v=u+1", "v>=u+2", "type-zero")
+    ],
+    *[
+        (COVERS[name], "phi b_{u+2} + 1", lambda p, t, s, d, e: (p, _bump(t, "b", p.u + 2, 1), s, d, e),
+         {"betti-zero-pattern/relation in the plateau", "numerator-shift"})
+        for name in ("v=u+1", "v>=u+2")
+    ],
+    (COVERS["v=u+1"], "phi a_u + 2", lambda p, t, s, d, e: (p, _bump(t, "a", p.u, 2), s, d, e),
+     {"betti-zero-pattern/a_u exceeds", "numerator-shift"}),
+    (COVERS["v=u+1"], "phi a_{v+2} - 1", lambda p, t, s, d, e: (p, _bump(t, "a", p.v + 2, -1), s, d, e),
+     {"betti-zero-pattern/a_{v+2} vanishes", "numerator-shift"}),
+    (COVERS["v>=u+2"], "phi b_{v+3} + 1", lambda p, t, s, d, e: (p, _bump(t, "b", p.v + 3, 1), s, d, e),
+     {"betti-zero-pattern/b_{v+3} exceeds", "wide-move-dim-law", "criterion-equivalence"}),
+]
+
+
+@pytest.mark.parametrize(
+    "cover,label,mutate,expected",
+    MUTATIONS,
+    ids=[f"{cover[0]}->{cover[1]}:{label}" for cover, label, _, _ in MUTATIONS],
+)
+def test_corrupted_inputs_fire_the_expected_failures(cover, label, mutate, expected):
+    lines = _failures(*mutate(*_inputs(*cover)))
+    assert [entry for entry in expected if not _fired(lines, entry)] == []
+
+
+@pytest.mark.parametrize("name", ["v=u+1", "v>=u+2", "type-zero"])
+def test_failed_certificate_is_reported(monkeypatch, name):
+    monkeypatch.setattr(sweep, "verify_intersections", lambda pair, table: False)
+    assert _kinds(*_inputs(*COVERS[name])) == {"intersection-certificate"}
+
+
+def test_certificate_is_not_asked_of_one_column_moves(monkeypatch):
+    monkeypatch.setattr(sweep, "verify_intersections", lambda pair, table: False)
+    assert _kinds(*_inputs(*COVERS["v=u"])) == set()
+
+
+def test_every_failure_kind_is_exercised():
+    emitted = set(re.findall(r'fail\("([a-z-]+)"', inspect.getsource(check_cover)))
+    exercised = {_kind(entry) for _, _, _, expected in MUTATIONS for entry in expected}
+    exercised.add("intersection-certificate")
+    assert len(emitted) == 9
+    assert emitted == exercised
+
+
+class TestPoolSize:
+    def test_clamped_by_cpus(self):
+        assert pool_size(8, tasks=100, cpus=2) == 2
+
+    def test_clamped_by_tasks(self):
+        assert pool_size(8, tasks=3, cpus=16) == 3
+
+    def test_request_below_both_limits(self):
+        assert pool_size(3, tasks=100, cpus=16) == 3
+
+    def test_at_least_one(self):
+        assert pool_size(1, tasks=0, cpus=4) == 1
+        assert pool_size(4, tasks=5, cpus=0) == 1
+
+    def test_default_cpus_is_the_machine(self):
+        assert 1 <= pool_size(2, tasks=2) <= 2
+
+
+def test_small_range_runs_without_a_pool(monkeypatch):
+    # Weight 2 has a single diagram, so two requested workers clamp to one.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker process should start")
+
+    monkeypatch.setattr(sweep, "Pool", no_pool)
+    summaries = list(verify_range(range(1, 3), workers=2))
+    assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
