@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success (and on a clean verification sweep), 1 when the
-sweep finds a counterexample, 2 on usage or parse errors.
+sweep finds a counterexample, 2 on usage or parse errors and on an output
+file that cannot be written.
 """
 
 import argparse
@@ -112,8 +113,11 @@ def _cmd_resolve(args, out):
 def _cmd_graph(args, out):
     data = emit(build_hilbert_graph(args.n), args.format)
     if args.output:
-        with open(args.output, "wb") as handle:
-            handle.write(data)
+        try:
+            with open(args.output, "wb") as handle:
+                handle.write(data)
+        except OSError as exc:
+            return _usage_error(f"cannot write {args.output}: {exc.strerror or exc}")
     else:
         out.write(data.decode("utf-8"))
     return 0

@@ -10,8 +10,8 @@ record.
 import json
 from dataclasses import dataclass
 
-from .diagrams import CastelnuovoDiagram, HilbertFunction, enumerate_diagrams, hf_leq
-from .incidence import IncidenceVerdict, cover_moves, resolve_incidence
+from .diagrams import CastelnuovoDiagram, HilbertFunction, enumerate_diagrams
+from .incidence import IncidenceVerdict, cover_moves, is_length_zero, resolve_incidence
 from .resolution import BettiTable, generic_betti
 from .strata import stratum_dim
 
@@ -72,64 +72,64 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
 def detect_noncatenary(g: HilbertGraph):
     """Intervals whose saturated chains disagree in length.
 
-    Returns (from_id, to_id, lengths) triples with ``lengths`` the sorted
-    tuple of distinct cover-path lengths from the lower to the upper node;
-    a pentagon is an interval carrying both a length-2 and a length-3 chain.
+    Returns (from_id, to_id, lengths) triples, sorted, with ``lengths`` the
+    ascending tuple of distinct cover-path lengths from the lower to the
+    upper node; a pentagon is an interval carrying both a length-2 and a
+    length-3 chain.  The edges are assumed to be exactly the covers, so the
+    saturated chains of [i, j] are the edge paths from i to j.
+
+    One forward pass per source i, in topological order: bit l of
+    ``chains[j]`` is set when some edge path from i to j has length l.
+    Raises ValueError when the edges contain a cycle.
     """
-    size = len(g.nodes)
-    up = [[] for _ in range(size)]
-    for e in g.edges:
-        up[e.from_id].append(e.to_id)
-    leq = [
-        [i == j or hf_leq(g.nodes[i].hf, g.nodes[j].hf) for j in range(size)]
-        for i in range(size)
-    ]
+    order, up = _topological_order(g)
+    lengths_of = {}
     witnesses = []
-    for i in range(size):
-        for j in range(size):
-            if i == j or not leq[i][j]:
-                continue
-            lengths = _chain_lengths(up, leq, i, j)
-            if len(lengths) > 1:
-                witnesses.append((i, j, tuple(sorted(lengths))))
-    witnesses.sort()
+    for i in range(len(order)):
+        chains = [0] * len(order)
+        chains[i] = 1
+        for x in order:
+            mask = chains[x] << 1
+            if mask:
+                for y in up[x]:
+                    chains[y] |= mask
+        # chains[i] stays 1 in an acyclic graph, so the source never qualifies.
+        for j, mask in enumerate(chains):
+            if mask & (mask - 1):
+                lengths = lengths_of.get(mask)
+                if lengths is None:
+                    lengths = tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
+                    lengths_of[mask] = lengths
+                witnesses.append((i, j, lengths))
     return witnesses
 
 
-def _chain_lengths(up, leq, start, goal):
-    """Distinct lengths of cover paths from start to goal inside [start, goal]."""
-    memo = {goal: {0}}
-
-    def walk(x):
-        if x in memo:
-            return memo[x]
-        found = set()
+def _topological_order(g: HilbertGraph):
+    """Node ids in an order where every edge points forward, and the
+    out-neighbours of each node.  Raises ValueError on a cycle."""
+    up = [[] for _ in g.nodes]
+    indeg = [0] * len(g.nodes)
+    for e in g.edges:
+        up[e.from_id].append(e.to_id)
+        indeg[e.to_id] += 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for x in order:  # grows while it is walked (Kahn's algorithm)
         for y in up[x]:
-            if leq[y][goal]:
-                found.update(l + 1 for l in walk(y))
-        memo[x] = found
-        return found
-
-    return walk(start)
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                order.append(y)
+    if len(order) != len(g.nodes):
+        raise ValueError("cover graph has a cycle")
+    return order, up
 
 
 def _layers(g: HilbertGraph):
     """Longest-cover-path depth of each node above the minimal function."""
-    size = len(g.nodes)
-    indeg = [0] * size
-    up = [[] for _ in range(size)]
-    for e in g.edges:
-        up[e.from_id].append(e.to_id)
-        indeg[e.to_id] += 1
-    layer = [0] * size
-    queue = [i for i in range(size) if indeg[i] == 0]
-    while queue:
-        x = queue.pop()
+    order, up = _topological_order(g)
+    layer = [0] * len(order)
+    for x in order:
         for y in up[x]:
             layer[y] = max(layer[y], layer[x] + 1)
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
     return layer
 
 
@@ -177,29 +177,52 @@ def _emit_json(g: HilbertGraph) -> bytes:
 
 
 def parse_graph_json(data) -> HilbertGraph:
-    """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical)."""
+    """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
+
+    Raises ValueError unless the record has the emitter's keys and types,
+    the node ids are 0..N-1 in order, each node's dim is the dimension of
+    its stratum, and each edge joins two nodes by a cover with the stated
+    (u, v).
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    record = json.loads(data)
+    try:
+        return _graph_from_record(json.loads(data))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed graph record: {exc!r}") from exc
+
+
+def _graph_from_record(record) -> HilbertGraph:
     nodes = []
-    for item in record["nodes"]:
+    for position, item in enumerate(record["nodes"]):
+        if item["id"] != position:
+            raise ValueError(f"node id {item['id']!r} at position {position}")
         hf = CastelnuovoDiagram(item["s"]).hilbert_function()
+        if item["dim"] != stratum_dim(hf):
+            raise ValueError(f"node {position}: dim {item['dim']!r} != {stratum_dim(hf)}")
         betti = BettiTable(
             {int(k): c for k, c in item["a"].items()},
             {int(k): c for k, c in item["b"].items()},
         )
-        nodes.append(NodeRecord(id=item["id"], hf=hf, dim=item["dim"], betti=betti))
+        nodes.append(NodeRecord(id=position, hf=hf, dim=item["dim"], betti=betti))
     edges = []
     for item in record["edges"]:
+        ends = (item["from"], item["to"])
+        if not all(isinstance(end, int) and 0 <= end < len(nodes) for end in ends):
+            raise ValueError(f"edge {ends} has an endpoint outside 0..{len(nodes) - 1}")
+        lower, upper = (nodes[end] for end in ends)
+        pair = is_length_zero(lower.hf, upper.hf)
+        if pair is None or (pair.u, pair.v) != (item["u"], item["v"]):
+            raise ValueError(f"edge {ends} is not a cover with u={item['u']!r} v={item['v']!r}")
         verdict = IncidenceVerdict(
             incident=item["incident"],
             dim_ok=item["dim_ok"],
             tangent_ok=item["tangent_ok"],
             betti_ok=item["condition_c"],
             type_zero=item["type_zero"],
-            dims=(nodes[item["from"]].dim, nodes[item["to"]].dim),
+            dims=(lower.dim, upper.dim),
         )
-        edges.append(EdgeRecord(item["from"], item["to"], item["u"], item["v"], verdict))
+        edges.append(EdgeRecord(*ends, item["u"], item["v"], verdict))
     return HilbertGraph(n=record["n"], nodes=nodes, edges=edges)
 
 

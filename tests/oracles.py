@@ -74,6 +74,30 @@ def cover_relations_triple_loop(functions):
     return covers
 
 
+def noncatenary_by_chains(functions):
+    """(i, j, lengths) for every interval [functions[i], functions[j]] whose
+    saturated chains do not all have the same length, by walking every
+    chain of covers (from the triple-loop cover relation) one at a time."""
+    index = {f.diagram.s: i for i, f in enumerate(functions)}
+    above = [[] for _ in functions]
+    for low, high in cover_relations_triple_loop(functions):
+        above[index[low]].append(index[high])
+    lengths = {}
+
+    def walk(start, x, depth):
+        lengths.setdefault((start, x), set()).add(depth)
+        for y in above[x]:
+            walk(start, y, depth + 1)
+
+    for i in range(len(functions)):
+        walk(i, i, 0)
+    return sorted(
+        (i, j, tuple(sorted(found)))
+        for (i, j), found in lengths.items()
+        if len(found) > 1
+    )
+
+
 def binomial(n, k):
     if k < 0 or k > n:
         return 0

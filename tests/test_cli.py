@@ -93,6 +93,14 @@ def test_graph_stdout_and_file(capsys, tmp_path):
     assert "style=solid" in target.read_text()
 
 
+def test_graph_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "g.dot"
+    code, out, err = run_cli(capsys, "graph", "-n", "3", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_verify_clean(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "8")
     assert code == 0

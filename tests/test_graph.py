@@ -4,12 +4,15 @@ import pytest
 
 from hilbstrata.diagrams import enumerate_diagrams, hf_leq
 from hilbstrata.graph import (
+    EdgeRecord,
+    HilbertGraph,
+    NodeRecord,
     build_hilbert_graph,
     detect_noncatenary,
     emit,
     parse_graph_json,
 )
-from oracles import cover_relations_triple_loop
+from oracles import cover_relations_triple_loop, noncatenary_by_chains
 
 
 class TestBuild:
@@ -98,6 +101,30 @@ class TestNoncatenary:
         assert witnesses
         assert any(2 in lengths and 3 in lengths for _, _, lengths in witnesses)
 
+    def test_matches_chain_enumeration_oracle(self):
+        for n in range(1, 21):
+            fns = [d.hilbert_function() for d in enumerate_diagrams(n)]
+            assert detect_noncatenary(build_hilbert_graph(n)) == noncatenary_by_chains(fns)
+
+    def test_witness_counts(self):
+        assert len(detect_noncatenary(build_hilbert_graph(17))) == 224
+        assert len(detect_noncatenary(build_hilbert_graph(20))) == 716
+
+    def test_hand_built_pentagon(self):
+        # bottom 4 -> 1 -> top 0 and bottom 4 -> 3 -> 2 -> top 0
+        edges = [EdgeRecord(a, b, 0, 0, None) for a, b in [(4, 1), (1, 0), (4, 3), (3, 2), (2, 0)]]
+        g = HilbertGraph(n=0, nodes=[NodeRecord(i, None, 0, None) for i in range(5)], edges=edges)
+        assert detect_noncatenary(g) == [(4, 0, (2, 3))]
+
+    def test_rejects_a_cycle(self):
+        g = parse_graph_json(emit(build_hilbert_graph(4), "json"))
+        e = g.edges[0]
+        g.edges.append(EdgeRecord(e.to_id, e.from_id, e.u, e.v, e.verdict))
+        with pytest.raises(ValueError, match="cover graph has a cycle"):
+            detect_noncatenary(g)
+        with pytest.raises(ValueError, match="cover graph has a cycle"):
+            emit(g, "dot")
+
 
 class TestEmit:
     def test_dot_weight3(self):
@@ -145,3 +172,56 @@ class TestEmit:
         # the all-ones diagram is the last node id and the unique minimum
         assert lines[0] == "  { rank=same; n3; }"
         assert len(lines) == 4
+
+
+class TestParseValidation:
+    @staticmethod
+    def record(n=8):
+        return json.loads(emit(build_hilbert_graph(n), "json"))
+
+    def check_rejected(self, record, match):
+        with pytest.raises(ValueError, match=match):
+            parse_graph_json(json.dumps(record))
+
+    def test_node_ids_must_be_positions(self):
+        record = self.record()
+        record["nodes"][0]["id"], record["nodes"][1]["id"] = 1, 0
+        self.check_rejected(record, "node id 1 at position 0")
+        record = self.record()
+        del record["nodes"][2]
+        self.check_rejected(record, "node id 3 at position 2")
+
+    def test_edge_endpoint_in_range(self):
+        record = self.record()
+        record["edges"][0]["to"] = len(record["nodes"])
+        self.check_rejected(record, "endpoint outside")
+        record = self.record()
+        record["edges"][0]["from"] = -1
+        self.check_rejected(record, "endpoint outside")
+
+    def test_dim_must_match_the_stratum(self):
+        record = self.record()
+        record["nodes"][0]["dim"] += 1
+        self.check_rejected(record, "node 0: dim")
+
+    def test_edge_must_be_a_cover_with_its_move(self):
+        record = self.record()
+        record["edges"][0]["v"] += 1
+        self.check_rejected(record, "not a cover")
+        record = self.record(4)
+        edge = record["edges"][0]
+        edge["from"], edge["to"] = edge["to"], edge["from"]
+        self.check_rejected(record, "not a cover")
+        # a comparable pair that is not a cover: the ends of a chain of two
+        record = self.record(6)
+        assert [(e["from"], e["to"]) for e in record["edges"]] == [(1, 0), (2, 1), (3, 2)]
+        record["edges"][2]["to"] = 1
+        self.check_rejected(record, "not a cover")
+
+    def test_malformed_record(self):
+        record = self.record()
+        del record["nodes"][0]["dim"]
+        self.check_rejected(record, "malformed graph record")
+        self.check_rejected([], "malformed graph record")
+        with pytest.raises(ValueError):
+            parse_graph_json(b"{not json")
