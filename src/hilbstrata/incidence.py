@@ -3,12 +3,15 @@
 A pair of Hilbert functions (phi, psi) of one degree is a cover ("length
 zero") when phi < psi with nothing strictly between; equivalently psi's
 diagram arises from phi's by a minimal leftward jump of a single square,
-adding one to column u and removing one from column v+1.  For such pairs
-the closure of the bigger stratum contains the smaller one exactly when
-both the dimension comparison and the tangent comparison hold; this module
-also evaluates the equivalent criterion on the Betti numbers of phi, the
-type-zero shape of the diagram, and the truncated intersection products
-that certify solvability of the underlying equation systems.
+adding one to column u and removing one from column w = v+1.  Minimal
+means that no column strictly between u and w is addable or removable, so
+the covers are the adjacent (addable, removable) column pairs of one
+left-to-right scan.  For such pairs the closure of the bigger stratum
+contains the smaller one exactly when both the dimension comparison and
+the tangent comparison hold; this module also evaluates the equivalent
+criterion on the Betti numbers of phi, the type-zero shape of the diagram,
+and the truncated intersection products that certify solvability of the
+underlying equation systems.
 """
 
 from dataclasses import dataclass
@@ -44,26 +47,21 @@ class IncidenceVerdict:
     dims: tuple
 
 
-def _addable_columns(s):
-    """Columns u >= 1 where one extra square keeps the sequence valid.
+def _addable(s, u) -> bool:
+    """Can column u >= 1 of the heights ``s`` take one extra square?
 
     Either the raised column still fits under its left neighbour, or the
     column currently matches the staircase value of its neighbour and the
     extra square extends the staircase by one step.
     """
-    out = []
-    for u in range(1, len(s)):
-        left = s[u - 1]
-        if s[u] + 1 <= left or (left == u and s[u] == u):
-            out.append(u)
-    return out
+    left = s[u - 1]
+    return s[u] < left or left == s[u] == u
 
 
-def _removable_columns(s):
-    """Columns w where removing the top square keeps the sequence valid:
-    the lowered column must not dip below its right neighbour."""
-    n = len(s)
-    return [w for w in range(1, n) if s[w] - 1 >= (s[w + 1] if w + 1 < n else 0)]
+def _removable(s, w) -> bool:
+    """Can column w >= 1 of the heights ``s`` lose its top square?  The
+    lowered column must not dip below its right neighbour."""
+    return s[w] > (s[w + 1] if w + 1 < len(s) else 0)
 
 
 def move_params(diagram: CastelnuovoDiagram):
@@ -75,9 +73,9 @@ def move_params(diagram: CastelnuovoDiagram):
     one.  Sorted by (u, v).
     """
     s = diagram.s
-    add = _addable_columns(s)
-    rem = _removable_columns(s)
-    return sorted((u, w - 1) for u in add for w in rem if u < w)
+    columns = range(1, len(s))
+    removable = [w for w in columns if _removable(s, w)]
+    return [(u, w - 1) for u in columns if _addable(s, u) for w in removable if u < w]
 
 
 def apply_move(diagram: CastelnuovoDiagram, u: int, v: int) -> CastelnuovoDiagram:
@@ -99,24 +97,45 @@ def square_moves(hf: HilbertFunction):
     return out
 
 
-def _is_minimal_move(params, u, v) -> bool:
-    """A move is minimal iff no other valid move nests inside [u, v].
+def _scan_covers(s):
+    """The (u, v) of every cover above the heights ``s``, sorted, from one scan.
 
-    Any function strictly between phi and its move image is reachable from
-    phi by a first single-square jump staying below the image, and staying
-    below means precisely that the jump's interval nests inside [u, v].
+    Each removable column w pairs with the last column before it that is
+    addable or removable, when that column is addable: then nothing
+    between them is either, and (u, w - 1) is a cover.
     """
-    return not any((up, vp) != (u, v) and up >= u and vp <= v for up, vp in params)
+    out = []
+    u = 0  # the last addable-or-removable column if it is addable, else 0
+    for c in range(1, len(s)):
+        removable = _removable(s, c)
+        if removable and u:
+            out.append((u, c - 1))
+        if _addable(s, c):
+            u = c
+        elif removable:
+            u = 0
+    return out
 
 
 def cover_moves(hf: HilbertFunction):
-    """The covers above ``hf`` as CoverPair records, sorted by (u, v)."""
-    params = move_params(hf.diagram)
+    """The covers above ``hf`` as CoverPair records, sorted by (u, v).
+
+    One left-to-right scan finds them: (u, v) is a cover exactly when
+    column u is addable, column w = v+1 is removable, u < w, and no column
+    strictly between them is either.  Each psi is phi's height tuple with
+    column u raised, column w lowered and a trailing zero dropped; the
+    scan guarantees that the result is valid, so it is not validated again.
+    """
+    s = hf.diagram.s
     out = []
-    for u, v in params:
-        if _is_minimal_move(params, u, v):
-            psi = apply_move(hf.diagram, u, v).hilbert_function()
-            out.append(CoverPair(hf, psi, u, v))
+    for u, v in _scan_covers(s):
+        t = list(s)
+        t[u] += 1
+        t[v + 1] -= 1
+        if not t[-1]:
+            t.pop()
+        psi = HilbertFunction(CastelnuovoDiagram._unchecked(tuple(t)))
+        out.append(CoverPair(hf, psi, u, v))
     return out
 
 
@@ -124,16 +143,12 @@ def is_length_zero(phi: HilbertFunction, psi: HilbertFunction):
     """The CoverPair for (phi, psi) when it is a cover, else None.
 
     Raises on degree mismatch.  The pair must differ by a run of ones
-    (a single-square move) and the move must be minimal.
+    (a single-square move) whose (u, v) the cover scan of phi lists.
     """
     run = run_of_ones(phi, psi)
-    if run is None:
+    if run is None or run not in _scan_covers(phi.diagram.s):
         return None
-    u, v = run
-    params = move_params(phi.diagram)
-    if (u, v) not in params or not _is_minimal_move(params, u, v):
-        return None
-    return CoverPair(phi, psi, u, v)
+    return CoverPair(phi, psi, *run)
 
 
 def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
@@ -141,6 +156,9 @@ def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
 
     Only meaningful for single-square-move pairs; for other inputs the
     answer is None (the caller already knows the difference is not a run).
+    Any function strictly between phi and its move image is reachable from
+    phi by a first single-square jump staying below the image, and staying
+    below means precisely that the jump's interval nests inside [u, v].
     """
     run = run_of_ones(phi, psi)
     if run is None:

@@ -42,12 +42,8 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
-    """Exact tangent-function values on the degree window [lo, hi].
-
-    Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
-    relation counts of the generic Betti table of ``hf``.
-    """
+def _tangent_window(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None) -> list:
+    """Tangent-function values at lo, lo+1, ..., hi as a list."""
     if lo > hi:
         raise ValueError("empty window")
     if betti is None:
@@ -56,10 +52,19 @@ def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | 
     # h(lo) .. h(hi+1): zero below degree 0, the transient values, then the degree.
     h = [0] * max(0, min(0, hi + 2) - lo) + list(hf.transient[max(lo, 0) : max(hi + 2, 0)])
     h += [hf.degree] * (hi + 2 - lo - len(h))
-    return {
-        m: tangent_bundle_sections(m) - 3 * h_next + h_m + b.get(m + 3, 0)
+    return [
+        tangent_bundle_sections(m) - 3 * h_next + h_m + b.get(m + 3, 0)
         for m, h_m, h_next in zip(range(lo, hi + 1), h, h[1:])
-    }
+    ]
+
+
+def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
+    """Exact tangent-function values on the degree window [lo, hi].
+
+    Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
+    relation counts of the generic Betti table of ``hf``.
+    """
+    return dict(zip(range(lo, hi + 1), _tangent_window(hf, lo, hi, betti)))
 
 
 def required_window(u: int, v: int):
@@ -85,9 +90,9 @@ def tangent_excess(
     Builds each of the two windows once; the tangent comparison holds
     exactly when the list is empty.
     """
-    t_phi = tangent_function(phi, lo, hi, betti_phi)
-    t_psi = tangent_function(psi, lo, hi, betti_psi)
-    return [m for m in range(lo, hi + 1) if t_psi[m] > t_phi[m]]
+    t_phi = _tangent_window(phi, lo, hi, betti_phi)
+    t_psi = _tangent_window(psi, lo, hi, betti_psi)
+    return [m for m, x, y in zip(range(lo, hi + 1), t_phi, t_psi) if y > x]
 
 
 def tangent_leq(

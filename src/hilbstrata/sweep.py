@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .diagrams import CastelnuovoDiagram, count_diagrams, enumerate_diagrams
+from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, enumerate_diagrams
 from .incidence import (
     CoverPair,
     betti_criterion,
@@ -56,7 +56,7 @@ def _expected_numerator_shift(u: int, v: int) -> dict:
 def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     """All cross-checks for one cover; returns failure descriptions."""
     u, v = pair.u, pair.v
-    s = pair.phi.diagram.height
+    a, b = betti_phi.a, betti_phi.b
     failures = []
 
     def fail(kind, detail=""):
@@ -80,56 +80,59 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
 
     # Zero pattern and inequalities forced by a move wider than one column.
     if v >= u + 1:
-        if any(betti_phi.a_at(i) for i in range(u + 1, v + 2)):
+        if not a.keys().isdisjoint(range(u + 1, v + 2)):
             fail("betti-zero-pattern", "generator in the plateau range")
-        if any(betti_phi.b_at(i) for i in range(u + 2, v + 3)):
+        if not b.keys().isdisjoint(range(u + 2, v + 3)):
             fail("betti-zero-pattern", "relation in the plateau range")
-        if betti_phi.a_at(u) > betti_phi.b_at(u + 1) + 1:
+        if a.get(u, 0) > b.get(u + 1, 0) + 1:
             fail("betti-zero-pattern", "a_u exceeds b_{u+1}+1")
-        if betti_phi.a_at(v + 2) <= 0:
+        if a.get(v + 2, 0) <= 0:
             fail("betti-zero-pattern", "a_{v+2} vanishes")
-        if betti_phi.b_at(v + 3) > betti_phi.a_at(v + 2):
+        if b.get(v + 3, 0) > a.get(v + 2, 0):
             fail("betti-zero-pattern", "b_{v+3} exceeds a_{v+2}")
 
     # The two dimension-delta formulas, one over the Betti table and one
     # over the height sequence, must both give the actual difference.
     e = -1 if v == u else (1 if v == u + 1 else 0)
     delta_betti = (
-        sum(betti_phi.delta(i) for i in range(u, v + 1))
-        - sum(betti_phi.delta(i) for i in range(u + 3, v + 4))
+        sum(a.get(i, 0) - b.get(i, 0) for i in range(u, v + 1))
+        - sum(a.get(i, 0) - b.get(i, 0) for i in range(u + 3, v + 4))
         + e
     )
+    h = (0, 0) + pair.phi.diagram.s + (0, 0)  # h[i + 2] is the height of column i
     delta_heights = (
-        -s(u - 2) + s(u - 1) + s(u + 1) - s(u + 2) + s(v - 1) - s(v) - s(v + 2) + s(v + 3) + e
+        -h[u] + h[u + 1] + h[u + 3] - h[u + 4] + h[v + 1] - h[v + 2] - h[v + 4] + h[v + 5] + e
     )
     if dim_psi - dim_phi != delta_betti:
         fail("dimension-delta", f"betti formula gives {delta_betti}, actual {dim_psi - dim_phi}")
     if dim_psi - dim_phi != delta_heights:
         fail("dimension-delta", f"height formula gives {delta_heights}, actual {dim_psi - dim_phi}")
 
-    # Numerator shift per degree between the two Betti tables.
-    expected = _expected_numerator_shift(u, v)
-    degrees = set(betti_phi.a) | set(betti_phi.b) | set(betti_psi.a) | set(betti_psi.b) | set(expected)
-    for l in degrees:
-        if betti_psi.delta(l) != betti_phi.delta(l) + expected.get(l, 0):
-            fail("numerator-shift", f"degree {l}")
+    # Numerator shift per degree between the two Betti tables: one sparse
+    # walk adds psi's a_l - b_l and subtracts phi's and the expected shift,
+    # so every degree left non-zero is a failure.
+    residue = {l: -c for l, c in _expected_numerator_shift(u, v).items()}
+    for table, sign in ((betti_psi, 1), (betti_phi, -1)):
+        for l, c in table.a.items():
+            residue[l] = residue.get(l, 0) + sign * c
+        for l, c in table.b.items():
+            residue[l] = residue.get(l, 0) - sign * c
+    for l in sorted(l for l, c in residue.items() if c):
+        fail("numerator-shift", f"degree {l}")
 
     # Pointwise tangent bound: outside two exceptional degrees the bigger
     # stratum never gains sections.
     for m in excess:
         if m not in (u - 3, v):
             fail("tangent-bound", f"degree {m}")
-    shortcut = betti_phi.a_at(u) != 0 and betti_phi.b_at(v + 3) != 0
+    shortcut = a.get(u, 0) != 0 and b.get(v + 3, 0) != 0
     if tangent_ok != shortcut:
         fail("tangent-shortcut", f"windowed={tangent_ok} shortcut={shortcut}")
 
     # Wide moves: the dimension comparison collapses to two equalities and,
     # when it holds, the dimensions differ by exactly one.
     if v >= u + 2:
-        law = (
-            betti_phi.a_at(u) == betti_phi.b_at(u + 1) + 1
-            and betti_phi.a_at(v + 2) == betti_phi.b_at(v + 3)
-        )
+        law = a.get(u, 0) == b.get(u + 1, 0) + 1 and a.get(v + 2, 0) == b.get(v + 3, 0)
         if dim_ok != law:
             fail("wide-move-dim-law", f"dim_ok={dim_ok} equalities={law}")
         if dim_ok and dim_psi != dim_phi + 1:
@@ -159,7 +162,7 @@ def _sweep_chunk(args):
         return found
 
     for s in chunk:
-        phi = CastelnuovoDiagram(s).hilbert_function()
+        phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         betti_phi, dim_phi = data_for(phi)
         for pair in cover_moves(phi):
             betti_psi, dim_psi = data_for(pair.psi)

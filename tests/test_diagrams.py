@@ -66,6 +66,11 @@ class TestConvert:
             HilbertFunction.from_values([1, 4, 4])
 
 
+def test_constructor_rejects_invalid_heights():
+    with pytest.raises(ValueError):
+        CastelnuovoDiagram([1, 3])
+
+
 def test_diagram_stats():
     big = CastelnuovoDiagram([1, 2, 3, 4, 5, 5, 3, 2, 1, 1, 1])
     assert diagram_stats(big) == (28, 4)
@@ -92,6 +97,14 @@ class TestEnumerate:
             assert all(d.weight == n for d in ds)
             assert len({d.s for d in ds}) == len(ds)
             assert [d.s for d in ds] == sorted((d.s for d in ds), reverse=True)
+
+    def test_unchecked_tuples_match_the_checked_constructor(self):
+        # enumerate_diagrams skips validation; every tuple must still pass it.
+        for n in range(0, 31):
+            for d in enumerate_diagrams(n):
+                assert is_castelnuovo(d.s) and d.s[-1:] != (0,)
+                checked = CastelnuovoDiagram(d.s)
+                assert (d.weight, d.sigma) == (checked.weight, checked.sigma)
 
     def test_extremes(self):
         assert [d.s for d in enumerate_diagrams(0)] == [()]

@@ -1,7 +1,12 @@
 import pytest
 
 from conftest import hf
-from hilbstrata.diagrams import enumerate_diagrams, parse_hilbert_function
+from hilbstrata.diagrams import (
+    CastelnuovoDiagram,
+    enumerate_diagrams,
+    is_castelnuovo,
+    parse_hilbert_function,
+)
 from hilbstrata.incidence import (
     CoverPair,
     betti_criterion,
@@ -87,12 +92,41 @@ class TestIsLengthZero:
                     assert (is_length_zero(phi, psi) is not None) == expected
 
     def test_matches_triple_loop_covers(self):
-        for n in range(1, 13):
+        for n in range(1, 21):
             fns = [d.hilbert_function() for d in enumerate_diagrams(n)]
             via_moves = {
                 (p.phi.diagram.s, p.psi.diagram.s) for f in fns for p in cover_moves(f)
             }
             assert via_moves == cover_relations_triple_loop(fns)
+
+    def test_scan_matches_the_definition(self):
+        # A cover is a valid single-square move with no other valid move
+        # nested inside it, taken here from the brute-force move list.
+        totals = {}
+        count = 0
+        for n in range(1, 41):
+            for d in enumerate_diagrams(n):
+                moves = brute_single_square_moves(d)
+                minimal = [
+                    (u, v)
+                    for u, v in moves
+                    if not any((up, vp) != (u, v) and up >= u and vp <= v for up, vp in moves)
+                ]
+                found = [(p.u, p.v) for p in cover_moves(d.hilbert_function())]
+                assert found == minimal, d.s
+                count += len(found)
+            totals[n] = count
+        assert (totals[30], totals[40]) == (3702, 19144)
+
+    def test_unchecked_psi_matches_the_checked_constructor(self):
+        for n in range(1, 31):
+            for d in enumerate_diagrams(n):
+                for pair in cover_moves(d.hilbert_function()):
+                    psi = pair.psi.diagram
+                    assert is_castelnuovo(psi.s) and psi.s[-1] != 0
+                    checked = CastelnuovoDiagram(psi.s)
+                    assert (psi.weight, psi.sigma) == (checked.weight, checked.sigma)
+                    assert pair.psi == checked.hilbert_function()
 
     def test_cover_pair_invariants(self):
         for n in range(1, 16):

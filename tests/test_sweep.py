@@ -147,6 +147,14 @@ def test_corrupted_inputs_fire_the_expected_failures(cover, label, mutate, expec
     assert [entry for entry in expected if not _fired(lines, entry)] == []
 
 
+@pytest.mark.parametrize("cover", COVERS.values())
+def test_numerator_shift_names_exactly_the_corrupted_degree(cover):
+    pair, betti_phi, betti_psi, dim_phi, dim_psi = _inputs(*cover)
+    lines = _failures(pair, betti_phi, _bump(betti_psi, "b", pair.v + 5, 1), dim_phi, dim_psi)
+    shifts = [line for line in lines if line.startswith("numerator-shift:")]
+    assert len(shifts) == 1 and shifts[0].endswith(f" degree {pair.v + 5}")
+
+
 @pytest.mark.parametrize("name", ["v=u+1", "v>=u+2", "type-zero"])
 def test_failed_certificate_is_reported(monkeypatch, name):
     monkeypatch.setattr(sweep, "verify_intersections", lambda pair, table: False)
