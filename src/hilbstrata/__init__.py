@@ -15,8 +15,10 @@ from .diagrams import (
     enumerate_diagrams,
     hf_leq,
     is_castelnuovo,
+    iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
+    unrank,
 )
 from .graph import HilbertGraph, build_hilbert_graph, detect_noncatenary, emit, parse_graph_json
 from .incidence import (

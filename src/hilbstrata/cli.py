@@ -10,7 +10,8 @@ import os
 import sys
 
 from .diagrams import (
-    enumerate_diagrams,
+    CastelnuovoDiagram,
+    iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
 )
@@ -74,8 +75,8 @@ def _usage_error(message):
 
 
 def _cmd_enumerate(args, out):
-    for d in enumerate_diagrams(args.n):
-        out.write(d.render() + "\n")
+    for s in iter_diagrams(args.n):
+        out.write(CastelnuovoDiagram._unchecked(s).render() + "\n")
     return 0
 
 

@@ -5,8 +5,9 @@ staircase 1, 2, ..., k and is non-increasing afterwards; its weight is the
 total number of unit squares.  The running sums of a weight-n diagram form
 the Hilbert function of a length-n subscheme of the plane: they increase to
 n and stay there.  This module owns validation, conversion both ways,
-enumeration of all diagrams of a given weight, and the coefficientwise
-partial order on Hilbert functions.
+enumeration of the diagrams of a given weight (streamed in canonical
+order, and addressable by rank), and the coefficientwise partial order on
+Hilbert functions.
 """
 
 from itertools import accumulate
@@ -176,38 +177,128 @@ def diagram_stats(d: CastelnuovoDiagram):
     return d.weight, d.sigma
 
 
-def _tails(remaining, max_part):
-    """Non-increasing sequences of parts in [1, max_part] summing to ``remaining``."""
-    if remaining == 0:
-        yield []
+def _staircase(k: int) -> int:
+    """Weight of the staircase prefix 1, 2, ..., k."""
+    return k * (k + 1) // 2
+
+
+def _tail_counts(n: int):
+    """``ways[c][r]``: the tails of weight r <= n with parts <= c.
+
+    A tail is a non-increasing sequence of positive parts.  Rows run up to
+    the largest staircase k with weight <= n, the largest part a weight-n
+    diagram's tail can have.  Row 0 holds only the empty tail.
+    """
+    ways = [[1] + [0] * n]
+    c = 1
+    while _staircase(c) <= n:
+        row = ways[-1][:]
+        for r in range(c, n + 1):
+            row[r] += row[r - c]
+        ways.append(row)
+        c += 1
+    return ways
+
+
+def _total(n: int, ways) -> int:
+    """Number of weight-n diagrams: the tails summed over the staircases."""
+    return sum(ways[k][n - _staircase(k)] for k in range(len(ways)))
+
+
+def _locate(n: int, rank: int, ways):
+    """(k, tail) of the weight-n diagram at ``rank`` in canonical order.
+
+    Canonical order puts the longer staircase first and, within one
+    staircase k, the tails in descending lexicographic order; so the walk
+    skips whole staircases, then whole first parts, by their tail counts.
+    """
+    k = len(ways) - 1
+    while k > 0 and rank >= ways[k][n - _staircase(k)]:
+        rank -= ways[k][n - _staircase(k)]
+        k -= 1
+    tail = []
+    rest, cap = n - _staircase(k), k
+    while rest:
+        part = min(rest, cap)
+        while rank >= ways[part][rest - part]:
+            rank -= ways[part][rest - part]
+            part -= 1
+        tail.append(part)
+        rest -= part
+        cap = part
+    return k, tail
+
+
+def _check_weight(n: int):
+    if n < 0:
+        raise ValueError("weight must be non-negative")
+
+
+def unrank(n: int, r: int) -> tuple:
+    """Height tuple of the weight-n diagram at position r of ``iter_diagrams(n)``.
+
+    Raises ValueError unless n >= 0 and 0 <= r < ``count_diagrams(n)``.
+    """
+    _check_weight(n)
+    ways = _tail_counts(n)
+    total = _total(n, ways)
+    if not 0 <= r < total:
+        raise ValueError(f"rank {r} outside 0..{total - 1} for weight {n}")
+    k, tail = _locate(n, r, ways)
+    return tuple(range(1, k + 1)) + tuple(tail)
+
+
+def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
+    """Height tuples of the weight-n diagrams at ranks start..stop-1.
+
+    Canonical order is descending lexicographic.  Every diagram splits
+    uniquely into its longest staircase prefix 1, 2, ..., k and a
+    non-increasing tail with parts <= k, and a longer staircase compares
+    higher.  So the staircases run from the longest down to k = 1, and the
+    tails of each come by the successor rule of descending order: lower the
+    rightmost part above 1 by one, then refill the freed weight greedily
+    with parts no larger than it.  ``start`` is placed by ``_locate`` and
+    nothing before it is generated; a stop past the last diagram is clamped.
+    Every tuple is valid by construction.  Iterating raises ValueError for
+    n < 0 or start < 0.
+    """
+    _check_weight(n)
+    if start < 0:
+        raise ValueError("rank must be non-negative")
+    ways = _tail_counts(n)
+    total = _total(n, ways)
+    left = (total if stop is None else min(stop, total)) - start
+    if left <= 0:
         return
-    for first in range(min(remaining, max_part), 0, -1):
-        for rest in _tails(remaining - first, first):
-            yield [first] + rest
+    k, tail = _locate(n, start, ways)
+    prefix = tuple(range(1, k + 1))
+    while True:
+        yield prefix + tuple(tail)
+        left -= 1
+        if not left:
+            return
+        freed = 0
+        while tail and tail[-1] == 1:
+            tail.pop()
+            freed += 1
+        if tail:
+            part = tail[-1] - 1
+            tail[-1] = part
+            freed += 1
+        else:
+            k -= 1
+            prefix = prefix[:-1]
+            part = k
+            freed = n - _staircase(k)
+        q, r = divmod(freed, part)
+        tail.extend([part] * q)
+        if r:
+            tail.append(r)
 
 
 def enumerate_diagrams(n: int):
-    """All weight-n diagrams, each once, in descending lexicographic order.
-
-    Construction: every diagram splits uniquely into its longest staircase
-    prefix 1, 2, ..., k followed by a non-increasing tail with parts <= k,
-    so it suffices to range over k and partition the remaining weight.
-    Every tuple built this way is valid, so none is validated again.
-    """
-    if n < 0:
-        raise ValueError("weight must be non-negative")
-    if n == 0:
-        return [CastelnuovoDiagram._unchecked(())]
-    out = []
-    k = 1
-    while k * (k + 1) // 2 <= n:
-        prefix = tuple(range(1, k + 1))
-        rest = n - k * (k + 1) // 2
-        for tail in _tails(rest, k):
-            out.append(CastelnuovoDiagram._unchecked(prefix + tuple(tail)))
-        k += 1
-    out.sort(key=lambda d: d.s, reverse=True)
-    return out
+    """All weight-n diagrams, each once, in the order of ``iter_diagrams``."""
+    return [CastelnuovoDiagram._unchecked(s) for s in iter_diagrams(n)]
 
 
 def count_diagrams(n: int) -> int:
@@ -216,8 +307,7 @@ def count_diagrams(n: int) -> int:
     They are as many as the partitions of n into distinct parts, counted
     here by the knapsack recurrence over the part sizes in O(n^2) steps.
     """
-    if n < 0:
-        raise ValueError("weight must be non-negative")
+    _check_weight(n)
     ways = [1] + [0] * n
     for part in range(1, n + 1):
         for total in range(n, part - 1, -1):

@@ -10,7 +10,7 @@ record.
 import json
 from dataclasses import dataclass
 
-from .diagrams import CastelnuovoDiagram, HilbertFunction, enumerate_diagrams
+from .diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
 from .incidence import IncidenceVerdict, cover_moves, is_length_zero, resolve_incidence
 from .resolution import BettiTable, generic_betti
 from .strata import stratum_dim
@@ -48,11 +48,11 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
     """Nodes from the deterministic enumeration, edges from cover detection."""
     if n < 1:
         raise ValueError("graph construction needs weight >= 1")
-    diagrams = enumerate_diagrams(n)
-    ids = {d.s: i for i, d in enumerate(diagrams)}
+    ids = {}
     nodes = []
-    for i, d in enumerate(diagrams):
-        hf = d.hilbert_function()
+    for i, s in enumerate(iter_diagrams(n)):
+        ids[s] = i
+        hf = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         nodes.append(NodeRecord(id=i, hf=hf, dim=stratum_dim(hf), betti=generic_betti(hf)))
     edges = []
     for node in nodes:

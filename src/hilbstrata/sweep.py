@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, enumerate_diagrams
+from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import (
     CoverPair,
     betti_criterion,
@@ -25,6 +25,9 @@ from .incidence import (
 )
 from .resolution import generic_betti
 from .strata import required_window, stratum_dim, tangent_excess
+
+# Rank-range shards per worker and weight in a parallel sweep.
+SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -148,10 +151,14 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     return incident, betti_ok, type_zero, failures
 
 
-def _sweep_chunk(args):
-    """Worker: run all covers whose lower diagram lies in the given chunk."""
-    n, chunk = args
-    summary = SweepSummary(n=n, diagrams=len(chunk))
+def _sweep_chunk(task):
+    """Worker: run all covers whose lower diagram has a rank in the task's range.
+
+    A task is three integers (n, start, stop); the worker enumerates its
+    own range, and the Betti cache lives as long as the task.
+    """
+    n, start, stop = task
+    summary = SweepSummary(n=n)
     cache = {}
 
     def data_for(hf):
@@ -161,7 +168,8 @@ def _sweep_chunk(args):
             cache[hf.diagram.s] = found
         return found
 
-    for s in chunk:
+    for s in iter_diagrams(n, start, stop):
+        summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         betti_phi, dim_phi = data_for(phi)
         for pair in cover_moves(phi):
@@ -176,9 +184,12 @@ def _sweep_chunk(args):
     return summary
 
 
-def _chunks(items, count):
-    size = max(1, -(-len(items) // count))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _shard_tasks(n: int, count: int):
+    """Up to ``count`` tasks (n, start, stop) of near-equal rank ranges that
+    together cover the weight-n diagrams in order; empty ranges are dropped."""
+    total = count_diagrams(n)
+    bounds = [total * i // count for i in range(count + 1)]
+    return [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def pool_size(requested: int, tasks: int, cpus: int | None = None) -> int:
@@ -192,36 +203,22 @@ def pool_size(requested: int, tasks: int, cpus: int | None = None) -> int:
     return max(1, min(requested, cpus, tasks))
 
 
-def sweep_weight(n: int, workers: int = 1, pool=None) -> SweepSummary:
-    """Verify every cover of weight ``n``; deterministic regardless of workers.
-
-    Without ``pool`` the worker count is first clamped by ``pool_size`` to
-    the CPUs and to the number of diagrams.
-    """
-    tuples = [d.s for d in enumerate_diagrams(n)]
-    if pool is None:
-        workers = pool_size(workers, len(tuples))
-        if workers == 1:
-            return _sweep_chunk((n, tuples))
-    parts = _chunks(tuples, workers * 4)
-    tasks = [(n, part) for part in parts]
-    if pool is not None:
-        results = pool.map(_sweep_chunk, tasks)
-    else:
-        with Pool(workers) as local:
-            results = local.map(_sweep_chunk, tasks)
-    summary = SweepSummary(n=n)
-    for part in results:
-        summary.merge(part)
-    return summary
+def sweep_weight(n: int) -> SweepSummary:
+    """Verify every cover of weight ``n`` in this process, streaming the diagrams."""
+    return _sweep_chunk((n, 0, count_diagrams(n)))
 
 
 def verify_range(n_values, workers: int = 1):
     """Sweep each weight in turn, yielding one summary per weight.
 
-    One pool serves the whole range, sized by ``pool_size`` against the
-    diagram count of the largest weight (the count never decreases with
-    the weight), and started with the platform's default method.
+    The worker count is clamped by ``pool_size`` against the diagram count
+    of the largest weight (the count never decreases with the weight); at
+    one worker every weight runs through ``sweep_weight``.  Otherwise one
+    pool, started with the platform's default method, takes the rank-range
+    shards of every weight (``SHARDS_PER_WORKER`` per worker and weight)
+    through one ordered ``imap``, so no weight waits at a barrier; a
+    weight's summary is merged in shard order and yielded when its last
+    shard is back, and the output does not depend on the worker count.
     """
     ns = list(n_values)
     workers = pool_size(workers, count_diagrams(max(ns))) if ns else 1
@@ -229,6 +226,11 @@ def verify_range(n_values, workers: int = 1):
         for n in ns:
             yield sweep_weight(n)
         return
+    shards = {n: _shard_tasks(n, workers * SHARDS_PER_WORKER) for n in ns}
     with Pool(workers) as pool:
+        results = pool.imap(_sweep_chunk, [task for n in ns for task in shards[n]])
         for n in ns:
-            yield sweep_weight(n, workers, pool=pool)
+            summary = SweepSummary(n=n)
+            for _ in shards[n]:
+                summary.merge(next(results))
+            yield summary

@@ -24,6 +24,31 @@ def count_distinct_partitions(n):
     return sum(1 for _ in distinct_part_partitions(n))
 
 
+def _recursive_tails(remaining, max_part):
+    """Non-increasing sequences of parts in [1, max_part] summing to ``remaining``."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, max_part), 0, -1):
+        for rest in _recursive_tails(remaining - first, first):
+            yield (first,) + rest
+
+
+def diagrams_by_sorting(n):
+    """All weight-n height tuples in descending lexicographic order: every
+    staircase prefix 1..k with every recursively built tail of parts <= k,
+    each tuple validated by ``is_castelnuovo``, then the whole list sorted."""
+    out = [()] if n == 0 else []
+    k = 1
+    while k * (k + 1) // 2 <= n:
+        for tail in _recursive_tails(n - k * (k + 1) // 2, k):
+            s = tuple(range(1, k + 1)) + tail
+            assert is_castelnuovo(s)
+            out.append(s)
+        k += 1
+    return sorted(out, reverse=True)
+
+
 def brute_single_square_moves(diagram):
     """All (u, v) for which adding at u and removing at v+1 stays valid,
     found by constructing and validating every candidate sequence."""

@@ -19,6 +19,28 @@ def test_enumerate(capsys):
     assert out.splitlines() == ["1,2,3", "1,2,2,1", "1,2,1,1,1", "1,1,1,1,1,1"]
 
 
+def test_enumerate_streams_a_large_weight(monkeypatch):
+    # Weight 1200 has far too many diagrams to list; the first lines must
+    # still come out at once, with no recursion as deep as the weight.
+    class Enough(Exception):
+        pass
+
+    class Head:
+        lines = []
+
+        def write(self, text):
+            self.lines.append(text)
+            if len(self.lines) == 1000:
+                raise Enough
+
+    monkeypatch.setattr(sys, "stdout", Head())
+    with pytest.raises(Enough):
+        main(["enumerate", "-n", "1200"])
+    lines = Head.lines
+    assert lines[0] == ",".join(map(str, range(1, 49))) + ",24\n"
+    assert all(sum(map(int, line.split(","))) == 1200 for line in lines)
+
+
 def test_betti(capsys):
     code, out, _ = run_cli(capsys, "betti", "--phi", "1,2,3,3,..")
     assert code == 0

@@ -1,4 +1,8 @@
+import itertools
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import hf
 from hilbstrata.diagrams import (
@@ -10,12 +14,16 @@ from hilbstrata.diagrams import (
     enumerate_diagrams,
     hf_leq,
     is_castelnuovo,
+    iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
     run_of_ones,
+    unrank,
 )
+from hilbstrata import diagrams
 from hilbstrata.resolution import generic_betti
-from oracles import count_distinct_partitions, greedy_maximal_diagram
+from hilbstrata.sweep import _shard_tasks
+from oracles import count_distinct_partitions, diagrams_by_sorting, greedy_maximal_diagram
 
 
 class TestIsCastelnuovo:
@@ -112,6 +120,68 @@ class TestEnumerate:
         ds = enumerate_diagrams(17)
         assert ds[0] == greedy_maximal_diagram(17)
         assert ds[-1].s == (1,) * 17
+
+
+class TestIterDiagrams:
+    def test_matches_the_sorted_construction(self):
+        for n in range(0, 41):
+            assert list(iter_diagrams(n)) == diagrams_by_sorting(n)
+
+    def test_unrank_is_the_position(self):
+        for n in range(0, 31):
+            for r, s in enumerate(iter_diagrams(n)):
+                assert unrank(n, r) == s
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, None])
+    def test_shards_rejoin_to_the_full_list(self, count):
+        for n in range(0, 31):
+            full = list(iter_diagrams(n))
+            shards = _shard_tasks(n, count or len(full) + 5)
+            assert all(lo < hi for _, lo, hi in shards)
+            assert [s for _, lo, hi in shards for s in iter_diagrams(n, lo, hi)] == full
+
+    def test_tail_counts_sum_to_the_count(self):
+        for n in range(0, 201):
+            ways = diagrams._tail_counts(n)
+            per_staircase = [ways[k][n - k * (k + 1) // 2] for k in range(len(ways))]
+            assert sum(per_staircase) == count_diagrams(n)
+
+    def test_unrank_rejects_out_of_range(self):
+        for bad in ((5, -1), (5, count_diagrams(5)), (0, 1), (-1, 0)):
+            with pytest.raises(ValueError):
+                unrank(*bad)
+        with pytest.raises(ValueError):
+            list(iter_diagrams(-1))
+        with pytest.raises(ValueError):
+            list(iter_diagrams(5, -1))
+
+    def test_range_past_the_end_is_clamped(self):
+        total = count_diagrams(12)
+        assert list(iter_diagrams(12, total - 1, total + 10)) == [(1,) * 12]
+        assert list(iter_diagrams(12, total, total + 10)) == []
+        assert list(iter_diagrams(12, 3, 3)) == []
+
+    def test_large_weight_streams_without_recursion(self):
+        assert sys.getrecursionlimit() < 1200
+        head = list(itertools.islice(iter_diagrams(1200), 1000))
+        assert len(head) == 1000
+        assert all(is_castelnuovo(s) and sum(s) == 1200 for s in head)
+        assert all(a > b for a, b in zip(head, head[1:]))
+        assert unrank(1200, count_diagrams(1200) - 1) == (1,) * 1200
+
+
+@settings(deadline=None)
+@given(
+    st.integers(3, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, count_diagrams(n) - 2))
+    )
+)
+def test_unrank_neighbours(case):
+    n, r = case
+    here, after = unrank(n, r), unrank(n, r + 1)
+    assert is_castelnuovo(here) and sum(here) == n
+    assert here > after
+    assert list(iter_diagrams(n, r, r + 2)) == [here, after]
 
 
 class TestOrder:

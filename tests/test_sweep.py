@@ -1,4 +1,5 @@
 import inspect
+import multiprocessing
 import re
 
 import pytest
@@ -8,7 +9,7 @@ from hilbstrata import sweep
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import BettiTable, generic_betti
 from hilbstrata.strata import stratum_dim
-from hilbstrata.sweep import check_cover, pool_size, verify_range
+from hilbstrata.sweep import SweepSummary, check_cover, pool_size, verify_range
 
 # Real covers, named by the width of their move; all four are incident.
 COVERS = {
@@ -200,3 +201,17 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(sweep, "Pool", no_pool)
     summaries = list(verify_range(range(1, 3), workers=2))
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
+
+
+def test_shard_tasks_run_under_spawn():
+    # A task is three integers, so it reaches a worker started by any
+    # method, and the merged shards equal the in-process sweep.
+    weights = range(1, 13)
+    tasks = [task for n in weights for task in sweep._shard_tasks(n, 2 * sweep.SHARDS_PER_WORKER)]
+    assert all(type(task) is tuple and [type(x) for x in task] == [int] * 3 for task in tasks)
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        parts = pool.map(sweep._sweep_chunk, tasks)
+    merged = {n: SweepSummary(n=n) for n in weights}
+    for (n, _, _), part in zip(tasks, parts):
+        merged[n].merge(part)
+    assert list(merged.values()) == [sweep.sweep_weight(n) for n in weights]
