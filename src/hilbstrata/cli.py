@@ -6,6 +6,7 @@ file that cannot be written.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -29,7 +30,13 @@ def _positive(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process on the first ``main`` call.
+
+    It depends on no input, and parsing leaves it unchanged, so every call
+    shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="hilbstrata",
         description="Strata of point configurations in the plane: enumeration, "

@@ -137,7 +137,7 @@ class HilbertFunction:
             diffs.pop()
         if not is_castelnuovo(diffs):
             raise ValueError(f"values {vals} are not the sums of a Castelnuovo sequence")
-        return cls(CastelnuovoDiagram(diffs))
+        return cls(CastelnuovoDiagram._unchecked(tuple(diffs)))
 
     def value(self, m) -> int:
         if m < 0:
@@ -351,12 +351,18 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
 
 
 def _parse_int_list(text: str, what: str):
-    """Comma-separated integers with a character position in error messages."""
+    """Comma-separated integers with a character position in error messages.
+
+    A token is decimal digits with an optional leading '-'.  ``isdecimal``
+    accepts exactly the digits ``int`` reads (fullwidth ones too), where
+    ``isdigit`` would also pass superscripts that ``int`` rejects.
+    """
     values = []
     pos = 0
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped or not (stripped.isdigit() or (stripped[0] == "-" and stripped[1:].isdigit())):
+        digits = stripped[1:] if stripped[:1] == "-" else stripped
+        if not digits.isdecimal():
             raise ValueError(f"{what}: expected an integer at position {pos}, got {token!r}")
         values.append(int(stripped))
         pos += len(token) + 1
@@ -369,9 +375,11 @@ def parse_diagram(text: str) -> CastelnuovoDiagram:
     if stripped == "":
         return CastelnuovoDiagram(())
     values = _parse_int_list(stripped, "diagram")
+    while values and values[-1] == 0:
+        values.pop()
     if not is_castelnuovo(values):
         raise ValueError(f"diagram {stripped!r} violates the staircase shape")
-    return CastelnuovoDiagram(values)
+    return CastelnuovoDiagram._unchecked(tuple(values))
 
 
 def parse_hilbert_function(text: str) -> HilbertFunction:

@@ -13,7 +13,6 @@ cover criteria agree on the whole range.
 
 import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import (
@@ -226,6 +225,10 @@ def verify_range(n_values, workers: int = 1):
         for n in ns:
             yield sweep_weight(n)
         return
+    # Imported here: only a parallel sweep needs it, and it adds about
+    # 10 ms to every import of the package.
+    from multiprocessing import Pool
+
     shards = {n: _shard_tasks(n, workers * SHARDS_PER_WORKER) for n in ns}
     with Pool(workers) as pool:
         results = pool.imap(_sweep_chunk, [task for n in ns for task in shards[n]])

@@ -166,3 +166,43 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1,2", "1,1,1"]
+
+
+# One process, one parser: each call must answer as a fresh interpreter
+# does.  --help is left out because its text follows the terminal width.
+SHARED_PARSER_SEQUENCE = (
+    ["betti", "--phi", "1,2", "--bogus"],
+    ["betti", "--phi", "1,2,3,3,.."],
+    ["resolve", "--phi", "1,2,2,2,1", "--psi", "1,2,3,2"],
+    ["resolve", "--phi", "1,2,3,3,..", "--psi", "1,3,3,.."],
+    ["dim", "--phi", ""],
+    ["verify", "--n-max", "3", "--workers", "1"],
+)
+
+
+def test_shared_parser_answers_as_a_fresh_interpreter(capsys, monkeypatch):
+    import hilbstrata.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [run_cli(capsys, *argv) for argv in SHARED_PARSER_SEQUENCE]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbstrata.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 2, 0]
+
+
+def test_import_leaves_multiprocessing_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hilbstrata, hilbstrata.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -257,6 +257,25 @@ class TestText:
         with pytest.raises(ValueError):
             parse_diagram("1,3")
 
+    def test_superscript_digit_is_a_positional_error(self):
+        # '²' passes str.isdigit but int() rejects it.
+        with pytest.raises(ValueError) as caught:
+            parse_diagram("1,²")
+        assert str(caught.value) == "diagram: expected an integer at position 2, got '²'"
+
+    def test_lone_minus_is_a_positional_error(self):
+        with pytest.raises(ValueError) as caught:
+            parse_diagram("1,-")
+        assert str(caught.value) == "diagram: expected an integer at position 2, got '-'"
+
+    def test_fullwidth_digits_are_accepted(self):
+        assert parse_diagram("１,２").s == (1, 2)
+        assert parse_hilbert_function("１,３,..") == hf("1,2")
+
+    def test_trailing_zeros_are_trimmed(self):
+        assert parse_diagram("1,2,0,0").s == (1, 2)
+        assert parse_hilbert_function("1,3,3,3,..").diagram.s == (1, 2)
+
 
 def test_first_generator_degree_is_one_past_sigma():
     # The first positive generator count sits one column after the first

@@ -198,7 +198,7 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no worker process should start")
 
-    monkeypatch.setattr(sweep, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     summaries = list(verify_range(range(1, 3), workers=2))
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
 
