@@ -9,9 +9,7 @@ sweep.  All arithmetic is exact integer arithmetic.
 from .diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
-    convert,
     count_diagrams,
-    diagram_stats,
     enumerate_diagrams,
     hf_leq,
     is_castelnuovo,
@@ -36,15 +34,12 @@ from .incidence import (
     verify_intersections,
 )
 from .laurent import IntLaurentPoly, combine
-from .resolution import BettiTable, ambient_hilbert, generic_betti, series_numerator
+from .resolution import BettiTable, generic_betti, series_numerator
 from .strata import (
-    StratumInfo,
     stratum_dim,
-    stratum_info,
     tangent_bundle_sections,
     tangent_excess,
     tangent_function,
-    tangent_leq,
 )
 from .sweep import SweepSummary, sweep_weight, verify_range
 

@@ -45,7 +45,7 @@ def is_castelnuovo(seq) -> bool:
 class CastelnuovoDiagram:
     """A valid height sequence, stored with trailing zeros trimmed."""
 
-    __slots__ = ("s", "weight", "sigma")
+    __slots__ = ("s",)
 
     def __init__(self, seq):
         s = list(seq)
@@ -53,7 +53,7 @@ class CastelnuovoDiagram:
             s.pop()
         if not is_castelnuovo(s):
             raise ValueError(f"not a Castelnuovo sequence: {list(seq)}")
-        self._fill(tuple(s))
+        self.s = tuple(s)
 
     @classmethod
     def _unchecked(cls, s: tuple) -> "CastelnuovoDiagram":
@@ -63,17 +63,22 @@ class CastelnuovoDiagram:
         ``is_castelnuovo`` and end in a nonzero height.
         """
         d = cls.__new__(cls)
-        d._fill(s)
+        d.s = s
         return d
 
-    def _fill(self, s: tuple):
-        self.s = s
-        self.weight = sum(s)
-        # First index where the height fails to climb (final height is 0).
+    @property
+    def weight(self) -> int:
+        """Number of unit squares."""
+        return sum(self.s)
+
+    @property
+    def sigma(self) -> int:
+        """First index where the height fails to climb (final height is 0)."""
+        s = self.s
         sigma = 0
         while sigma < len(s) - 1 and s[sigma] < s[sigma + 1]:
             sigma += 1
-        self.sigma = sigma
+        return sigma
 
     def height(self, i) -> int:
         """Column height at ``i``; zero outside the diagram."""
@@ -161,20 +166,6 @@ class HilbertFunction:
 
     def __repr__(self):
         return f"HilbertFunction({self.render()})"
-
-
-def convert(x):
-    """Swap a diagram for its Hilbert function or back (round-trip identity)."""
-    if isinstance(x, CastelnuovoDiagram):
-        return x.hilbert_function()
-    if isinstance(x, HilbertFunction):
-        return x.diagram
-    raise TypeError(f"cannot convert {type(x).__name__}")
-
-
-def diagram_stats(d: CastelnuovoDiagram):
-    """(weight, sigma) of a diagram."""
-    return d.weight, d.sigma
 
 
 def _staircase(k: int) -> int:

@@ -180,50 +180,78 @@ def parse_graph_json(data) -> HilbertGraph:
     """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
 
     Raises ValueError unless the record has the emitter's keys and types,
-    the node ids are 0..N-1 in order, each node's dim is the dimension of
-    its stratum, and each edge joins two nodes by a cover with the stated
-    (u, v).
+    the node ids are 0..N-1 in order, each node's values, dim and Betti
+    table are those of its diagram, whose weight is the record's n, and
+    each edge joins two nodes by a cover with the stated (u, v) and states
+    the five verdict flags of that cover as JSON booleans.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         return _graph_from_record(json.loads(data))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed graph record: {exc!r}") from exc
 
 
+# Edge keys of the JSON record and the verdict fields they state.
+_FLAGS = (
+    ("incident", "incident"),
+    ("dim_ok", "dim_ok"),
+    ("tangent_ok", "tangent_ok"),
+    ("condition_c", "betti_ok"),
+    ("type_zero", "type_zero"),
+)
+
+
+def _same_counts(counts, table: dict) -> bool:
+    """Does the JSON object ``counts`` state exactly the sparse ``table``?"""
+    return counts == {str(d): c for d, c in table.items()} and all(
+        type(c) is int for c in counts.values()
+    )
+
+
 def _graph_from_record(record) -> HilbertGraph:
+    n = record["n"]
+    if type(n) is not int:
+        raise ValueError(f"weight {n!r} is not an integer")
+    if not (type(record["nodes"]) is list and type(record["edges"]) is list):
+        raise ValueError("nodes and edges must be lists")
     nodes = []
     for position, item in enumerate(record["nodes"]):
         if item["id"] != position:
             raise ValueError(f"node id {item['id']!r} at position {position}")
-        hf = CastelnuovoDiagram(item["s"]).hilbert_function()
-        if item["dim"] != stratum_dim(hf):
-            raise ValueError(f"node {position}: dim {item['dim']!r} != {stratum_dim(hf)}")
-        betti = BettiTable(
-            {int(k): c for k, c in item["a"].items()},
-            {int(k): c for k, c in item["b"].items()},
-        )
-        nodes.append(NodeRecord(id=position, hf=hf, dim=item["dim"], betti=betti))
+        s = item["s"]
+        if type(s) is not list or not all(type(x) is int for x in s):
+            raise ValueError(f"node {position}: heights {s!r} are not integers")
+        hf = CastelnuovoDiagram(s).hilbert_function()
+        if hf.degree != n:
+            raise ValueError(f"node {position}: weight {hf.degree} != {n}")
+        if item["h"] != list(hf.transient):
+            raise ValueError(f"node {position}: values {item['h']!r} != {list(hf.transient)}")
+        dim = stratum_dim(hf)
+        if item["dim"] != dim:
+            raise ValueError(f"node {position}: dim {item['dim']!r} != {dim}")
+        betti = generic_betti(hf)
+        if not (_same_counts(item["a"], betti.a) and _same_counts(item["b"], betti.b)):
+            raise ValueError(f"node {position}: Betti table is not {betti.render()}")
+        nodes.append(NodeRecord(id=position, hf=hf, dim=dim, betti=betti))
     edges = []
     for item in record["edges"]:
         ends = (item["from"], item["to"])
-        if not all(isinstance(end, int) and 0 <= end < len(nodes) for end in ends):
+        if not all(type(end) is int and 0 <= end < len(nodes) for end in ends):
             raise ValueError(f"edge {ends} has an endpoint outside 0..{len(nodes) - 1}")
         lower, upper = (nodes[end] for end in ends)
         pair = is_length_zero(lower.hf, upper.hf)
         if pair is None or (pair.u, pair.v) != (item["u"], item["v"]):
             raise ValueError(f"edge {ends} is not a cover with u={item['u']!r} v={item['v']!r}")
-        verdict = IncidenceVerdict(
-            incident=item["incident"],
-            dim_ok=item["dim_ok"],
-            tangent_ok=item["tangent_ok"],
-            betti_ok=item["condition_c"],
-            type_zero=item["type_zero"],
-            dims=(lower.dim, upper.dim),
+        verdict = resolve_incidence(
+            pair, betti_phi=lower.betti, betti_psi=upper.betti, dims=(lower.dim, upper.dim)
         )
-        edges.append(EdgeRecord(*ends, item["u"], item["v"], verdict))
-    return HilbertGraph(n=record["n"], nodes=nodes, edges=edges)
+        for key, field in _FLAGS:
+            if item[key] is not getattr(verdict, field):
+                raise ValueError(f"edge {ends}: {key} {item[key]!r} != {getattr(verdict, field)}")
+        edges.append(EdgeRecord(*ends, pair.u, pair.v, verdict))
+    return HilbertGraph(n=n, nodes=nodes, edges=edges)
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:

@@ -316,7 +316,8 @@ def chow_product(caps, factors) -> TruncatedChowElement:
 def verify_intersections(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
     """Non-vanishing of the intersection product certifying a wider move.
 
-    Only defined for covers satisfying the Betti criterion with v >= u+1.
+    Only defined for covers satisfying the Betti criterion with v >= u+1;
+    raises ValueError for any other cover.
     The ambient ring caps the three classes at a_u, 3 and b_{v+3}; for
     v = u+1 the product of (s+t)^{a_{v+2}} and (r+s)^{b_{u+1}} must
     survive, and for v >= u+2 the triple product with one extra factor
@@ -324,11 +325,17 @@ def verify_intersections(pair: CoverPair, betti_phi: BettiTable | None = None) -
     with positive coefficient.
     """
     t = betti_phi if betti_phi is not None else generic_betti(pair.phi)
-    u, v = pair.u, pair.v
-    if v < u + 1:
+    if pair.v < pair.u + 1:
         raise ValueError("intersection check applies to moves wider than one column")
     if not betti_criterion(pair, t):
         raise ValueError("intersection check requires the Betti criterion")
+    return _certificate(pair, t)
+
+
+def _certificate(pair: CoverPair, t: BettiTable) -> bool:
+    """The product test of ``verify_intersections``, for a caller that has
+    already established v >= u+1 and the Betti criterion on ``t``."""
+    u, v = pair.u, pair.v
     caps = (t.a_at(u), 3, t.b_at(v + 3))
     a_v2 = t.a_at(v + 2)
     b_u1 = t.b_at(u + 1)

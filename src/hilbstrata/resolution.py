@@ -21,13 +21,6 @@ from .diagrams import HilbertFunction
 from .laurent import IntLaurentPoly
 
 
-def ambient_hilbert(m: int) -> int:
-    """Number of degree-m monomials in three variables: C(m+2, 2) for m >= 0."""
-    if m < 0:
-        return 0
-    return (m + 2) * (m + 1) // 2
-
-
 def _numerator_coeffs(s) -> list:
     """Dense numerator coefficients q_0 .. q_{len(s)+1} of the height tuple ``s``."""
     q = []

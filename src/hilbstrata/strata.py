@@ -13,11 +13,12 @@ the tangent bundle of the plane.  Its value at m is
 sections(m) - 3 h(m+1) + h(m) + b_{m+3}, read straight off the Hilbert
 function and the relation counts of the generic Betti table; only windows
 of it are ever needed, and they are computed exactly degree by degree.
+The comparison of two strata on one window (``tangent_excess``) walks the
+window once: the sections term depends only on m, so it is shared between
+the two sides, while each side reads its own h and its own b.
 """
 
-from dataclasses import dataclass
-
-from .diagrams import HilbertFunction, run_of_ones
+from .diagrams import HilbertFunction
 from .resolution import BettiTable, generic_betti
 
 
@@ -42,20 +43,12 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def _tangent_window(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None) -> list:
-    """Tangent-function values at lo, lo+1, ..., hi as a list."""
-    if lo > hi:
-        raise ValueError("empty window")
-    if betti is None:
-        betti = generic_betti(hf)
-    b = betti.b
-    # h(lo) .. h(hi+1): zero below degree 0, the transient values, then the degree.
+def _h_window(hf: HilbertFunction, lo: int, hi: int) -> list:
+    """Hilbert-function values h(lo), h(lo+1), ..., h(hi+1) as a list."""
+    # Zero below degree 0, the transient values, then the degree.
     h = [0] * max(0, min(0, hi + 2) - lo) + list(hf.transient[max(lo, 0) : max(hi + 2, 0)])
     h += [hf.degree] * (hi + 2 - lo - len(h))
-    return [
-        tangent_bundle_sections(m) - 3 * h_next + h_m + b.get(m + 3, 0)
-        for m, h_m, h_next in zip(range(lo, hi + 1), h, h[1:])
-    ]
+    return h
 
 
 def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
@@ -64,7 +57,14 @@ def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | 
     Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
     relation counts of the generic Betti table of ``hf``.
     """
-    return dict(zip(range(lo, hi + 1), _tangent_window(hf, lo, hi, betti)))
+    if lo > hi:
+        raise ValueError("empty window")
+    b = (betti if betti is not None else generic_betti(hf)).b
+    h = _h_window(hf, lo, hi)
+    return {
+        m: tangent_bundle_sections(m) - 3 * h_next + h_m + b.get(m + 3, 0)
+        for m, h_m, h_next in zip(range(lo, hi + 1), h, h[1:])
+    }
 
 
 def required_window(u: int, v: int):
@@ -87,50 +87,23 @@ def tangent_excess(
 ) -> list:
     """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds that of ``phi``.
 
-    Builds each of the two windows once; the tangent comparison holds
-    exactly when the list is empty.
+    One pass over the window evaluates both tangent functions degree by
+    degree, each from its own Hilbert function and its own relation
+    counts; only the sections term, which depends on m alone, is computed
+    once for both.  The tangent comparison holds exactly when the list is
+    empty.
     """
-    t_phi = _tangent_window(phi, lo, hi, betti_phi)
-    t_psi = _tangent_window(psi, lo, hi, betti_psi)
-    return [m for m, x, y in zip(range(lo, hi + 1), t_phi, t_psi) if y > x]
-
-
-def tangent_leq(
-    psi: HilbertFunction,
-    phi: HilbertFunction,
-    window=None,
-    betti_phi: BettiTable | None = None,
-    betti_psi: BettiTable | None = None,
-) -> bool:
-    """True iff the tangent function of ``psi`` is <= that of ``phi`` everywhere.
-
-    The two functions agree outside an explicit window determined by the
-    single-square move taking ``phi`` to ``psi``; comparison on that window
-    therefore decides all degrees.  Identical inputs compare as True.
-    ``window`` may widen but not shrink the required range.
-    """
-    if psi == phi:
-        return True
-    run = run_of_ones(phi, psi)
-    if run is None:
-        raise ValueError("tangent comparison needs a single-square-move pair")
-    lo, hi = required_window(*run)
-    if window is not None:
-        wlo, whi = window
-        if wlo > lo or whi < hi:
-            raise ValueError(f"window {window} does not cover required [{lo}, {hi}]")
-        lo, hi = wlo, whi
-    return not tangent_excess(phi, psi, lo, hi, betti_phi, betti_psi)
-
-
-@dataclass(frozen=True)
-class StratumInfo:
-    """Dimension plus a tangent-function window for one stratum."""
-
-    dim: int
-    window: tuple
-    tangent: dict
-
-
-def stratum_info(hf: HilbertFunction, lo: int, hi: int) -> StratumInfo:
-    return StratumInfo(dim=stratum_dim(hf), window=(lo, hi), tangent=tangent_function(hf, lo, hi))
+    if lo > hi:
+        raise ValueError("empty window")
+    b_phi = (betti_phi if betti_phi is not None else generic_betti(phi)).b
+    b_psi = (betti_psi if betti_psi is not None else generic_betti(psi)).b
+    h_phi = _h_window(phi, lo, hi)
+    h_psi = _h_window(psi, lo, hi)
+    out = []
+    for m, x, x_next, y, y_next in zip(range(lo, hi + 1), h_phi, h_phi[1:], h_psi, h_psi[1:]):
+        sections = (m + 2) * (m + 4) if m >= -2 else 0  # tangent_bundle_sections(m)
+        t_phi = sections - 3 * x_next + x + b_phi.get(m + 3, 0)
+        t_psi = sections - 3 * y_next + y + b_psi.get(m + 3, 0)
+        if t_psi > t_phi:
+            out.append(m)
+    return out

@@ -15,13 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
-from .incidence import (
-    CoverPair,
-    betti_criterion,
-    cover_moves,
-    is_type_zero,
-    verify_intersections,
-)
+from .incidence import CoverPair, _certificate, betti_criterion, cover_moves, is_type_zero
 from .resolution import generic_betti
 from .strata import required_window, stratum_dim, tangent_excess
 
@@ -68,8 +62,9 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
         )
 
     # The dimension and tangent comparisons, the independent side of every
-    # equivalence below.  Each tangent window is built once, on the window
-    # the move (u, v) decides, and also feeds the pointwise bound.
+    # equivalence below.  The two tangent functions are compared in one pass
+    # over the window the move (u, v) decides, and the degrees where psi's
+    # exceeds phi's also feed the pointwise bound.
     lo, hi = required_window(u, v)
     excess = tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
     dim_ok = dim_phi < dim_psi
@@ -96,11 +91,9 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     # The two dimension-delta formulas, one over the Betti table and one
     # over the height sequence, must both give the actual difference.
     e = -1 if v == u else (1 if v == u + 1 else 0)
-    delta_betti = (
-        sum(a.get(i, 0) - b.get(i, 0) for i in range(u, v + 1))
-        - sum(a.get(i, 0) - b.get(i, 0) for i in range(u + 3, v + 4))
-        + e
-    )
+    delta_betti = e
+    for i in range(u, v + 1):
+        delta_betti += a.get(i, 0) - b.get(i, 0) - a.get(i + 3, 0) + b.get(i + 3, 0)
     h = (0, 0) + pair.phi.diagram.s + (0, 0)  # h[i + 2] is the height of column i
     delta_heights = (
         -h[u] + h[u + 1] + h[u + 3] - h[u + 4] + h[v + 1] - h[v + 2] - h[v + 4] + h[v + 5] + e
@@ -113,14 +106,19 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     # Numerator shift per degree between the two Betti tables: one sparse
     # walk adds psi's a_l - b_l and subtracts phi's and the expected shift,
     # so every degree left non-zero is a failure.
-    residue = {l: -c for l, c in _expected_numerator_shift(u, v).items()}
-    for table, sign in ((betti_psi, 1), (betti_phi, -1)):
-        for l, c in table.a.items():
-            residue[l] = residue.get(l, 0) + sign * c
-        for l, c in table.b.items():
-            residue[l] = residue.get(l, 0) - sign * c
-    for l in sorted(l for l, c in residue.items() if c):
-        fail("numerator-shift", f"degree {l}")
+    residue = dict(betti_psi.a)
+    get = residue.get
+    for l, c in betti_psi.b.items():
+        residue[l] = get(l, 0) - c
+    for l, c in a.items():
+        residue[l] = get(l, 0) - c
+    for l, c in b.items():
+        residue[l] = get(l, 0) + c
+    for l, c in _expected_numerator_shift(u, v).items():
+        residue[l] = get(l, 0) - c
+    if any(residue.values()):
+        for l in sorted(l for l, c in residue.items() if c):
+            fail("numerator-shift", f"degree {l}")
 
     # Pointwise tangent bound: outside two exceptional degrees the bigger
     # stratum never gains sections.
@@ -144,7 +142,9 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     if type_zero and not incident:
         fail("type-zero-incidence")
 
-    if betti_ok and v >= u + 1 and not verify_intersections(pair, betti_phi):
+    # betti_ok and the width are the preconditions of the certificate, so
+    # its body is called without checking them again.
+    if betti_ok and v >= u + 1 and not _certificate(pair, betti_phi):
         fail("intersection-certificate")
 
     return incident, betti_ok, type_zero, failures

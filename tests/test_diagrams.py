@@ -8,9 +8,7 @@ from conftest import hf
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
-    convert,
     count_diagrams,
-    diagram_stats,
     enumerate_diagrams,
     hf_leq,
     is_castelnuovo,
@@ -67,7 +65,9 @@ class TestConvert:
     def test_round_trip_everywhere(self):
         for n in range(0, 26):
             for d in enumerate_diagrams(n):
-                assert convert(convert(d)) == d
+                h = d.hilbert_function()
+                assert h.diagram == d
+                assert HilbertFunction.from_values(h.transient) == h
 
     def test_rejects_non_castelnuovo_values(self):
         with pytest.raises(ValueError):
@@ -80,10 +80,15 @@ def test_constructor_rejects_invalid_heights():
 
 
 def test_diagram_stats():
-    big = CastelnuovoDiagram([1, 2, 3, 4, 5, 5, 3, 2, 1, 1, 1])
-    assert diagram_stats(big) == (28, 4)
-    assert diagram_stats(CastelnuovoDiagram([1, 1, 1])) == (3, 0)
-    assert diagram_stats(CastelnuovoDiagram([1, 2, 3])) == (6, 2)
+    # weight and sigma are read off the heights on demand.
+    for heights, stats in (
+        ([1, 2, 3, 4, 5, 5, 3, 2, 1, 1, 1], (28, 4)),
+        ([1, 1, 1], (3, 0)),
+        ([1, 2, 3], (6, 2)),
+        ([], (0, 0)),
+    ):
+        d = CastelnuovoDiagram(heights)
+        assert (d.weight, d.sigma) == stats
 
 
 class TestEnumerate:

@@ -218,6 +218,62 @@ class TestParseValidation:
         record["edges"][2]["to"] = 1
         self.check_rejected(record, "not a cover")
 
+    def test_betti_table_must_be_the_generic_one(self):
+        record = json.loads(emit(build_hilbert_graph(1), "json"))
+        assert record["nodes"][0]["s"] == [1] and record["nodes"][0]["a"] == {"1": 2}
+        for bad in (7, -4, "x", True, 2.0, None):
+            record["nodes"][0]["a"] = {"1": bad}
+            self.check_rejected(record, "node 0: Betti table")
+        record = self.record()
+        record["nodes"][3]["b"] = {}
+        self.check_rejected(record, "node 3: Betti table")
+        record = self.record()
+        record["nodes"][3]["a"]["0"] = 1
+        self.check_rejected(record, "node 3: Betti table")
+
+    @pytest.mark.parametrize(
+        "key", ["incident", "dim_ok", "tangent_ok", "condition_c", "type_zero"]
+    )
+    def test_edge_flags_must_be_the_verdict(self, key):
+        record = self.record(17)
+        # a non-incident edge has flags of both values
+        edge = next(e for e in record["edges"] if not e["incident"])
+        assert edge[key] in (True, False)
+        edge[key] = not edge[key]
+        self.check_rejected(record, f"{key} {edge[key]!r} != {not edge[key]}")
+        for bad in (int(not edge[key]), "true", None):
+            edge[key] = bad
+            self.check_rejected(record, f"{key} {bad!r} != ")
+
+    def test_values_and_weight_must_match_the_diagram(self):
+        record = self.record()
+        record["nodes"][2]["h"][0] += 1
+        self.check_rejected(record, "node 2: values")
+        record = self.record()
+        record["n"] = 9
+        self.check_rejected(record, "node 0: weight 8 != 9")
+        record = self.record()
+        record["n"] = "8"
+        self.check_rejected(record, "weight '8' is not an integer")
+        record = self.record()
+        record["nodes"][0]["s"] = [float(x) for x in record["nodes"][0]["s"]]
+        self.check_rejected(record, "node 0: heights")
+
+    def test_nodes_and_edges_must_be_lists(self):
+        for key in ("nodes", "edges"):
+            for bad in ({}, "", 0):
+                record = self.record()
+                record[key] = bad
+                self.check_rejected(record, "must be lists|malformed")
+        record = self.record()
+        record["nodes"][0]["s"] = {}
+        self.check_rejected(record, "node 0: heights")
+
+    def test_deep_nesting_is_a_value_error(self):
+        for text in ("[" * 100_000, "{\"n\":" * 100_000):
+            with pytest.raises(ValueError, match="malformed graph record"):
+                parse_graph_json(text)
+
     def test_malformed_record(self):
         record = self.record()
         del record["nodes"][0]["dim"]

@@ -9,6 +9,7 @@ from hilbstrata.diagrams import (
 )
 from hilbstrata.incidence import (
     CoverPair,
+    _certificate,
     betti_criterion,
     chow_product,
     cover_conditions,
@@ -317,6 +318,25 @@ class TestVerifyIntersections:
         assert not betti_criterion(pair)
         with pytest.raises(ValueError):
             verify_intersections(pair)
+
+    def test_public_check_guards_the_body_on_every_cover(self):
+        # The sweep calls the body directly; the public check must still
+        # refuse every cover outside its domain and agree with the body on
+        # every cover inside it.
+        refused = 0
+        for n in range(1, 21):
+            for d in enumerate_diagrams(n):
+                table = generic_betti(d.hilbert_function())
+                for pair in cover_moves(d.hilbert_function()):
+                    if pair.v >= pair.u + 1 and betti_criterion(pair, table):
+                        assert verify_intersections(pair, table) == _certificate(pair, table)
+                        continue
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        verify_intersections(pair, table)
+                    with pytest.raises(ValueError):
+                        verify_intersections(pair)
+        assert refused > 100
 
     def test_holds_for_every_qualifying_pair(self):
         seen = 0

@@ -5,7 +5,9 @@ failure repeats on every run of the suite.
 """
 
 import contextlib
+import copy
 import io
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,16 @@ from hilbstrata.diagrams import (
     parse_hilbert_function,
     unrank,
 )
-from hilbstrata.incidence import _scan_covers, apply_move, move_params
+from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json
+from hilbstrata.incidence import (
+    _scan_covers,
+    apply_move,
+    is_length_zero,
+    move_params,
+    resolve_incidence,
+)
+from hilbstrata.resolution import generic_betti
+from hilbstrata.strata import stratum_dim
 from oracles import brute_single_square_moves
 
 deterministic = settings(deadline=None, derandomize=True)
@@ -108,3 +119,58 @@ def test_moves_match_the_brute_force_oracle(d):
         if not any((up, vp) != (u, v) and up >= u and vp <= v for up, vp in moves)
     ]
     assert _scan_covers(d.s) == minimal
+
+
+# JSON values of the kinds a graph record holds, nested a little.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+GRAPH_RECORDS = {n: json.loads(emit(build_hilbert_graph(n), "json")) for n in range(1, 7)}
+
+
+@st.composite
+def mutated_graph_records(draw):
+    """The JSON text of a valid weight <= 6 graph record after one to three
+    edits, each at any depth: a value replaced by another JSON value, an
+    integer moved by one, or an entry deleted."""
+    record = copy.deepcopy(GRAPH_RECORDS[draw(st.integers(1, 6))])
+    for _ in range(draw(st.integers(1, 3))):
+        parent = record
+        while parent:
+            keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+            key = draw(st.sampled_from(keys))
+            child = parent[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            parent = child
+        if not parent:
+            continue
+        action = draw(st.sampled_from(("replace", "nudge", "delete")))
+        if action == "delete":
+            del parent[key]
+        elif action == "nudge" and type(parent[key]) is int:
+            parent[key] += draw(st.sampled_from((-1, 1)))
+        else:
+            parent[key] = draw(json_values)
+    return json.dumps(record)
+
+
+@deterministic
+@given(st.one_of(st.text(), mutated_graph_records()))
+def test_graph_parser_returns_a_graph_or_raises_value_error(text):
+    try:
+        g = parse_graph_json(text)
+    except ValueError:
+        return
+    # An accepted record is the one the emitter writes for its graph, and it
+    # states only what the library computes itself.
+    assert json.loads(emit(g, "json")) == json.loads(text)
+    for node in g.nodes:
+        assert node.betti == generic_betti(node.hf) and node.dim == stratum_dim(node.hf)
+    for e in g.edges:
+        lower, upper = g.nodes[e.from_id], g.nodes[e.to_id]
+        assert e.verdict == resolve_incidence(is_length_zero(lower.hf, upper.hf))

@@ -4,16 +4,8 @@ from conftest import hf
 from hilbstrata.diagrams import enumerate_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.laurent import IntLaurentPoly
-from hilbstrata.resolution import ambient_hilbert, generic_betti, series_numerator
-from oracles import binomial, numerator_by_truncation
-
-
-def test_ambient_hilbert_values():
-    assert ambient_hilbert(0) == 1
-    assert ambient_hilbert(2) == 6
-    assert ambient_hilbert(-1) == 0
-    for m in range(0, 20):
-        assert ambient_hilbert(m) == binomial(m + 2, 2)
+from hilbstrata.resolution import generic_betti, series_numerator
+from oracles import numerator_by_truncation
 
 
 class TestNumerator:

@@ -2,15 +2,14 @@ import pytest
 
 from conftest import hf
 from hilbstrata.diagrams import CastelnuovoDiagram, enumerate_diagrams
-from hilbstrata.incidence import cover_moves
+from hilbstrata.incidence import cover_moves, is_length_zero
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import (
     required_window,
     stratum_dim,
-    stratum_info,
     tangent_bundle_sections,
+    tangent_excess,
     tangent_function,
-    tangent_leq,
 )
 from oracles import (
     dim_constant_by_product,
@@ -121,28 +120,65 @@ class TestTangentFunction:
 
 
 class TestTangentLeq:
+    """The tangent comparison psi <= phi: no degree of the move's window
+    where psi's tangent function exceeds phi's."""
+
+    @staticmethod
+    def excess(lower, upper, window=None):
+        pair = is_length_zero(hf(lower), hf(upper))
+        return tangent_excess(pair.phi, pair.psi, *(window or required_window(pair.u, pair.v)))
+
     def test_weight3_pair(self):
-        assert tangent_leq(hf("1,2"), hf("1,1,1"))
+        assert self.excess("1,1,1", "1,2") == []
 
     def test_weight14_pair_fails(self):
-        assert not tangent_leq(hf("1,2,3,4,2,2"), hf("1,2,3,4,2,1,1"))
+        assert self.excess("1,2,3,4,2,1,1", "1,2,3,4,2,2") != []
 
     def test_identical_inputs(self):
-        assert tangent_leq(hf("1,2,3,3"), hf("1,2,3,3"))
+        phi = hf("1,2,3,3")
+        assert tangent_excess(phi, phi, -6, 12) == []
 
     def test_window_must_cover_the_move(self):
-        phi, psi = hf("1,1,1"), hf("1,2")
-        lo, hi = required_window(1, 1)
-        assert tangent_leq(psi, phi, window=(lo, hi))
-        assert tangent_leq(psi, phi, window=(lo - 5, hi + 5))
-        with pytest.raises(ValueError):
-            tangent_leq(psi, phi, window=(lo + 1, hi))
-        with pytest.raises(ValueError):
-            tangent_leq(psi, phi, window=(lo, hi - 1))
+        # Here psi wins only at u - 3, the left end of the required window:
+        # a wider window finds the same degree, one that starts after it
+        # misses it.
+        lower, upper = "1,2,3,2,1,1", "1,2,3,2,2"
+        pair = is_length_zero(hf(lower), hf(upper))
+        lo, hi = required_window(pair.u, pair.v)
+        assert self.excess(lower, upper) == [pair.u - 3] == [lo]
+        assert self.excess(lower, upper, (lo - 5, hi + 5)) == [lo]
+        assert self.excess(lower, upper, (lo + 1, hi)) == []
 
-    def test_rejects_non_move_pairs(self):
+
+class TestTangentExcess:
+    def test_matches_tangent_function(self):
+        # On every cover with n <= 25, on the required window and on one
+        # widened below -2 and past both diagrams, with the Betti tables
+        # computed inside, passed in, and passed in swapped (each side must
+        # read its own table), the one-pass comparison names exactly the
+        # degrees where the two separate tangent functions differ that way.
+        below = 0
+        for n in range(1, 26):
+            for d in enumerate_diagrams(n):
+                phi = d.hilbert_function()
+                b_phi = generic_betti(phi)
+                for pair in cover_moves(phi):
+                    psi = pair.psi
+                    b_psi = generic_betti(psi)
+                    lo, hi = required_window(pair.u, pair.v)
+                    wide = (lo - 4, max(hi + 4, len(d.s) + 1))
+                    below += wide[0] < -2
+                    for window in ((lo, hi), wide):
+                        for tables in ((None, None), (b_phi, b_psi), (b_psi, b_phi)):
+                            t_phi = tangent_function(phi, *window, tables[0])
+                            t_psi = tangent_function(psi, *window, tables[1])
+                            expected = [m for m in t_phi if t_psi[m] > t_phi[m]]
+                            assert tangent_excess(phi, psi, *window, *tables) == expected
+        assert below > 500
+
+    def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
-            tangent_leq(hf("1,2,2,1"), hf("1,1,1,1,1,1"))
+            tangent_excess(hf("1,1,1"), hf("1,2"), 3, 2)
 
 
 def test_dimension_delta_formulas_agree():
@@ -185,7 +221,7 @@ def test_pointwise_tangent_bound_and_shortcut():
                     if m not in (u - 3, v):
                         assert t_psi[m] <= t_phi[m]
                 shortcut = table.a_at(u) != 0 and table.b_at(v + 3) != 0
-                assert tangent_leq(pair.psi, phi) == shortcut
+                assert (not tangent_excess(phi, pair.psi, *required_window(u, v))) == shortcut
 
 
 def test_wide_move_dimension_law():
@@ -211,13 +247,3 @@ def test_wide_move_dimension_law():
                 if law:
                     assert dim_psi == dim_phi + 1
     assert seen > 50
-
-
-def test_stratum_info_bundle():
-    info = stratum_info(hf("1,1,1"), -2, 4)
-    assert info.dim == 5
-    assert info.window == (-2, 4)
-    assert info.tangent == tangent_function(hf("1,1,1"), -2, 4)
-    for n in range(1, 13):
-        for d in enumerate_diagrams(n):
-            assert stratum_info(d.hilbert_function(), 0, 3).dim <= 2 * n

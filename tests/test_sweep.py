@@ -1,11 +1,12 @@
 import inspect
 import multiprocessing
 import re
+import sys
 
 import pytest
 
 from conftest import hf
-from hilbstrata import sweep
+from hilbstrata import incidence, sweep
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import BettiTable, generic_betti
 from hilbstrata.strata import stratum_dim
@@ -158,13 +159,39 @@ def test_numerator_shift_names_exactly_the_corrupted_degree(cover):
 
 @pytest.mark.parametrize("name", ["v=u+1", "v>=u+2", "type-zero"])
 def test_failed_certificate_is_reported(monkeypatch, name):
-    monkeypatch.setattr(sweep, "verify_intersections", lambda pair, table: False)
+    monkeypatch.setattr(sweep, "_certificate", lambda pair, table: False)
     assert _kinds(*_inputs(*COVERS[name])) == {"intersection-certificate"}
 
 
 def test_certificate_is_not_asked_of_one_column_moves(monkeypatch):
-    monkeypatch.setattr(sweep, "verify_intersections", lambda pair, table: False)
+    monkeypatch.setattr(sweep, "_certificate", lambda pair, table: False)
     assert _kinds(*_inputs(*COVERS["v=u"])) == set()
+
+
+def test_sweep_evaluates_each_certificate_once(monkeypatch):
+    # check_cover already holds the Betti verdict, so it calls the
+    # certificate's body; the public check, which evaluates the Betti
+    # criterion again, must not run under any name a module binds it to.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called the public verify_intersections")
+
+    public = incidence.verify_intersections
+    for name, module in list(sys.modules.items()):
+        if name == "hilbstrata" or name.startswith("hilbstrata."):
+            for key, value in list(vars(module).items()):
+                if value is public:
+                    monkeypatch.setattr(module, key, refuse)
+    calls = []
+    body = sweep._certificate
+
+    def counted(pair, table):
+        calls.append(pair)
+        return body(pair, table)
+
+    monkeypatch.setattr(sweep, "_certificate", counted)
+    summary = sweep.sweep_weight(20)
+    assert summary.failures == [] and summary.covers > 0
+    assert calls and all(pair.v >= pair.u + 1 for pair in calls)
 
 
 def test_every_failure_kind_is_exercised():
