@@ -25,12 +25,10 @@ from .incidence import (
     TruncatedChowElement,
     betti_criterion,
     chow_product,
-    cover_conditions,
     cover_moves,
     is_length_zero,
     is_type_zero,
     resolve_incidence,
-    square_moves,
     verify_intersections,
 )
 from .laurent import IntLaurentPoly, combine

@@ -7,7 +7,6 @@ file that cannot be written.
 
 import argparse
 import functools
-import os
 import sys
 
 from .diagrams import (
@@ -20,7 +19,7 @@ from .graph import build_hilbert_graph, emit
 from .incidence import find_intermediate, is_length_zero, resolve_incidence, verdict_line
 from .resolution import generic_betti
 from .strata import stratum_dim
-from .sweep import verify_range
+from .sweep import available_cpus, verify_range
 
 
 def _positive(text):
@@ -65,7 +64,9 @@ def _build_parser():
     p = sub.add_parser("verify", help="sweep all covers of a weight range")
     p.add_argument("--n-min", type=_positive, default=1)
     p.add_argument("--n-max", type=_positive, required=True)
-    p.add_argument("--workers", type=_positive, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--workers", type=_positive, help="worker processes (default: every CPU available)"
+    )
     return parser
 
 
@@ -135,7 +136,8 @@ def _cmd_verify(args, out):
     if args.n_min > args.n_max:
         return _usage_error("--n-min must not exceed --n-max")
     bad = []
-    for summary in verify_range(range(args.n_min, args.n_max + 1), workers=args.workers):
+    workers = args.workers or available_cpus()
+    for summary in verify_range(range(args.n_min, args.n_max + 1), workers=workers):
         out.write(
             f"n={summary.n}: diagrams={summary.diagrams} covers={summary.covers} "
             f"incident={summary.incident} "

@@ -10,7 +10,7 @@ order, and addressable by rank), and the coefficientwise partial order on
 Hilbert functions.
 """
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from .laurent import IntLaurentPoly
 
@@ -118,7 +118,7 @@ class HilbertFunction:
     column; from L on the value stays at the degree ``n``.
     """
 
-    __slots__ = ("diagram", "transient", "degree")
+    __slots__ = ("diagram", "transient", "degree", "_padded")
 
     def __init__(self, diagram: CastelnuovoDiagram):
         self.diagram = diagram
@@ -126,6 +126,21 @@ class HilbertFunction:
         # over-allocated, which read 2.5 MB more peak RSS over a sweep.
         self.transient = tuple([*accumulate(diagram.s)])
         self.degree = self.transient[-1] if self.transient else 0
+        self._padded = None
+
+    @property
+    def padded(self) -> list:
+        """The values h(-3), h(-2), ..., h(L+5) as a list, h(m) at index m + 3.
+
+        Three zeros, the transient values, then the degree five times: every
+        degree that a cover's tangent window reads.  Built in one allocation
+        on first use and kept, so all covers above one function share it;
+        callers must not modify it.
+        """
+        if self._padded is None:
+            d = self.degree
+            self._padded = [0, 0, 0, *self.transient, d, d, d, d, d]
+        return self._padded
 
     @classmethod
     def from_values(cls, values) -> "HilbertFunction":
@@ -320,23 +335,21 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
     Returns None when the difference is anything else (zero, negative
     somewhere, higher than 1, or not contiguous).  Such a run is exactly
     what a single square jumping left does to the running sums.  Raises on
-    degree mismatch.
+    degree mismatch.  One pass over the two transient tuples, the shorter
+    one continued by the common degree.
     """
     if phi.degree != psi.degree:
         raise ValueError(f"degree mismatch: {phi.degree} != {psi.degree}")
-    top = max(len(phi.transient), len(psi.transient))
-    nonzero = []
-    for m in range(top):
-        d = psi.value(m) - phi.value(m)
-        if d == 0:
+    u = v = None
+    for m, (x, y) in enumerate(zip_longest(phi.transient, psi.transient, fillvalue=phi.degree)):
+        if x == y:
             continue
-        if d != 1:
+        if y - x != 1 or (v is not None and v != m - 1):
             return None
-        nonzero.append(m)
-    if not nonzero:
-        return None
-    u, v = nonzero[0], nonzero[-1]
-    if len(nonzero) != v - u + 1 or u < 1:
+        if u is None:
+            u = m
+        v = m
+    if u is None or u < 1:
         return None
     return u, v
 

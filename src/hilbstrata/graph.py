@@ -10,10 +10,20 @@ record.
 import json
 from dataclasses import dataclass
 
-from .diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
-from .incidence import IncidenceVerdict, cover_moves, is_length_zero, resolve_incidence
+from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
+from .incidence import (
+    IncidenceVerdict,
+    _scan_covers,
+    cover_moves,
+    is_length_zero,
+    resolve_incidence,
+)
 from .resolution import BettiTable, generic_betti
 from .strata import stratum_dim
+
+# The most nodes a graph may have.  Weight 65 has 18,200 diagrams and
+# weight 66 has 20,132, so graphs are built and parsed up to weight 65.
+MAX_NODES = 20_000
 
 
 @dataclass
@@ -44,10 +54,27 @@ class HilbertGraph:
     edges: list
 
 
+def _check_size(n: int):
+    """Raise ValueError when weight ``n`` has more than ``MAX_NODES`` diagrams.
+
+    The count never decreases with the weight and weight 100 already has
+    444,793 diagrams, so no weight past 100 is counted.
+    """
+    if count_diagrams(min(n, 100)) > MAX_NODES:
+        raise ValueError(
+            f"weight {n} has more than {MAX_NODES} diagrams, the most a graph may have"
+        )
+
+
 def build_hilbert_graph(n: int) -> HilbertGraph:
-    """Nodes from the deterministic enumeration, edges from cover detection."""
+    """Nodes from the deterministic enumeration, edges from cover detection.
+
+    Raises ValueError for n < 1 and for a weight with more than
+    ``MAX_NODES`` diagrams.
+    """
     if n < 1:
         raise ValueError("graph construction needs weight >= 1")
+    _check_size(n)
     ids = {}
     nodes = []
     for i, s in enumerate(iter_diagrams(n)):
@@ -180,10 +207,13 @@ def parse_graph_json(data) -> HilbertGraph:
     """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
 
     Raises ValueError unless the record has the emitter's keys and types,
-    the node ids are 0..N-1 in order, each node's values, dim and Betti
-    table are those of its diagram, whose weight is the record's n, and
-    each edge joins two nodes by a cover with the stated (u, v) and states
-    the five verdict flags of that cover as JSON booleans.
+    the node ids are 0..N-1 in order, the nodes are the diagrams of the
+    record's weight n in the order of ``iter_diagrams(n)``, each node's
+    values, dim and Betti table are those of its diagram, each edge joins
+    two nodes by a cover with the stated (u, v) and states the five verdict
+    flags of that cover as JSON booleans, and the edges are all the covers,
+    each once, sorted by (from, to).  A weight with more than ``MAX_NODES``
+    diagrams is refused before any node is read.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -216,6 +246,8 @@ def _graph_from_record(record) -> HilbertGraph:
         raise ValueError(f"weight {n!r} is not an integer")
     if not (type(record["nodes"]) is list and type(record["edges"]) is list):
         raise ValueError("nodes and edges must be lists")
+    _check_size(n)
+    diagrams = iter_diagrams(n)
     nodes = []
     for position, item in enumerate(record["nodes"]):
         if item["id"] != position:
@@ -226,6 +258,10 @@ def _graph_from_record(record) -> HilbertGraph:
         hf = CastelnuovoDiagram(s).hilbert_function()
         if hf.degree != n:
             raise ValueError(f"node {position}: weight {hf.degree} != {n}")
+        if tuple(s) != next(diagrams, None):
+            raise ValueError(
+                f"node {position}: heights {s!r} are not diagram {position} of weight {n}"
+            )
         if item["h"] != list(hf.transient):
             raise ValueError(f"node {position}: values {item['h']!r} != {list(hf.transient)}")
         dim = stratum_dim(hf)
@@ -235,11 +271,17 @@ def _graph_from_record(record) -> HilbertGraph:
         if not (_same_counts(item["a"], betti.a) and _same_counts(item["b"], betti.b)):
             raise ValueError(f"node {position}: Betti table is not {betti.render()}")
         nodes.append(NodeRecord(id=position, hf=hf, dim=dim, betti=betti))
+    if next(diagrams, None) is not None:
+        raise ValueError(
+            f"record lists {len(nodes)} of the {count_diagrams(n)} diagrams of weight {n}"
+        )
     edges = []
     for item in record["edges"]:
         ends = (item["from"], item["to"])
         if not all(type(end) is int and 0 <= end < len(nodes) for end in ends):
             raise ValueError(f"edge {ends} has an endpoint outside 0..{len(nodes) - 1}")
+        if edges and ends <= (edges[-1].from_id, edges[-1].to_id):
+            raise ValueError(f"edge {ends} repeats or precedes the edge before it")
         lower, upper = (nodes[end] for end in ends)
         pair = is_length_zero(lower.hf, upper.hf)
         if pair is None or (pair.u, pair.v) != (item["u"], item["v"]):
@@ -251,6 +293,10 @@ def _graph_from_record(record) -> HilbertGraph:
             if item[key] is not getattr(verdict, field):
                 raise ValueError(f"edge {ends}: {key} {item[key]!r} != {getattr(verdict, field)}")
         edges.append(EdgeRecord(*ends, pair.u, pair.v, verdict))
+    # Distinct covers, so they are all of them exactly when none is missing.
+    covers = sum(len(_scan_covers(node.diagram.s)) for node in nodes)
+    if len(edges) != covers:
+        raise ValueError(f"record lists {len(edges)} of the {covers} covers of weight {n}")
     return HilbertGraph(n=n, nodes=nodes, edges=edges)
 
 

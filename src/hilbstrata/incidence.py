@@ -89,14 +89,6 @@ def apply_move(diagram: CastelnuovoDiagram, u: int, v: int) -> CastelnuovoDiagra
     return CastelnuovoDiagram(s)
 
 
-def square_moves(hf: HilbertFunction):
-    """All single-square-move images of ``hf`` as (psi, u, v), sorted by (u, v)."""
-    out = []
-    for u, v in move_params(hf.diagram):
-        out.append((apply_move(hf.diagram, u, v).hilbert_function(), u, v))
-    return out
-
-
 def _scan_covers(s):
     """The (u, v) of every cover above the heights ``s``, sorted, from one scan.
 
@@ -170,25 +162,10 @@ def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
     return None
 
 
-def cover_conditions(pair: CoverPair, betti_phi=None, betti_psi=None, dims=None):
-    """(dimension comparison, tangent comparison) for a cover.
-
-    The first asks that the smaller stratum have strictly smaller
-    dimension; the second that its tangent function dominate coefficientwise,
-    compared on the window that the move (u, v) of the pair decides.
-    """
-    if dims is None:
-        dims = (stratum_dim(pair.phi), stratum_dim(pair.psi))
-    dim_ok = dims[0] < dims[1]
-    lo, hi = required_window(pair.u, pair.v)
-    tangent_ok = not tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
-    return dim_ok, tangent_ok
-
-
 def betti_criterion(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
-    """Criterion on the Betti numbers of phi equivalent to the two
-    comparisons above: a_u and b_{v+3} must be nonzero, with extra
-    equalities tied to the width v - u of the move."""
+    """Criterion on the Betti numbers of phi equivalent to the dimension and
+    tangent comparisons of ``resolve_incidence``: a_u and b_{v+3} must be
+    nonzero, with extra equalities tied to the width v - u of the move."""
     t = betti_phi if betti_phi is not None else generic_betti(pair.phi)
     u, v = pair.u, pair.v
     a_u = t.a_at(u)
@@ -239,14 +216,22 @@ def is_type_zero(pair: CoverPair) -> bool:
 
 
 def resolve_incidence(pair: CoverPair, betti_phi=None, betti_psi=None, dims=None) -> IncidenceVerdict:
-    """Full verdict for one cover: incident iff both comparisons hold."""
+    """Full verdict for one cover: incident iff both comparisons hold.
+
+    The dimension comparison asks that the smaller stratum have strictly
+    smaller dimension; the tangent comparison that its tangent function
+    dominate coefficientwise, compared on the window that the move (u, v)
+    of the pair decides.
+    """
     if betti_phi is None:
         betti_phi = generic_betti(pair.phi)
     if betti_psi is None:
         betti_psi = generic_betti(pair.psi)
     if dims is None:
         dims = (stratum_dim(pair.phi), stratum_dim(pair.psi))
-    dim_ok, tangent_ok = cover_conditions(pair, betti_phi, betti_psi, dims)
+    dim_ok = dims[0] < dims[1]
+    lo, hi = required_window(pair.u, pair.v)
+    tangent_ok = not tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
     return IncidenceVerdict(
         incident=dim_ok and tangent_ok,
         dim_ok=dim_ok,

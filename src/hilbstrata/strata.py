@@ -13,9 +13,18 @@ the tangent bundle of the plane.  Its value at m is
 sections(m) - 3 h(m+1) + h(m) + b_{m+3}, read straight off the Hilbert
 function and the relation counts of the generic Betti table; only windows
 of it are ever needed, and they are computed exactly degree by degree.
-The comparison of two strata on one window (``tangent_excess``) walks the
-window once: the sections term depends only on m, so it is shared between
-the two sides, while each side reads its own h and its own b.
+
+Both sides of a window are read by index.  Each Hilbert function keeps its
+values h(-3) .. h(L+5) as one list (``HilbertFunction.padded``), computed
+once on first use: in the sweep, the lower function's list is built once
+and read by all of its covers, and each upper function's once for its one
+cover.  The sections term depends only on m, so it comes from one table
+for m = -3 .. 252, shared by both sides and by every window.  A window
+that starts below -3 or reads past a function's list gets a copy of that
+list padded further, and one that starts below -3 or ends past 252 gets
+its sections computed directly.  The comparison of two strata on one window
+(``tangent_excess``) walks the window once, and each side reads only its
+own h and its own b.
 """
 
 from .diagrams import HilbertFunction
@@ -43,11 +52,32 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def _h_window(hf: HilbertFunction, lo: int, hi: int) -> list:
-    """Hilbert-function values h(lo), h(lo+1), ..., h(hi+1) as a list."""
-    # Zero below degree 0, the transient values, then the degree.
-    h = [0] * max(0, min(0, hi + 2) - lo) + list(hf.transient[max(lo, 0) : max(hi + 2, 0)])
-    h += [hf.degree] * (hi + 2 - lo - len(h))
+# sections(m) at index m + 3 for m = -3 .. 252, read by every window that
+# starts at -3 or later and ends by 252.
+_SECTIONS = [tangent_bundle_sections(m) for m in range(-3, 253)]
+
+
+def _sections(lo: int, hi: int) -> list:
+    """sections(m) at index m + max(3, -lo) for every m in [lo, hi].
+
+    The module's table when the window lies inside it, else computed
+    directly for this window.
+    """
+    if lo >= -3 and hi + 3 < len(_SECTIONS):
+        return _SECTIONS
+    return [tangent_bundle_sections(m) for m in range(min(lo, -3), hi + 1)]
+
+
+def _values(hf: HilbertFunction, lo: int, hi: int) -> list:
+    """h(m) at index m + max(3, -lo) for every m in [lo, hi + 1].
+
+    ``hf.padded`` itself when it reaches that far, as it does for every
+    window a cover decides; else a copy padded with more zeros in front
+    and more copies of the degree behind.
+    """
+    h = hf.padded
+    if lo < -3 or hi + 4 >= len(h):
+        h = [0] * max(0, -3 - lo) + h + [hf.degree] * max(0, hi + 5 - len(h))
     return h
 
 
@@ -60,10 +90,12 @@ def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | 
     if lo > hi:
         raise ValueError("empty window")
     b = (betti if betti is not None else generic_betti(hf)).b
-    h = _h_window(hf, lo, hi)
+    base = max(3, -lo)
+    sections = _sections(lo, hi)
+    h = _values(hf, lo, hi)
     return {
-        m: tangent_bundle_sections(m) - 3 * h_next + h_m + b.get(m + 3, 0)
-        for m, h_m, h_next in zip(range(lo, hi + 1), h, h[1:])
+        m: sections[m + base] - 3 * h[m + base + 1] + h[m + base] + b.get(m + 3, 0)
+        for m in range(lo, hi + 1)
     }
 
 
@@ -88,22 +120,25 @@ def tangent_excess(
     """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds that of ``phi``.
 
     One pass over the window evaluates both tangent functions degree by
-    degree, each from its own Hilbert function and its own relation
-    counts; only the sections term, which depends on m alone, is computed
-    once for both.  The tangent comparison holds exactly when the list is
-    empty.
+    degree, each from its own Hilbert function's values and its own
+    relation counts, read by index; only the sections term, which depends
+    on m alone, is read once for both.  The tangent comparison holds
+    exactly when the list is empty.
     """
     if lo > hi:
         raise ValueError("empty window")
     b_phi = (betti_phi if betti_phi is not None else generic_betti(phi)).b
     b_psi = (betti_psi if betti_psi is not None else generic_betti(psi)).b
-    h_phi = _h_window(phi, lo, hi)
-    h_psi = _h_window(psi, lo, hi)
+    base = max(3, -lo)
+    sections = _sections(lo, hi)
+    h_phi, h_psi = _values(phi, lo, hi), _values(psi, lo, hi)
+    get_phi, get_psi = b_phi.get, b_psi.get
     out = []
-    for m, x, x_next, y, y_next in zip(range(lo, hi + 1), h_phi, h_phi[1:], h_psi, h_psi[1:]):
-        sections = (m + 2) * (m + 4) if m >= -2 else 0  # tangent_bundle_sections(m)
-        t_phi = sections - 3 * x_next + x + b_phi.get(m + 3, 0)
-        t_psi = sections - 3 * y_next + y + b_psi.get(m + 3, 0)
+    for m in range(lo, hi + 1):
+        i = m + base
+        sec = sections[i]
+        t_phi = sec - 3 * h_phi[i + 1] + h_phi[i] + get_phi(m + 3, 0)
+        t_psi = sec - 3 * h_psi[i + 1] + h_psi[i] + get_psi(m + 3, 0)
         if t_psi > t_phi:
             out.append(m)
     return out

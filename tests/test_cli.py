@@ -123,6 +123,12 @@ def test_graph_unwritable_output_is_usage_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+def test_graph_past_the_node_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "graph", "-n", "66")
+    assert code == 2 and out == ""
+    assert err == "error: weight 66 has more than 20000 diagrams, the most a graph may have\n"
+
+
 def test_verify_clean(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "8")
     assert code == 0

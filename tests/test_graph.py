@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from hilbstrata.diagrams import enumerate_diagrams, hf_leq
+from hilbstrata.diagrams import count_diagrams, enumerate_diagrams, hf_leq
 from hilbstrata.graph import (
+    MAX_NODES,
     EdgeRecord,
     HilbertGraph,
     NodeRecord,
@@ -34,6 +35,14 @@ class TestBuild:
         assert len(g.nodes) == 38
         assert any(not e.verdict.incident for e in g.edges)
         assert sum(e.verdict.type_zero for e in g.edges) == 4
+
+    def test_node_bound(self):
+        # Weight 65 is the last one within the bound; a weight far past it
+        # is refused without being counted.
+        assert count_diagrams(65) <= MAX_NODES < count_diagrams(66) < count_diagrams(100)
+        for n in (66, 10**9):
+            with pytest.raises(ValueError, match=f"more than {MAX_NODES} diagrams"):
+                build_hilbert_graph(n)
 
     def test_rejects_weight_zero(self):
         with pytest.raises(ValueError):
@@ -268,6 +277,44 @@ class TestParseValidation:
         record = self.record()
         record["nodes"][0]["s"] = {}
         self.check_rejected(record, "node 0: heights")
+
+    def test_record_must_list_every_cover(self):
+        record = self.record()
+        assert len(record["edges"]) == 5
+        del record["edges"][2]
+        self.check_rejected(record, "record lists 4 of the 5 covers of weight 8")
+
+    def test_edges_must_not_repeat(self):
+        record = self.record()
+        record["edges"].insert(3, record["edges"][2])
+        self.check_rejected(record, "repeats or precedes")
+
+    def test_edges_must_be_sorted(self):
+        record = self.record()
+        record["edges"][1], record["edges"][2] = record["edges"][2], record["edges"][1]
+        self.check_rejected(record, "repeats or precedes")
+
+    def test_record_must_list_every_diagram(self):
+        # The last node dropped together with its edges.
+        record = self.record()
+        last = len(record["nodes"]) - 1
+        del record["nodes"][last]
+        record["edges"] = [e for e in record["edges"] if last not in (e["from"], e["to"])]
+        self.check_rejected(record, f"record lists {last} of the {last + 1} diagrams of weight 8")
+
+    def test_nodes_must_come_in_enumeration_order(self):
+        record = self.record()
+        nodes = record["nodes"]
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        nodes[0]["id"], nodes[1]["id"] = 0, 1
+        self.check_rejected(record, "node 0: heights .* are not diagram 0 of weight 8")
+        record = self.record()
+        record["nodes"][1]["s"].append(0)
+        self.check_rejected(record, "node 1: heights")
+
+    def test_weight_past_the_node_bound(self):
+        record = {"n": 66, "nodes": [], "edges": []}
+        self.check_rejected(record, f"weight 66 has more than {MAX_NODES} diagrams")
 
     def test_deep_nesting_is_a_value_error(self):
         for text in ("[" * 100_000, "{\"n\":" * 100_000):

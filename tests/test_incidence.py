@@ -10,16 +10,15 @@ from hilbstrata.diagrams import (
 from hilbstrata.incidence import (
     CoverPair,
     _certificate,
+    apply_move,
     betti_criterion,
     chow_product,
-    cover_conditions,
     cover_moves,
     find_intermediate,
     is_length_zero,
     is_type_zero,
     move_params,
     resolve_incidence,
-    square_moves,
     verdict_line,
     verify_intersections,
 )
@@ -35,16 +34,24 @@ A42_PHI = "1,3,6,10,14,15,16,17,.."
 A42_PSI = "1,3,6,10,14,16,17,.."
 
 
+def _move_images(phi):
+    """Every single-square-move image of ``phi`` as (psi, u, v), sorted by (u, v)."""
+    return [
+        (apply_move(phi.diagram, u, v).hilbert_function(), u, v)
+        for u, v in move_params(phi.diagram)
+    ]
+
+
 class TestSquareMoves:
     def test_three_collinear(self):
-        moves = square_moves(hf("1,1,1"))
+        moves = _move_images(hf("1,1,1"))
         assert [(m[0].diagram.s, m[1], m[2]) for m in moves] == [((1, 2), 1, 1)]
 
     def test_maximal_has_none(self):
-        assert square_moves(hf("1,2")) == []
+        assert _move_images(hf("1,2")) == []
 
     def test_four_collinear(self):
-        moves = square_moves(hf("1,1,1,1"))
+        moves = _move_images(hf("1,1,1,1"))
         assert [(m[0].diagram.s, m[1], m[2]) for m in moves] == [((1, 2, 1), 1, 2)]
 
     def test_against_brute_force(self):
@@ -55,7 +62,7 @@ class TestSquareMoves:
     def test_moves_shift_the_heights_by_one_square(self):
         for n in range(1, 16):
             for d in enumerate_diagrams(n):
-                for psi, u, v in square_moves(d.hilbert_function()):
+                for psi, u, v in _move_images(d.hilbert_function()):
                     expected = d.poly() + IntLaurentPoly({u: 1, v + 1: -1})
                     assert psi.diagram.poly() == expected
 
@@ -88,7 +95,7 @@ class TestIsLengthZero:
         for n in range(1, 13):
             for d in enumerate_diagrams(n):
                 phi = d.hilbert_function()
-                for psi, u, v in square_moves(phi):
+                for psi, u, v in _move_images(phi):
                     expected = not has_intermediate_by_patterns(phi, u, v)
                     assert (is_length_zero(phi, psi) is not None) == expected
 
@@ -146,20 +153,21 @@ class TestIsLengthZero:
 class TestConditions:
     def test_weight3_pair(self):
         pair = is_length_zero(hf("1,1,1"), hf("1,2"))
-        assert cover_conditions(pair) == (True, True)
+        verdict = resolve_incidence(pair)
+        assert (verdict.dim_ok, verdict.tangent_ok) == (True, True)
         assert betti_criterion(pair)
 
     def test_weight14_pair(self):
         pair = is_length_zero(hf("1,2,3,4,2,1,1"), hf("1,2,3,4,2,2"))
-        dim_ok, tangent_ok = cover_conditions(pair)
-        assert not tangent_ok
+        assert not resolve_incidence(pair).tangent_ok
         assert not betti_criterion(pair)
         assert generic_betti(pair.phi).a_at(pair.u) == 0
 
     def test_previously_open_pair(self):
         pair = is_length_zero(parse_hilbert_function(A42_PHI), parse_hilbert_function(A42_PSI))
         assert (pair.u, pair.v) == (5, 6)
-        assert cover_conditions(pair) == (True, True)
+        verdict = resolve_incidence(pair)
+        assert (verdict.dim_ok, verdict.tangent_ok) == (True, True)
         assert betti_criterion(pair)
 
     def test_five_collinear_wide_move(self):

@@ -9,7 +9,8 @@ import copy
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbstrata.cli import main
 from hilbstrata.diagrams import (
@@ -18,6 +19,7 @@ from hilbstrata.diagrams import (
     is_castelnuovo,
     parse_diagram,
     parse_hilbert_function,
+    run_of_ones,
     unrank,
 )
 from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json
@@ -119,6 +121,55 @@ def test_moves_match_the_brute_force_oracle(d):
         if not any((up, vp) != (u, v) and up >= u and vp <= v for up, vp in moves)
     ]
     assert _scan_covers(d.s) == minimal
+
+
+def run_of_ones_by_degree(phi, psi):
+    """[u, v] with u >= 1 where psi - phi is 1, and 0 elsewhere, else None;
+    the difference taken degree by degree through ``value``."""
+    top = max(len(phi.diagram), len(psi.diagram))
+    diff = [psi.value(m) - phi.value(m) for m in range(top)]
+    support = [m for m, d in enumerate(diff) if d]
+    if not support or any(diff[m] != 1 for m in support):
+        return None
+    u, v = support[0], support[-1]
+    if u < 1 or v - u + 1 != len(support):
+        return None
+    return u, v
+
+
+@st.composite
+def same_weight_pairs(draw):
+    """Two diagrams of one weight: any two, or one and the result of one to
+    three single-square moves applied in turn (so the difference can be a
+    run, two runs, or reach 2)."""
+    phi = draw(diagrams(max_weight=60))
+    n = phi.weight
+    if draw(st.booleans()):
+        return phi, CastelnuovoDiagram(unrank(n, draw(st.integers(0, count_diagrams(n) - 1))))
+    psi = phi
+    for _ in range(draw(st.integers(1, 3))):
+        moves = move_params(psi)
+        if moves:
+            psi = apply_move(psi, *draw(st.sampled_from(moves)))
+    return phi, psi
+
+
+@deterministic
+@given(same_weight_pairs())
+@example((CastelnuovoDiagram((1, 2, 3, 3, 3, 1, 1)), CastelnuovoDiagram((1, 2, 3, 4, 2, 2))))
+def test_run_of_ones_matches_the_degreewise_oracle(pair):
+    # The example differs by 1 at degrees 3 and 5 only: two runs, no answer.
+    phi, psi = (d.hilbert_function() for d in pair)
+    assert run_of_ones(phi, psi) == run_of_ones_by_degree(phi, psi)
+    assert run_of_ones(psi, phi) == run_of_ones_by_degree(psi, phi)
+
+
+@deterministic
+@given(diagrams(max_weight=60), diagrams(max_weight=60))
+def test_run_of_ones_rejects_a_degree_mismatch(a, b):
+    if a.weight != b.weight:
+        with pytest.raises(ValueError, match="degree mismatch"):
+            run_of_ones(a.hilbert_function(), b.hilbert_function())
 
 
 # JSON values of the kinds a graph record holds, nested a little.

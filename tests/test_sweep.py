@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import multiprocessing
 import re
 import sys
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 from conftest import hf
-from hilbstrata import incidence, sweep
+from hilbstrata import cli, incidence, sweep
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import BettiTable, generic_betti
 from hilbstrata.strata import stratum_dim
@@ -218,6 +220,37 @@ class TestPoolSize:
 
     def test_default_cpus_is_the_machine(self):
         assert 1 <= pool_size(2, tasks=2) <= 2
+
+    def test_default_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert sweep.available_cpus() == 3
+        assert pool_size(8, tasks=100) == 3
+
+    def test_without_an_affinity_mask_the_machine_counts(self, monkeypatch):
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 6)
+        assert sweep.available_cpus() == 6 and pool_size(8, tasks=100) == 6
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep.available_cpus() == 1
+
+
+def test_verify_workers_default_to_the_affinity_mask(monkeypatch):
+    # The default is read when verify runs, and passed on to the sweep.
+    requested = []
+
+    def fake_range(ns, workers):
+        requested.append(workers)
+        return iter(())
+
+    monkeypatch.setattr(cli, "verify_range", fake_range)
+    for mask in ({0}, {1, 2, 3}):
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--n-max", "3"]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--n-max", "3", "--workers", "5"]) == 0
+    assert requested == [1, 3, 5]
 
 
 def test_small_range_runs_without_a_pool(monkeypatch):
