@@ -11,13 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
-from .incidence import (
-    IncidenceVerdict,
-    _scan_covers,
-    cover_moves,
-    is_length_zero,
-    resolve_incidence,
-)
+from .incidence import IncidenceVerdict, cover_moves, resolve_incidence
 from .resolution import BettiTable, generic_betti
 from .strata import stratum_dim
 
@@ -206,14 +200,16 @@ def _emit_json(g: HilbertGraph) -> bytes:
 def parse_graph_json(data) -> HilbertGraph:
     """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
 
-    Raises ValueError unless the record has the emitter's keys and types,
-    the node ids are 0..N-1 in order, the nodes are the diagrams of the
-    record's weight n in the order of ``iter_diagrams(n)``, each node's
-    values, dim and Betti table are those of its diagram, each edge joins
-    two nodes by a cover with the stated (u, v) and states the five verdict
-    flags of that cover as JSON booleans, and the edges are all the covers,
-    each once, sorted by (from, to).  A weight with more than ``MAX_NODES``
-    diagrams is refused before any node is read.
+    The record is compared with the graph that ``build_hilbert_graph``
+    builds for its weight n, and that graph is returned.  Raises ValueError
+    unless the record has the emitter's keys, the node ids are 0..N-1 in
+    order, each node states the heights, values, dim and Betti table of the
+    diagram at its position in ``iter_diagrams(n)``, and the edges are all
+    the covers, each once, sorted by (from, to), with the (u, v) and the
+    five verdict flags of that cover.  Values must have the emitter's JSON
+    types: no float or boolean stands in for an integer, nor an integer for
+    a boolean.  A weight with more than ``MAX_NODES`` diagrams is refused
+    before any graph is built.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -223,21 +219,33 @@ def parse_graph_json(data) -> HilbertGraph:
         raise ValueError(f"malformed graph record: {exc!r}") from exc
 
 
-# Edge keys of the JSON record and the verdict fields they state.
-_FLAGS = (
-    ("incident", "incident"),
-    ("dim_ok", "dim_ok"),
-    ("tangent_ok", "tangent_ok"),
-    ("condition_c", "betti_ok"),
-    ("type_zero", "type_zero"),
+# Node keys of the JSON record and what they state, in the emitter's order.
+_NODE_FIELDS = (
+    ("s", "heights"),
+    ("h", "values"),
+    ("dim", "dim"),
+    ("a", "Betti table"),
+    ("b", "Betti table"),
 )
 
+# Edge keys of the JSON record that state the cover's verdict.
+_FLAGS = ("incident", "dim_ok", "tangent_ok", "condition_c", "type_zero")
 
-def _same_counts(counts, table: dict) -> bool:
-    """Does the JSON object ``counts`` state exactly the sparse ``table``?"""
-    return counts == {str(d): c for d, c in table.items()} and all(
-        type(c) is int for c in counts.values()
-    )
+
+def _same(value, expected) -> bool:
+    """Does the parsed JSON ``value`` state exactly ``expected``, type for type?
+
+    ``==`` alone would take 1.0 or True for 1, and 1 for True.
+    """
+    if type(value) is not type(expected):
+        return False
+    if type(expected) is list:
+        return len(value) == len(expected) and all(map(_same, value, expected))
+    if type(expected) is dict:
+        return value.keys() == expected.keys() and all(
+            _same(value[key], expected[key]) for key in expected
+        )
+    return value == expected
 
 
 def _graph_from_record(record) -> HilbertGraph:
@@ -246,58 +254,44 @@ def _graph_from_record(record) -> HilbertGraph:
         raise ValueError(f"weight {n!r} is not an integer")
     if not (type(record["nodes"]) is list and type(record["edges"]) is list):
         raise ValueError("nodes and edges must be lists")
-    _check_size(n)
-    diagrams = iter_diagrams(n)
-    nodes = []
+    g = build_hilbert_graph(n)
     for position, item in enumerate(record["nodes"]):
-        if item["id"] != position:
+        if not _same(item["id"], position):
             raise ValueError(f"node id {item['id']!r} at position {position}")
+        if position == len(g.nodes):
+            raise ValueError(f"record lists more than the {len(g.nodes)} diagrams of weight {n}")
+        expected = _node_json(g.nodes[position])
         s = item["s"]
-        if type(s) is not list or not all(type(x) is int for x in s):
-            raise ValueError(f"node {position}: heights {s!r} are not integers")
-        hf = CastelnuovoDiagram(s).hilbert_function()
-        if hf.degree != n:
-            raise ValueError(f"node {position}: weight {hf.degree} != {n}")
-        if tuple(s) != next(diagrams, None):
-            raise ValueError(
-                f"node {position}: heights {s!r} are not diagram {position} of weight {n}"
-            )
-        if item["h"] != list(hf.transient):
-            raise ValueError(f"node {position}: values {item['h']!r} != {list(hf.transient)}")
-        dim = stratum_dim(hf)
-        if item["dim"] != dim:
-            raise ValueError(f"node {position}: dim {item['dim']!r} != {dim}")
-        betti = generic_betti(hf)
-        if not (_same_counts(item["a"], betti.a) and _same_counts(item["b"], betti.b)):
-            raise ValueError(f"node {position}: Betti table is not {betti.render()}")
-        nodes.append(NodeRecord(id=position, hf=hf, dim=dim, betti=betti))
-    if next(diagrams, None) is not None:
+        if type(s) is list and all(type(x) is int for x in s) and sum(s) != n:
+            # Heights of another weight are named as such.
+            raise ValueError(f"node {position}: weight {sum(s)} != {n}")
+        for key, name in _NODE_FIELDS:
+            if not _same(item[key], expected[key]):
+                raise ValueError(f"node {position}: {name} {item[key]!r} != {expected[key]!r}")
+    if len(record["nodes"]) < len(g.nodes):
         raise ValueError(
-            f"record lists {len(nodes)} of the {count_diagrams(n)} diagrams of weight {n}"
+            f"record lists {len(record['nodes'])} of the {len(g.nodes)} diagrams of weight {n}"
         )
-    edges = []
+    covers = {(e.from_id, e.to_id): _edge_json(e) for e in g.edges}
+    previous = None
     for item in record["edges"]:
         ends = (item["from"], item["to"])
-        if not all(type(end) is int and 0 <= end < len(nodes) for end in ends):
-            raise ValueError(f"edge {ends} has an endpoint outside 0..{len(nodes) - 1}")
-        if edges and ends <= (edges[-1].from_id, edges[-1].to_id):
+        if not all(type(end) is int and 0 <= end < len(g.nodes) for end in ends):
+            raise ValueError(f"edge {ends} has an endpoint outside 0..{len(g.nodes) - 1}")
+        if previous is not None and ends <= previous:
             raise ValueError(f"edge {ends} repeats or precedes the edge before it")
-        lower, upper = (nodes[end] for end in ends)
-        pair = is_length_zero(lower.hf, upper.hf)
-        if pair is None or (pair.u, pair.v) != (item["u"], item["v"]):
+        previous = ends
+        expected = covers.get(ends)
+        if expected is None or not all(_same(item[key], expected[key]) for key in "uv"):
             raise ValueError(f"edge {ends} is not a cover with u={item['u']!r} v={item['v']!r}")
-        verdict = resolve_incidence(
-            pair, betti_phi=lower.betti, betti_psi=upper.betti, dims=(lower.dim, upper.dim)
+        for key in _FLAGS:
+            if item[key] is not expected[key]:
+                raise ValueError(f"edge {ends}: {key} {item[key]!r} != {expected[key]}")
+    if len(record["edges"]) != len(g.edges):
+        raise ValueError(
+            f"record lists {len(record['edges'])} of the {len(g.edges)} covers of weight {n}"
         )
-        for key, field in _FLAGS:
-            if item[key] is not getattr(verdict, field):
-                raise ValueError(f"edge {ends}: {key} {item[key]!r} != {getattr(verdict, field)}")
-        edges.append(EdgeRecord(*ends, pair.u, pair.v, verdict))
-    # Distinct covers, so they are all of them exactly when none is missing.
-    covers = sum(len(_scan_covers(node.diagram.s)) for node in nodes)
-    if len(edges) != covers:
-        raise ValueError(f"record lists {len(edges)} of the {covers} covers of weight {n}")
-    return HilbertGraph(n=n, nodes=nodes, edges=edges)
+    return g
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:

@@ -18,13 +18,11 @@ Both sides of a window are read by index.  Each Hilbert function keeps its
 values h(-3) .. h(L+5) as one list (``HilbertFunction.padded``), computed
 once on first use: in the sweep, the lower function's list is built once
 and read by all of its covers, and each upper function's once for its one
-cover.  The sections term depends only on m, so it comes from one table
-for m = -3 .. 252, shared by both sides and by every window.  A window
-that starts below -3 or reads past a function's list gets a copy of that
-list padded further, and one that starts below -3 or ends past 252 gets
-its sections computed directly.  The comparison of two strata on one window
-(``tangent_excess``) walks the window once, and each side reads only its
-own h and its own b.
+cover.  A window that starts below -3 or reads past a function's list
+gets a copy of that list padded further.  The comparison of two strata on
+one window (``tangent_excess``) walks the window once: the sections term
+depends only on m, so it is computed once per degree for both sides, while
+each side reads only its own h and its own b.
 """
 
 from .diagrams import HilbertFunction
@@ -52,22 +50,6 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-# sections(m) at index m + 3 for m = -3 .. 252, read by every window that
-# starts at -3 or later and ends by 252.
-_SECTIONS = [tangent_bundle_sections(m) for m in range(-3, 253)]
-
-
-def _sections(lo: int, hi: int) -> list:
-    """sections(m) at index m + max(3, -lo) for every m in [lo, hi].
-
-    The module's table when the window lies inside it, else computed
-    directly for this window.
-    """
-    if lo >= -3 and hi + 3 < len(_SECTIONS):
-        return _SECTIONS
-    return [tangent_bundle_sections(m) for m in range(min(lo, -3), hi + 1)]
-
-
 def _values(hf: HilbertFunction, lo: int, hi: int) -> list:
     """h(m) at index m + max(3, -lo) for every m in [lo, hi + 1].
 
@@ -91,10 +73,9 @@ def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | 
         raise ValueError("empty window")
     b = (betti if betti is not None else generic_betti(hf)).b
     base = max(3, -lo)
-    sections = _sections(lo, hi)
     h = _values(hf, lo, hi)
     return {
-        m: sections[m + base] - 3 * h[m + base + 1] + h[m + base] + b.get(m + 3, 0)
+        m: tangent_bundle_sections(m) - 3 * h[m + base + 1] + h[m + base] + b.get(m + 3, 0)
         for m in range(lo, hi + 1)
     }
 
@@ -122,7 +103,7 @@ def tangent_excess(
     One pass over the window evaluates both tangent functions degree by
     degree, each from its own Hilbert function's values and its own
     relation counts, read by index; only the sections term, which depends
-    on m alone, is read once for both.  The tangent comparison holds
+    on m alone, is computed once for both.  The tangent comparison holds
     exactly when the list is empty.
     """
     if lo > hi:
@@ -130,15 +111,14 @@ def tangent_excess(
     b_phi = (betti_phi if betti_phi is not None else generic_betti(phi)).b
     b_psi = (betti_psi if betti_psi is not None else generic_betti(psi)).b
     base = max(3, -lo)
-    sections = _sections(lo, hi)
     h_phi, h_psi = _values(phi, lo, hi), _values(psi, lo, hi)
     get_phi, get_psi = b_phi.get, b_psi.get
     out = []
     for m in range(lo, hi + 1):
         i = m + base
-        sec = sections[i]
-        t_phi = sec - 3 * h_phi[i + 1] + h_phi[i] + get_phi(m + 3, 0)
-        t_psi = sec - 3 * h_psi[i + 1] + h_psi[i] + get_psi(m + 3, 0)
+        sections = (m + 2) * (m + 4) if m >= -2 else 0  # tangent_bundle_sections(m)
+        t_phi = sections - 3 * h_phi[i + 1] + h_phi[i] + get_phi(m + 3, 0)
+        t_psi = sections - 3 * h_psi[i + 1] + h_psi[i] + get_psi(m + 3, 0)
         if t_psi > t_phi:
             out.append(m)
     return out

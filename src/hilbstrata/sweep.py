@@ -154,43 +154,33 @@ def _sweep_chunk(task):
     """Worker: run all covers whose lower diagram has a rank in the task's range.
 
     A task is three integers (n, start, stop); the worker enumerates its
-    own range, and the cache of each diagram's Betti table and dimension,
-    keyed by its heights, lives as long as the task.
+    own range, and the Betti cache lives as long as the task.
     """
     n, start, stop = task
-    diagrams = covers = incident_count = type_zero_count = 0
-    failed = []
+    summary = SweepSummary(n=n)
     cache = {}
+
+    def data_for(hf):
+        found = cache.get(hf.diagram.s)
+        if found is None:
+            found = (generic_betti(hf), stratum_dim(hf))
+            cache[hf.diagram.s] = found
+        return found
+
     for s in iter_diagrams(n, start, stop):
-        diagrams += 1
+        summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
-        data_phi = cache.get(s)
-        if data_phi is None:
-            data_phi = cache[s] = (generic_betti(phi), stratum_dim(phi))
-        betti_phi, dim_phi = data_phi
+        betti_phi, dim_phi = data_for(phi)
         for pair in cover_moves(phi):
-            psi = pair.psi
-            data_psi = cache.get(psi.diagram.s)
-            if data_psi is None:
-                data_psi = cache[psi.diagram.s] = (generic_betti(psi), stratum_dim(psi))
+            betti_psi, dim_psi = data_for(pair.psi)
             incident, _, type_zero, failures = check_cover(
-                pair, betti_phi, data_psi[0], dim_phi, data_psi[1]
+                pair, betti_phi, betti_psi, dim_phi, dim_psi
             )
-            covers += 1
-            if incident:
-                incident_count += 1
-            if type_zero:
-                type_zero_count += 1
-            if failures:
-                failed.extend(failures)
-    return SweepSummary(
-        n=n,
-        diagrams=diagrams,
-        covers=covers,
-        incident=incident_count,
-        type_zero=type_zero_count,
-        failures=failed,
-    )
+            summary.covers += 1
+            summary.incident += 1 if incident else 0
+            summary.type_zero += 1 if type_zero else 0
+            summary.failures.extend(failures)
+    return summary
 
 
 def _shard_tasks(n: int, count: int):

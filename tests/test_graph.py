@@ -301,13 +301,30 @@ class TestParseValidation:
         del record["nodes"][last]
         record["edges"] = [e for e in record["edges"] if last not in (e["from"], e["to"])]
         self.check_rejected(record, f"record lists {last} of the {last + 1} diagrams of weight 8")
+        # One node too many.
+        record = self.record()
+        extra = dict(record["nodes"][-1], id=len(record["nodes"]))
+        record["nodes"].append(extra)
+        self.check_rejected(record, f"record lists more than the {last + 1} diagrams of weight 8")
+
+    def test_integers_must_be_json_integers(self):
+        record = self.record()
+        record["nodes"][1]["id"] = True
+        self.check_rejected(record, "node id True at position 1")
+        record = self.record()
+        record["nodes"][0]["dim"] = float(record["nodes"][0]["dim"])
+        self.check_rejected(record, "node 0: dim")
+        record = self.record()
+        assert record["edges"][4]["u"] == 1
+        record["edges"][4]["u"] = True
+        self.check_rejected(record, "not a cover with u=True")
 
     def test_nodes_must_come_in_enumeration_order(self):
         record = self.record()
         nodes = record["nodes"]
         nodes[0], nodes[1] = nodes[1], nodes[0]
         nodes[0]["id"], nodes[1]["id"] = 0, 1
-        self.check_rejected(record, "node 0: heights .* are not diagram 0 of weight 8")
+        self.check_rejected(record, r"node 0: heights \[1, 2, 3, 1, 1\] != \[1, 2, 3, 2\]")
         record = self.record()
         record["nodes"][1]["s"].append(0)
         self.check_rejected(record, "node 1: heights")

@@ -114,16 +114,17 @@ class TestTangentFunction:
                     }
                     assert tangent_function(phi, lo, hi) == expected
 
-    def test_windows_past_the_shared_sections_table(self):
-        # The shared table ends at degree 252: windows reaching past it, or
-        # far below -3, on diagrams both short and longer than the table,
-        # against the degree-by-degree formula; and the one-pass comparison
-        # on those windows against the two separate functions.
-        shapes = [(1,) * 260, (1, 2, 3, 3, 2) + (1,) * 250, (1, 2, 3, 2, 1, 1), (1, 2)]
+    def test_windows_past_the_padded_values(self):
+        # Windows that fit the padded values h(-3) .. h(L+5) exactly, reach
+        # one degree past either end, or reach far past both, against the
+        # degree-by-degree formula; and the one-pass comparison on such
+        # windows against the two separate functions.
+        shapes = [(1,) * 12, (1, 2, 3, 3, 2) + (1,) * 8, (1, 2, 3, 2, 1, 1), (1, 2)]
         functions = [CastelnuovoDiagram(s).hilbert_function() for s in shapes]
         for phi in functions:
             q = numerator_by_truncation(phi)
-            for lo, hi in ((248, 262), (253, 253), (-20, 300), (-2, 252), (-3, 249)):
+            top = len(phi.transient)
+            for lo, hi in ((-3, top + 3), (-4, 0), (-3, top + 4), (top + 4, top + 4), (-20, top + 20)):
                 expected = {
                     m: tangent_sections_by_euler(m)
                     - 3 * phi.value(m + 1)
@@ -134,7 +135,7 @@ class TestTangentFunction:
                 assert tangent_function(phi, lo, hi) == expected
         phi = functions[1]
         for pair in cover_moves(phi):
-            for window in ((pair.u - 30, pair.v + 30), (240, 300)):
+            for window in ((pair.u - 30, pair.v + 30), (-3, len(phi.transient) + 4)):
                 t_phi = tangent_function(phi, *window)
                 t_psi = tangent_function(pair.psi, *window)
                 expected = [m for m in t_phi if t_psi[m] > t_phi[m]]
