@@ -12,8 +12,6 @@ Hilbert functions.
 
 from itertools import accumulate, zip_longest
 
-from .laurent import IntLaurentPoly
-
 
 def is_castelnuovo(seq) -> bool:
     """True iff ``seq`` (implicitly zero-padded) is a valid height sequence.
@@ -88,10 +86,6 @@ class CastelnuovoDiagram:
 
     def __len__(self):
         return len(self.s)
-
-    def poly(self) -> IntLaurentPoly:
-        """The height sequence as a polynomial (degree i carries s(i))."""
-        return IntLaurentPoly.from_list(self.s)
 
     def hilbert_function(self) -> "HilbertFunction":
         return HilbertFunction(self)

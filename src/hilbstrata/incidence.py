@@ -94,15 +94,17 @@ def _scan_covers(s):
 
     Each removable column w pairs with the last column before it that is
     addable or removable, when that column is addable: then nothing
-    between them is either, and (u, w - 1) is a cover.
+    between them is either, and (u, w - 1) is a cover.  The scan reads
+    each column with its two neighbours and tests both properties inline,
+    as ``_addable`` and ``_removable`` state them.
     """
     out = []
     u = 0  # the last addable-or-removable column if it is addable, else 0
-    for c in range(1, len(s)):
-        removable = _removable(s, c)
+    for c, (left, x, right) in enumerate(zip(s, s[1:], s[2:] + (0,)), 1):
+        removable = x > right
         if removable and u:
             out.append((u, c - 1))
-        if _addable(s, c):
+        if x < left or left == x == c:
             u = c
         elif removable:
             u = 0

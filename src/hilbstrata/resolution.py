@@ -15,10 +15,17 @@ q(t) = 1 - (1-t)^2 s(t), that is
 
 the negated second difference of the heights plus the unit of rank one.
 Its support lies in degrees 0 .. len(s) + 1 and q(1) = 1.
+
+Dense row.  Besides the sparse counts, a ``BettiTable`` keeps the row
+``q = (q_0, ..., q_top)`` with q_l = a_l - b_l, trimmed after its last
+nonzero entry, so a reader of a_l - b_l at any degree, or of a whole
+numerator, indexes one tuple.  ``generic_betti`` keeps the list
+``_numerator_coeffs`` computes as that row; a table built from counts
+derives its row from them.  Degrees are non-negative: a dense row has no
+place for a negative one.
 """
 
 from .diagrams import HilbertFunction
-from .laurent import IntLaurentPoly
 
 
 def _numerator_coeffs(s) -> list:
@@ -32,22 +39,34 @@ def _numerator_coeffs(s) -> list:
     return q
 
 
-def series_numerator(hf: HilbertFunction) -> IntLaurentPoly:
-    """Numerator q(t) of the ideal's Hilbert series, q = 1 - (1-t)^2 * s(t).
+def series_numerator(hf: HilbertFunction) -> list:
+    """Numerator q(t) of the ideal's Hilbert series, q = 1 - (1-t)^2 * s(t),
+    as the dense list q_0 .. q_{L+2} (L the last column).
 
     Always q(1) = 1 (the ideal has rank one).
     """
-    return IntLaurentPoly.from_list(_numerator_coeffs(hf.diagram.s))
+    return _numerator_coeffs(hf.diagram.s)
 
 
 class BettiTable:
-    """Sparse generator counts ``a`` and relation counts ``b`` by degree."""
+    """Sparse generator counts ``a`` and relation counts ``b`` by degree, and
+    the dense row ``q`` of a_l - b_l over degrees 0 .. its last nonzero entry."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "q")
 
     def __init__(self, a, b):
+        if any(d < 0 for d in (*a, *b)):
+            raise ValueError("Betti table degrees must be non-negative")
         self.a = {d: c for d, c in sorted(a.items()) if c}
         self.b = {d: c for d, c in sorted(b.items()) if c}
+        q = [0] * (max((*self.a, *self.b), default=-1) + 1)
+        for d, c in self.a.items():
+            q[d] += c
+        for d, c in self.b.items():
+            q[d] -= c
+        while q and not q[-1]:
+            q.pop()
+        self.q = tuple(q)
 
     def a_at(self, d) -> int:
         return self.a.get(d, 0)
@@ -72,12 +91,21 @@ class BettiTable:
 
 
 def generic_betti(hf: HilbertFunction) -> BettiTable:
-    """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0)."""
+    """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0).
+
+    The coefficient list, trimmed, becomes the table's row, and the
+    table skips the sort-and-filter pass of ``BettiTable.__init__``.
+    """
+    q = _numerator_coeffs(hf.diagram.s)
     a = {}
     b = {}
-    for d, c in enumerate(_numerator_coeffs(hf.diagram.s)):
+    for d, c in enumerate(q):
         if c > 0:
             a[d] = c
         elif c < 0:
             b[d] = -c
-    return BettiTable(a, b)
+    while q and not q[-1]:
+        q.pop()
+    table = BettiTable.__new__(BettiTable)
+    table.a, table.b, table.q = a, b, tuple(q)
+    return table

@@ -6,7 +6,14 @@ is 1 + n + c where c is the constant coefficient of
 t^-1 pairs each column with its right neighbour and t^-2 with the column
 two steps right, so the closed form is
 
-    dim = 1 + n + sum_i s_i (s_{i+1} - s_{i+2}).
+    dim = 1 + n + sum_i s_i (s_{i+1} - s_{i+2}),
+
+summed by ``stratum_dim`` with ``map`` over the shifted height tuples.
+Across a cover (u, v) the dimension grows by e + sum over i in u..v of
+(q_i - q_{i+3}) in terms of phi's numerator row q (``resolution``), with
+e = -1, 1 or 0 for v = u, v = u+1 or a wider move; the sum telescopes to
+e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}), which is
+how the sweep checks the difference of two ``stratum_dim`` values.
 
 The tangent function counts global sections of the ideal sheaf twisted by
 the tangent bundle of the plane.  Its value at m is
@@ -25,6 +32,8 @@ depends only on m, so it is computed once per degree for both sides, while
 each side reads only its own h and its own b.
 """
 
+from operator import mul, sub
+
 from .diagrams import HilbertFunction
 from .resolution import BettiTable, generic_betti
 
@@ -34,7 +43,7 @@ def stratum_dim(hf: HilbertFunction) -> int:
     if hf.degree < 1:
         raise ValueError("stratum dimension needs degree >= 1")
     s = hf.diagram.s
-    return 1 + hf.degree + sum(x * (y - z) for x, y, z in zip(s, s[1:], s[2:] + (0,)))
+    return 1 + hf.degree + sum(map(mul, s, map(sub, s[1:], s[2:] + (0,))))
 
 
 def tangent_bundle_sections(m: int) -> int:

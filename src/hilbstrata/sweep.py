@@ -9,10 +9,32 @@ wide-move dimension law, the type-zero implication, and the
 intersection-product certificates.  Any disagreement is reported as a
 counterexample; a clean sweep is the reproducible evidence that the two
 cover criteria agree on the whole range.
+
+The Betti checks read each table's dense row q (q_l = a_l - b_l, see
+``resolution``).  The numerator-shift check adds the move's predicted
+shift to phi's row and compares the trimmed result with psi's row.  The
+Betti dimension delta, e + sum over i in u..v of (q_i - q_{i+3}),
+telescopes to e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}),
+six reads whatever the width of the move.
+
+The Betti cache of a task keeps two staircase blocks.  Write k for the
+length of the longest staircase prefix 1..k of a diagram.  A cover's psi
+is phi with column u raised and column w = v+1 > u lowered, so psi comes
+before phi in canonical (descending lexicographic) order, and its k is
+phi's or one more.  A column c in 1..k-1 of phi's staircase is never
+addable (its height c+1 already exceeds its left neighbour's c), so
+u >= k and w > k leave the staircase in place, and raising column k
+lengthens it, to k+1, exactly when phi's height there is k.  Canonical
+order runs k downwards, so once phi's k falls, the block two above it
+can never be read again and is dropped.  In a serial sweep every psi was
+an earlier phi and every lookup hits; a task that starts inside a weight
+misses on the psi it never enumerated, and stores each in the block it
+belongs to.
 """
 
 import os
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import CoverPair, _certificate, betti_criterion, cover_moves, is_type_zero
@@ -75,25 +97,33 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     if incident != betti_ok:
         fail("criterion-equivalence", f"dim_ok={dim_ok} tangent_ok={tangent_ok} betti={betti_ok}")
 
+    # The four counts of phi that the zero pattern, the shortcut and the
+    # wide-move law share, each read once.
+    a_u, b_v3 = a.get(u, 0), b.get(v + 3, 0)
+
     # Zero pattern and inequalities forced by a move wider than one column.
     if v >= u + 1:
+        b_u1, a_v2 = b.get(u + 1, 0), a.get(v + 2, 0)
         if not a.keys().isdisjoint(range(u + 1, v + 2)):
             fail("betti-zero-pattern", "generator in the plateau range")
         if not b.keys().isdisjoint(range(u + 2, v + 3)):
             fail("betti-zero-pattern", "relation in the plateau range")
-        if a.get(u, 0) > b.get(u + 1, 0) + 1:
+        if a_u > b_u1 + 1:
             fail("betti-zero-pattern", "a_u exceeds b_{u+1}+1")
-        if a.get(v + 2, 0) <= 0:
+        if a_v2 <= 0:
             fail("betti-zero-pattern", "a_{v+2} vanishes")
-        if b.get(v + 3, 0) > a.get(v + 2, 0):
+        if b_v3 > a_v2:
             fail("betti-zero-pattern", "b_{v+3} exceeds a_{v+2}")
 
     # The two dimension-delta formulas, one over the Betti table and one
-    # over the height sequence, must both give the actual difference.
+    # over the height sequence, must both give the actual difference.  The
+    # Betti one, e + sum over i in u..v of q_i - q_{i+3}, telescopes to six
+    # reads of phi's row.
     e = -1 if v == u else (1 if v == u + 1 else 0)
-    delta_betti = e
-    for i in range(u, v + 1):
-        delta_betti += a.get(i, 0) - b.get(i, 0) - a.get(i + 3, 0) + b.get(i + 3, 0)
+    q = betti_phi.q
+    if len(q) < v + 4:
+        q += (0,) * (v + 4 - len(q))
+    delta_betti = e + q[u] + q[u + 1] + q[u + 2] - q[v + 1] - q[v + 2] - q[v + 3]
     h = (0, 0) + pair.phi.diagram.s + (0, 0)  # h[i + 2] is the height of column i
     delta_heights = (
         -h[u] + h[u + 1] + h[u + 3] - h[u + 4] + h[v + 1] - h[v + 2] - h[v + 4] + h[v + 5] + e
@@ -103,36 +133,32 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     if dim_psi - dim_phi != delta_heights:
         fail("dimension-delta", f"height formula gives {delta_heights}, actual {dim_psi - dim_phi}")
 
-    # Numerator shift per degree between the two Betti tables: one sparse
-    # walk adds psi's a_l - b_l and subtracts phi's and the expected shift,
-    # so every degree left non-zero is a failure.
-    residue = dict(betti_psi.a)
-    get = residue.get
-    for l, c in betti_psi.b.items():
-        residue[l] = get(l, 0) - c
-    for l, c in a.items():
-        residue[l] = get(l, 0) - c
-    for l, c in b.items():
-        residue[l] = get(l, 0) + c
+    # Numerator shift between the two Betti tables: phi's row plus the
+    # shift the move predicts, trimmed, must be psi's row; every degree
+    # where they differ is a failure.
+    expected = list(q)
     for l, c in _expected_numerator_shift(u, v).items():
-        residue[l] = get(l, 0) - c
-    if any(residue.values()):
-        for l in sorted(l for l, c in residue.items() if c):
-            fail("numerator-shift", f"degree {l}")
+        expected[l] += c
+    while expected and not expected[-1]:
+        expected.pop()
+    if tuple(expected) != betti_psi.q:
+        for l, (x, y) in enumerate(zip_longest(expected, betti_psi.q, fillvalue=0)):
+            if x != y:
+                fail("numerator-shift", f"degree {l}")
 
     # Pointwise tangent bound: outside two exceptional degrees the bigger
     # stratum never gains sections.
     for m in excess:
         if m not in (u - 3, v):
             fail("tangent-bound", f"degree {m}")
-    shortcut = a.get(u, 0) != 0 and b.get(v + 3, 0) != 0
+    shortcut = a_u != 0 and b_v3 != 0
     if tangent_ok != shortcut:
         fail("tangent-shortcut", f"windowed={tangent_ok} shortcut={shortcut}")
 
     # Wide moves: the dimension comparison collapses to two equalities and,
     # when it holds, the dimensions differ by exactly one.
     if v >= u + 2:
-        law = a.get(u, 0) == b.get(u + 1, 0) + 1 and a.get(v + 2, 0) == b.get(v + 3, 0)
+        law = a_u == b_u1 + 1 and a_v2 == b_v3
         if dim_ok != law:
             fail("wide-move-dim-law", f"dim_ok={dim_ok} equalities={law}")
         if dim_ok and dim_psi != dim_phi + 1:
@@ -154,25 +180,37 @@ def _sweep_chunk(task):
     """Worker: run all covers whose lower diagram has a rank in the task's range.
 
     A task is three integers (n, start, stop); the worker enumerates its
-    own range, and the Betti cache lives as long as the task.
+    own range.  The Betti cache holds two staircase blocks: the data of
+    the diagrams whose longest staircase prefix 1..k is phi's (``current``)
+    and of those with k+1 (``above``).  That is every psi a cover can
+    reach, because psi's staircase is phi's or one longer (see the module
+    docstring), and canonical order runs the staircases from the longest
+    down, so a block is dropped once phi's staircase falls below it.
     """
     n, start, stop = task
     summary = SweepSummary(n=n)
-    cache = {}
+    current, above = {}, {}
+    k = 0
 
-    def data_for(hf):
-        found = cache.get(hf.diagram.s)
+    def data_for(hf, block):
+        found = block.get(hf.diagram.s)
         if found is None:
             found = (generic_betti(hf), stratum_dim(hf))
-            cache[hf.diagram.s] = found
+            block[hf.diagram.s] = found
         return found
 
     for s in iter_diagrams(n, start, stop):
         summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
-        betti_phi, dim_phi = data_for(phi)
+        if not k or s[k - 1] != k:
+            # The task's first diagram, or phi's staircase fell to k-1.
+            above, current = current, {}
+            k = phi.diagram.sigma + 1
+        betti_phi, dim_phi = data_for(phi, current)
         for pair in cover_moves(phi):
-            betti_psi, dim_psi = data_for(pair.psi)
+            # Raising column k to k+1 is the one move that lengthens the staircase.
+            block = above if pair.u == k and s[k] == k else current
+            betti_psi, dim_psi = data_for(pair.psi, block)
             incident, _, type_zero, failures = check_cover(
                 pair, betti_phi, betti_psi, dim_phi, dim_psi
             )

@@ -3,32 +3,47 @@ import pytest
 from conftest import hf
 from hilbstrata.diagrams import enumerate_diagrams
 from hilbstrata.incidence import cover_moves
-from hilbstrata.laurent import IntLaurentPoly
-from hilbstrata.resolution import generic_betti, series_numerator
+from hilbstrata.resolution import BettiTable, generic_betti, series_numerator
+from hilbstrata.strata import stratum_dim
+from hilbstrata.sweep import check_cover
 from oracles import numerator_by_truncation
+
+
+def _nonzero(q):
+    """The nonzero coefficients of a dense coefficient list, by degree."""
+    return {l: c for l, c in enumerate(q) if c}
+
+
+def _product(f, g):
+    """Product of two polynomials given as {degree: coefficient} dicts, zeros dropped."""
+    out = {}
+    for d, c in f.items():
+        for e, k in g.items():
+            out[d + e] = out.get(d + e, 0) + c * k
+    return {d: c for d, c in out.items() if c}
 
 
 class TestNumerator:
     def test_three_collinear(self):
-        assert series_numerator(hf("1,1,1")) == IntLaurentPoly({1: 1, 3: 1, 4: -1})
+        assert series_numerator(hf("1,1,1")) == [0, 1, 0, 1, -1]
 
     def test_one_point(self):
-        assert series_numerator(hf("1")) == IntLaurentPoly({1: 2, 2: -1})
+        assert series_numerator(hf("1")) == [0, 2, -1]
 
     def test_three_generic(self):
-        assert series_numerator(hf("1,2")) == IntLaurentPoly({2: 3, 3: -2})
+        assert series_numerator(hf("1,2")) == [0, 0, 3, -2]
 
     def test_value_at_one_is_always_one(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
                 q = series_numerator(d.hilbert_function())
-                assert sum(q.coeffs.values()) == 1
+                assert sum(q) == 1
 
     def test_matches_truncated_series_oracle(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
                 h = d.hilbert_function()
-                assert series_numerator(h).coeffs == numerator_by_truncation(h)
+                assert _nonzero(series_numerator(h)) == numerator_by_truncation(h)
 
 
 class TestGenericBetti:
@@ -90,15 +105,16 @@ def test_cumulative_and_pointwise_height_identities():
 
 def test_numerator_shift_between_cover_tables():
     # Across a cover the two numerators differ by (t^u - t^{v+1})(1-t)^2.
-    move_factor = IntLaurentPoly({0: 1, 1: -2, 2: 1})
+    move_factor = {0: 1, 1: -2, 2: 1}
     for n in range(1, 26):
         for d in enumerate_diagrams(n):
             phi = d.hilbert_function()
-            q_phi = series_numerator(phi)
+            q_phi = _nonzero(series_numerator(phi))
             for pair in cover_moves(phi):
-                q_psi = series_numerator(pair.psi)
-                jump = IntLaurentPoly({pair.u: 1, pair.v + 1: -1})
-                assert q_psi == q_phi - jump * move_factor
+                q_psi = _nonzero(series_numerator(pair.psi))
+                shift = _product({pair.u: 1, pair.v + 1: -1}, move_factor)
+                expected = {l: q_phi.get(l, 0) - shift.get(l, 0) for l in q_phi.keys() | shift.keys()}
+                assert q_psi == {l: c for l, c in expected.items() if c}
 
 
 def test_zero_pattern_for_wide_covers():
@@ -120,3 +136,46 @@ def test_zero_pattern_for_wide_covers():
                 assert t.a_at(v + 2) > 0
                 assert t.b_at(v + 3) <= t.a_at(v + 2)
     assert seen_wide > 100
+
+
+class TestBettiTable:
+    def test_negative_degree_is_rejected(self):
+        with pytest.raises(ValueError):
+            BettiTable({-1: 1}, {})
+        with pytest.raises(ValueError):
+            BettiTable({1: 2}, {-2: 1})
+
+    def test_row_is_trimmed_and_zero_counts_dropped(self):
+        t = BettiTable({3: 1, 1: 2, 5: 0}, {4: 1, 6: 0})
+        assert t.a == {1: 2, 3: 1} and t.b == {4: 1}
+        assert t.q == (0, 2, 0, 1, -1)
+        assert BettiTable({}, {}).q == ()
+
+    def test_generic_row_matches_counts_and_truncation_oracle(self):
+        # The row generic_betti keeps from the closed form, the row a table
+        # derives from its own counts, and the numerator found from the
+        # ideal's value table are one row.
+        for n in range(0, 26):
+            for d in enumerate_diagrams(n):
+                h = d.hilbert_function()
+                t = generic_betti(h)
+                assert t.q == BettiTable(t.a, t.b).q
+                oracle = numerator_by_truncation(h)
+                assert t.q == tuple(oracle.get(l, 0) for l in range(max(oracle) + 1))
+
+    def test_hand_built_table_with_both_counts_at_one_degree(self):
+        # A generator added at u+1 of a wide cover whose phi has a relation
+        # there: that degree carries both counts, and its row entry moves by one.
+        phi, psi = hf("1,2,1,1,1,1"), hf("1,2,2,1,1")
+        pair = next(p for p in cover_moves(phi) if p.psi == psi)
+        t = generic_betti(phi)
+        assert pair.v >= pair.u + 2 and t.b_at(pair.u + 1) > 0
+        mutated = BettiTable({**t.a, pair.u + 1: 1}, t.b)
+        assert mutated.a_at(pair.u + 1) == 1 and mutated.b_at(pair.u + 1) == t.b_at(pair.u + 1)
+        failures = check_cover(pair, mutated, generic_betti(psi), stratum_dim(phi), stratum_dim(psi))[3]
+        assert any(
+            line.startswith("betti-zero-pattern:") and "generator in the plateau range" in line
+            for line in failures
+        )
+        shifts = [line for line in failures if line.startswith("numerator-shift:")]
+        assert len(shifts) == 1 and shifts[0].endswith(f" degree {pair.u + 1}")
