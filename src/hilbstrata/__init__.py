@@ -31,6 +31,7 @@ from .incidence import (
     resolve_incidence,
     verify_intersections,
 )
+from .laurent import IntLaurentPoly, combine
 from .resolution import BettiTable, generic_betti, series_numerator
 from .strata import (
     stratum_dim,

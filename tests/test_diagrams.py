@@ -238,15 +238,6 @@ def test_run_of_ones():
         run_of_ones(hf("1,1"), hf("1,1,1"))
 
 
-@pytest.mark.parametrize("n", range(0, 13))
-def test_difference_of_running_sums_is_the_height_sequence(n):
-    # (1 - t) applied to the values gives back the heights, in every degree.
-    for d in enumerate_diagrams(n):
-        h = d.hilbert_function()
-        for m in range(-2, len(d.s) + 3):
-            assert h.value(m) - h.value(m - 1) == d.height(m)
-
-
 class TestPaddedValues:
     def test_values_from_minus_three_to_five_past_the_last_column(self):
         # Every diagram with n <= 25: the kept list is value(m) on
