@@ -22,7 +22,6 @@ from .graph import HilbertGraph, build_hilbert_graph, detect_noncatenary, emit, 
 from .incidence import (
     CoverPair,
     IncidenceVerdict,
-    TruncatedChowElement,
     betti_criterion,
     chow_product,
     cover_moves,
@@ -31,7 +30,7 @@ from .incidence import (
     resolve_incidence,
     verify_intersections,
 )
-from .laurent import IntLaurentPoly, combine
+from .laurent import IntLaurentPoly
 from .resolution import BettiTable, generic_betti, series_numerator
 from .strata import (
     stratum_dim,

@@ -157,7 +157,7 @@ def _layers(g: HilbertGraph):
 def emit(g: HilbertGraph, fmt: str) -> bytes:
     """Serialize the graph; ``fmt`` is ``dot`` or ``json``."""
     if fmt == "json":
-        return _emit_json(g)
+        return (json.dumps(_record(g), separators=(",", ":")) + "\n").encode("utf-8")
     if fmt == "dot":
         return _emit_dot(g)
     raise ValueError(f"unknown format {fmt!r}")
@@ -188,110 +188,71 @@ def _edge_json(e: EdgeRecord) -> dict:
     }
 
 
-def _emit_json(g: HilbertGraph) -> bytes:
-    record = {
+def _record(g: HilbertGraph) -> dict:
+    """The JSON record of the graph, the one definition of the format."""
+    return {
         "n": g.n,
         "nodes": [_node_json(node) for node in g.nodes],
         "edges": [_edge_json(e) for e in g.edges],
     }
-    return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def parse_graph_json(data) -> HilbertGraph:
     """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
 
-    The record is compared with the graph that ``build_hilbert_graph``
-    builds for its weight n, and that graph is returned.  Raises ValueError
-    unless the record has the emitter's keys, the node ids are 0..N-1 in
-    order, each node states the heights, values, dim and Betti table of the
-    diagram at its position in ``iter_diagrams(n)``, and the edges are all
-    the covers, each once, sorted by (from, to), with the (u, v) and the
-    five verdict flags of that cover.  Values must have the emitter's JSON
-    types: no float or boolean stands in for an integer, nor an integer for
-    a boolean.  A weight with more than ``MAX_NODES`` diagrams is refused
-    before any graph is built.
+    Builds the graph of the record's weight n and returns it when the
+    record equals that graph's record, key order aside.  Values must have
+    the emitter's JSON types: no float or boolean stands in for an integer,
+    nor an integer for a boolean.  Otherwise raises ValueError naming the
+    first difference as ``not the graph of weight N: <path>: <got> !=
+    <want>``, with a JSON path such as ``nodes[3].b``.  A weight with more
+    than ``MAX_NODES`` diagrams is refused before any graph is built.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        return _graph_from_record(json.loads(data))
-    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
+        record = json.loads(data)
+        n = record["n"]
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed graph record: {exc!r}") from exc
-
-
-# Node keys of the JSON record and what they state, in the emitter's order.
-_NODE_FIELDS = (
-    ("s", "heights"),
-    ("h", "values"),
-    ("dim", "dim"),
-    ("a", "Betti table"),
-    ("b", "Betti table"),
-)
-
-# Edge keys of the JSON record that state the cover's verdict.
-_FLAGS = ("incident", "dim_ok", "tangent_ok", "condition_c", "type_zero")
-
-
-def _same(value, expected) -> bool:
-    """Does the parsed JSON ``value`` state exactly ``expected``, type for type?
-
-    ``==`` alone would take 1.0 or True for 1, and 1 for True.
-    """
-    if type(value) is not type(expected):
-        return False
-    if type(expected) is list:
-        return len(value) == len(expected) and all(map(_same, value, expected))
-    if type(expected) is dict:
-        return value.keys() == expected.keys() and all(
-            _same(value[key], expected[key]) for key in expected
-        )
-    return value == expected
-
-
-def _graph_from_record(record) -> HilbertGraph:
-    n = record["n"]
     if type(n) is not int:
         raise ValueError(f"weight {n!r} is not an integer")
-    if not (type(record["nodes"]) is list and type(record["edges"]) is list):
-        raise ValueError("nodes and edges must be lists")
     g = build_hilbert_graph(n)
-    for position, item in enumerate(record["nodes"]):
-        if not _same(item["id"], position):
-            raise ValueError(f"node id {item['id']!r} at position {position}")
-        if position == len(g.nodes):
-            raise ValueError(f"record lists more than the {len(g.nodes)} diagrams of weight {n}")
-        expected = _node_json(g.nodes[position])
-        s = item["s"]
-        if type(s) is list and all(type(x) is int for x in s) and sum(s) != n:
-            # Heights of another weight are named as such.
-            raise ValueError(f"node {position}: weight {sum(s)} != {n}")
-        for key, name in _NODE_FIELDS:
-            if not _same(item[key], expected[key]):
-                raise ValueError(f"node {position}: {name} {item[key]!r} != {expected[key]!r}")
-    if len(record["nodes"]) < len(g.nodes):
-        raise ValueError(
-            f"record lists {len(record['nodes'])} of the {len(g.nodes)} diagrams of weight {n}"
-        )
-    covers = {(e.from_id, e.to_id): _edge_json(e) for e in g.edges}
-    previous = None
-    for item in record["edges"]:
-        ends = (item["from"], item["to"])
-        if not all(type(end) is int and 0 <= end < len(g.nodes) for end in ends):
-            raise ValueError(f"edge {ends} has an endpoint outside 0..{len(g.nodes) - 1}")
-        if previous is not None and ends <= previous:
-            raise ValueError(f"edge {ends} repeats or precedes the edge before it")
-        previous = ends
-        expected = covers.get(ends)
-        if expected is None or not all(_same(item[key], expected[key]) for key in "uv"):
-            raise ValueError(f"edge {ends} is not a cover with u={item['u']!r} v={item['v']!r}")
-        for key in _FLAGS:
-            if item[key] is not expected[key]:
-                raise ValueError(f"edge {ends}: {key} {item[key]!r} != {expected[key]}")
-    if len(record["edges"]) != len(g.edges):
-        raise ValueError(
-            f"record lists {len(record['edges'])} of the {len(g.edges)} covers of weight {n}"
-        )
+    difference = _first_difference(record, _record(g), "")
+    if difference:
+        raise ValueError(f"not the graph of weight {n}: {difference}")
     return g
+
+
+def _first_difference(got, want, path: str):
+    """``<path>: <got> != <want>`` for the first place where the parsed JSON
+    ``got`` does not state exactly ``want``, type for type, or None.
+
+    ``==`` alone would take 1.0 or True for 1, and 1 for True.  A container's
+    length or key set is compared before its entries.
+    """
+    if type(got) is not type(want):
+        return f"{path}: {_show(got)} != {_show(want)}"
+    if type(want) is list:
+        if len(got) != len(want):
+            return f"{path}: {len(got)} entries != {len(want)}"
+        entries = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(got, want)))
+    elif type(want) is dict:
+        if got.keys() != want.keys():
+            return f"{path or 'record'}: keys {sorted(got)} != {sorted(want)}"
+        entries = ((f"{path}.{k}" if path else k, got[k], want[k]) for k in want)
+    else:
+        return None if got == want else f"{path}: {got!r} != {want!r}"
+    return next(filter(None, (_first_difference(x, y, p) for p, x, y in entries)), None)
+
+
+def _show(x) -> str:
+    """A scalar by ``repr``, a container by its JSON type and length."""
+    if type(x) is list:
+        return f"array of {len(x)} entries"
+    if type(x) is dict:
+        return f"object of {len(x)} keys"
+    return repr(x)
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:

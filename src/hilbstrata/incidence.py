@@ -257,26 +257,13 @@ def verdict_line(pair: CoverPair, verdict: IncidenceVerdict) -> str:
     )
 
 
-@dataclass(frozen=True)
-class TruncatedChowElement:
-    """Element of Z[r,s,t] with r, s, t nilpotent of orders given by ``caps``."""
-
-    caps: tuple
-    coeffs: dict
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, exponents) -> int:
-        return self.coeffs.get(tuple(exponents), 0)
-
-
-def chow_product(caps, factors) -> TruncatedChowElement:
+def chow_product(caps, factors) -> dict:
     """Product of powers of 0/1-coefficient linear forms in r, s, t.
 
     ``caps`` bounds the exponents strictly (a monomial reaching a cap is
     discarded); ``factors`` is a list of ((c_r, c_s, c_t), multiplicity)
-    entries.  The empty product is the unit.
+    entries.  Returns the nonzero coefficients by exponent triple (i, j, k)
+    of r^i s^j t^k; the empty product is the unit {(0, 0, 0): 1}.
     """
     alpha, beta, gamma = caps
     if alpha < 1 or beta < 1 or gamma < 1:
@@ -297,7 +284,7 @@ def chow_product(caps, factors) -> TruncatedChowElement:
                     key = (i, j, k + 1)
                     nxt[key] = nxt.get(key, 0) + c * ct
             acc = {key: c for key, c in nxt.items() if c}
-    return TruncatedChowElement(tuple(caps), acc)
+    return acc
 
 
 def verify_intersections(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
@@ -327,7 +314,6 @@ def _certificate(pair: CoverPair, t: BettiTable) -> bool:
     a_v2 = t.a_at(v + 2)
     b_u1 = t.b_at(u + 1)
     if v == u + 1:
-        product = chow_product(caps, [((0, 1, 1), a_v2), ((1, 1, 0), b_u1)])
-        return not product.is_zero()
+        return bool(chow_product(caps, [((0, 1, 1), a_v2), ((1, 1, 0), b_u1)]))
     product = chow_product(caps, [((1, 1, 1), 1), ((0, 1, 1), a_v2), ((1, 1, 0), b_u1)])
-    return not product.is_zero() and product.coeff((b_u1, 2, a_v2 - 1)) > 0
+    return product.get((b_u1, 2, a_v2 - 1), 0) > 0

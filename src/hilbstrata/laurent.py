@@ -23,23 +23,6 @@ class IntLaurentPoly:
                     table[int(deg)] = c
         self._coeffs = table
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff, degree):
-        return cls({degree: coeff})
-
-    @classmethod
-    def from_list(cls, values, start=0):
-        """Build from a coefficient list, ``values[i]`` sitting at degree ``start + i``."""
-        return cls({start + i: v for i, v in enumerate(values)})
-
     @property
     def coeffs(self):
         """Coefficient map (a copy; the polynomial itself is immutable)."""
@@ -49,27 +32,14 @@ class IntLaurentPoly:
         """Exact coefficient at ``degree``, zero outside the support."""
         return self._coeffs.get(degree, 0)
 
-    def support(self):
-        return sorted(self._coeffs)
-
     def is_zero(self):
         return not self._coeffs
-
-    def min_degree(self):
-        """Smallest degree in the support; None for the zero polynomial."""
-        return min(self._coeffs) if self._coeffs else None
-
-    def max_degree(self):
-        return max(self._coeffs) if self._coeffs else None
 
     def __add__(self, other):
         table = dict(self._coeffs)
         for deg, c in other._coeffs.items():
             table[deg] = table.get(deg, 0) + c
         return IntLaurentPoly(table)
-
-    def __neg__(self):
-        return IntLaurentPoly({deg: -c for deg, c in self._coeffs.items()})
 
     def __sub__(self, other):
         table = dict(self._coeffs)
@@ -92,46 +62,7 @@ class IntLaurentPoly:
                 out[base + db] += ca * cb
         return IntLaurentPoly({lo_a + lo_b + i: c for i, c in enumerate(out) if c})
 
-    def reverse(self):
-        """Substitute the variable by its inverse: degree d moves to degree -d."""
-        return IntLaurentPoly({-deg: c for deg, c in self._coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, IntLaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def render(self):
-        """Human-readable form, terms in ascending degree, e.g. ``1 - 3*t + 3*t^2``."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for deg in sorted(self._coeffs):
-            c = self._coeffs[deg]
-            if deg == 0:
-                body = str(abs(c))
-            else:
-                power = "t" if deg == 1 else f"t^{deg}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"IntLaurentPoly({self.render()})"
-
-
-def combine(a, b, op):
-    """Ring arithmetic entry point; ``op`` is one of ``add``, ``sub``, ``mul``."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")

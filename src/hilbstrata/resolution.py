@@ -20,23 +20,12 @@ Dense row.  Besides the sparse counts, a ``BettiTable`` keeps the row
 ``q = (q_0, ..., q_top)`` with q_l = a_l - b_l, trimmed after its last
 nonzero entry, so a reader of a_l - b_l at any degree, or of a whole
 numerator, indexes one tuple.  ``generic_betti`` keeps the list
-``_numerator_coeffs`` computes as that row; a table built from counts
+``series_numerator`` computes as that row; a table built from counts
 derives its row from them.  Degrees are non-negative: a dense row has no
 place for a negative one.
 """
 
 from .diagrams import HilbertFunction
-
-
-def _numerator_coeffs(s) -> list:
-    """Dense numerator coefficients q_0 .. q_{len(s)+1} of the height tuple ``s``."""
-    q = []
-    before = last = 0
-    for x in s + (0, 0):
-        q.append(2 * last - before - x)
-        before, last = last, x
-    q[0] += 1
-    return q
 
 
 def series_numerator(hf: HilbertFunction) -> list:
@@ -45,7 +34,13 @@ def series_numerator(hf: HilbertFunction) -> list:
 
     Always q(1) = 1 (the ideal has rank one).
     """
-    return _numerator_coeffs(hf.diagram.s)
+    q = []
+    before = last = 0
+    for x in hf.diagram.s + (0, 0):
+        q.append(2 * last - before - x)
+        before, last = last, x
+    q[0] += 1
+    return q
 
 
 class BettiTable:
@@ -96,7 +91,7 @@ def generic_betti(hf: HilbertFunction) -> BettiTable:
     The coefficient list, trimmed, becomes the table's row, and the
     table skips the sort-and-filter pass of ``BettiTable.__init__``.
     """
-    q = _numerator_coeffs(hf.diagram.s)
+    q = series_numerator(hf)
     a = {}
     b = {}
     for d, c in enumerate(q):

@@ -27,9 +27,9 @@ once on first use: in the sweep, the lower function's list is built once
 and read by all of its covers, and each upper function's once for its one
 cover.  A window that starts below -3 or reads past a function's list
 gets a copy of that list padded further.  The comparison of two strata on
-one window (``tangent_excess``) walks the window once: the sections term
-depends only on m, so it is computed once per degree for both sides, while
-each side reads only its own h and its own b.
+one window (``tangent_excess``) walks the window once.  The sections term
+depends only on m, so it cancels from the comparison and is left out; each
+side reads only its own h and its own b.
 """
 
 from operator import mul, sub
@@ -109,11 +109,11 @@ def tangent_excess(
 ) -> list:
     """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds that of ``phi``.
 
-    One pass over the window evaluates both tangent functions degree by
-    degree, each from its own Hilbert function's values and its own
-    relation counts, read by index; only the sections term, which depends
-    on m alone, is computed once for both.  The tangent comparison holds
-    exactly when the list is empty.
+    One pass over the window compares h(m) - 3*h(m+1) + b(m+3) of the two
+    sides, each from its own Hilbert function's values and its own relation
+    counts, read by index; the sections term of the tangent function is the
+    same on both sides and cancels.  The tangent comparison holds exactly
+    when the list is empty.
     """
     if lo > hi:
         raise ValueError("empty window")
@@ -125,9 +125,9 @@ def tangent_excess(
     out = []
     for m in range(lo, hi + 1):
         i = m + base
-        sections = (m + 2) * (m + 4) if m >= -2 else 0  # tangent_bundle_sections(m)
-        t_phi = sections - 3 * h_phi[i + 1] + h_phi[i] + get_phi(m + 3, 0)
-        t_psi = sections - 3 * h_psi[i + 1] + h_psi[i] + get_psi(m + 3, 0)
+        # Each side's tangent value at m, less the sections term.
+        t_phi = h_phi[i] - 3 * h_phi[i + 1] + get_phi(m + 3, 0)
+        t_psi = h_psi[i] - 3 * h_psi[i + 1] + get_psi(m + 3, 0)
         if t_psi > t_phi:
             out.append(m)
     return out

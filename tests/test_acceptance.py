@@ -150,7 +150,7 @@ def test_criterion_7_intersection_products():
                             ],
                         )
                         monomial = (table.b_at(u + 1), 2, table.a_at(v + 2) - 1)
-                        assert product.coeff(monomial) > 0
+                        assert product.get(monomial, 0) > 0
         assert seen > 200
 
 

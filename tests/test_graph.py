@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -195,50 +196,50 @@ class TestParseValidation:
     def test_node_ids_must_be_positions(self):
         record = self.record()
         record["nodes"][0]["id"], record["nodes"][1]["id"] = 1, 0
-        self.check_rejected(record, "node id 1 at position 0")
+        self.check_rejected(record, r"nodes\[0\]\.id: 1 != 0")
         record = self.record()
         del record["nodes"][2]
-        self.check_rejected(record, "node id 3 at position 2")
+        self.check_rejected(record, "not the graph of weight 8: nodes: 5 entries != 6")
 
     def test_edge_endpoint_in_range(self):
         record = self.record()
         record["edges"][0]["to"] = len(record["nodes"])
-        self.check_rejected(record, "endpoint outside")
+        self.check_rejected(record, r"edges\[0\]\.to: 6 != 0")
         record = self.record()
         record["edges"][0]["from"] = -1
-        self.check_rejected(record, "endpoint outside")
+        self.check_rejected(record, r"edges\[0\]\.from: -1 != 1")
 
     def test_dim_must_match_the_stratum(self):
         record = self.record()
         record["nodes"][0]["dim"] += 1
-        self.check_rejected(record, "node 0: dim")
+        self.check_rejected(record, r"nodes\[0\]\.dim: 17 != 16")
 
     def test_edge_must_be_a_cover_with_its_move(self):
         record = self.record()
         record["edges"][0]["v"] += 1
-        self.check_rejected(record, "not a cover")
+        self.check_rejected(record, r"edges\[0\]\.v: 4 != 3")
         record = self.record(4)
         edge = record["edges"][0]
         edge["from"], edge["to"] = edge["to"], edge["from"]
-        self.check_rejected(record, "not a cover")
+        self.check_rejected(record, r"weight 4: edges\[0\]\.from: 0 != 1")
         # a comparable pair that is not a cover: the ends of a chain of two
         record = self.record(6)
         assert [(e["from"], e["to"]) for e in record["edges"]] == [(1, 0), (2, 1), (3, 2)]
         record["edges"][2]["to"] = 1
-        self.check_rejected(record, "not a cover")
+        self.check_rejected(record, r"weight 6: edges\[2\]\.to: 1 != 2")
 
     def test_betti_table_must_be_the_generic_one(self):
         record = json.loads(emit(build_hilbert_graph(1), "json"))
         assert record["nodes"][0]["s"] == [1] and record["nodes"][0]["a"] == {"1": 2}
         for bad in (7, -4, "x", True, 2.0, None):
             record["nodes"][0]["a"] = {"1": bad}
-            self.check_rejected(record, "node 0: Betti table")
+            self.check_rejected(record, r"nodes\[0\]\.a\.1: " + re.escape(f"{bad!r} != 2"))
         record = self.record()
         record["nodes"][3]["b"] = {}
-        self.check_rejected(record, "node 3: Betti table")
+        self.check_rejected(record, r"nodes\[3\]\.b: keys \[\] != \['4', '7'\]")
         record = self.record()
         record["nodes"][3]["a"]["0"] = 1
-        self.check_rejected(record, "node 3: Betti table")
+        self.check_rejected(record, r"nodes\[3\]\.a: keys \['0', '2', '3', '6'\] != \['2', '3', '6'\]")
 
     @pytest.mark.parametrize(
         "key", ["incident", "dim_ok", "tangent_ok", "condition_c", "type_zero"]
@@ -246,53 +247,53 @@ class TestParseValidation:
     def test_edge_flags_must_be_the_verdict(self, key):
         record = self.record(17)
         # a non-incident edge has flags of both values
-        edge = next(e for e in record["edges"] if not e["incident"])
+        i, edge = next((i, e) for i, e in enumerate(record["edges"]) if not e["incident"])
         assert edge[key] in (True, False)
         edge[key] = not edge[key]
-        self.check_rejected(record, f"{key} {edge[key]!r} != {not edge[key]}")
+        self.check_rejected(record, rf"edges\[{i}\]\.{key}: {edge[key]!r} != {not edge[key]}")
         for bad in (int(not edge[key]), "true", None):
             edge[key] = bad
-            self.check_rejected(record, f"{key} {bad!r} != ")
+            self.check_rejected(record, rf"edges\[{i}\]\.{key}: {bad!r} != ")
 
     def test_values_and_weight_must_match_the_diagram(self):
         record = self.record()
         record["nodes"][2]["h"][0] += 1
-        self.check_rejected(record, "node 2: values")
+        self.check_rejected(record, r"nodes\[2\]\.h\[0\]: 2 != 1")
         record = self.record()
         record["n"] = 9
-        self.check_rejected(record, "node 0: weight 8 != 9")
+        self.check_rejected(record, "not the graph of weight 9: nodes: 6 entries != 8")
         record = self.record()
         record["n"] = "8"
         self.check_rejected(record, "weight '8' is not an integer")
         record = self.record()
         record["nodes"][0]["s"] = [float(x) for x in record["nodes"][0]["s"]]
-        self.check_rejected(record, "node 0: heights")
+        self.check_rejected(record, r"nodes\[0\]\.s\[0\]: 1\.0 != 1")
 
     def test_nodes_and_edges_must_be_lists(self):
         for key in ("nodes", "edges"):
             for bad in ({}, "", 0):
                 record = self.record()
                 record[key] = bad
-                self.check_rejected(record, "must be lists|malformed")
+                self.check_rejected(record, f"weight 8: {key}: .+ != array of ")
         record = self.record()
         record["nodes"][0]["s"] = {}
-        self.check_rejected(record, "node 0: heights")
+        self.check_rejected(record, r"nodes\[0\]\.s: object of 0 keys != array of 4 entries")
 
     def test_record_must_list_every_cover(self):
         record = self.record()
         assert len(record["edges"]) == 5
         del record["edges"][2]
-        self.check_rejected(record, "record lists 4 of the 5 covers of weight 8")
+        self.check_rejected(record, "not the graph of weight 8: edges: 4 entries != 5")
 
     def test_edges_must_not_repeat(self):
         record = self.record()
         record["edges"].insert(3, record["edges"][2])
-        self.check_rejected(record, "repeats or precedes")
+        self.check_rejected(record, "not the graph of weight 8: edges: 6 entries != 5")
 
     def test_edges_must_be_sorted(self):
         record = self.record()
         record["edges"][1], record["edges"][2] = record["edges"][2], record["edges"][1]
-        self.check_rejected(record, "repeats or precedes")
+        self.check_rejected(record, r"edges\[1\]\.from: 3 != 2")
 
     def test_record_must_list_every_diagram(self):
         # The last node dropped together with its edges.
@@ -300,34 +301,48 @@ class TestParseValidation:
         last = len(record["nodes"]) - 1
         del record["nodes"][last]
         record["edges"] = [e for e in record["edges"] if last not in (e["from"], e["to"])]
-        self.check_rejected(record, f"record lists {last} of the {last + 1} diagrams of weight 8")
+        self.check_rejected(record, f"weight 8: nodes: {last} entries != {last + 1}")
         # One node too many.
         record = self.record()
         extra = dict(record["nodes"][-1], id=len(record["nodes"]))
         record["nodes"].append(extra)
-        self.check_rejected(record, f"record lists more than the {last + 1} diagrams of weight 8")
+        self.check_rejected(record, f"weight 8: nodes: {last + 2} entries != {last + 1}")
 
     def test_integers_must_be_json_integers(self):
         record = self.record()
         record["nodes"][1]["id"] = True
-        self.check_rejected(record, "node id True at position 1")
+        self.check_rejected(record, r"nodes\[1\]\.id: True != 1")
         record = self.record()
         record["nodes"][0]["dim"] = float(record["nodes"][0]["dim"])
-        self.check_rejected(record, "node 0: dim")
+        self.check_rejected(record, r"nodes\[0\]\.dim: 16\.0 != 16")
         record = self.record()
         assert record["edges"][4]["u"] == 1
         record["edges"][4]["u"] = True
-        self.check_rejected(record, "not a cover with u=True")
+        self.check_rejected(record, r"edges\[4\]\.u: True != 1")
 
     def test_nodes_must_come_in_enumeration_order(self):
         record = self.record()
         nodes = record["nodes"]
         nodes[0], nodes[1] = nodes[1], nodes[0]
         nodes[0]["id"], nodes[1]["id"] = 0, 1
-        self.check_rejected(record, r"node 0: heights \[1, 2, 3, 1, 1\] != \[1, 2, 3, 2\]")
+        self.check_rejected(record, r"nodes\[0\]\.s: 5 entries != 4")
         record = self.record()
         record["nodes"][1]["s"].append(0)
-        self.check_rejected(record, "node 1: heights")
+        self.check_rejected(record, r"nodes\[1\]\.s: 6 entries != 5")
+
+    def test_no_key_may_be_added(self):
+        # One extra key at the top level, in a node or in an edge.
+        places = (
+            ("record", lambda r: r),
+            (r"nodes\[0\]", lambda r: r["nodes"][0]),
+            (r"edges\[0\]", lambda r: r["edges"][0]),
+        )
+        for path, place in places:
+            record = self.record()
+            keys = sorted(place(record))
+            place(record)["extra"] = 0
+            want = re.escape(f"{sorted(keys + ['extra'])} != {keys}")
+            self.check_rejected(record, f"not the graph of weight 8: {path}: keys {want}")
 
     def test_weight_past_the_node_bound(self):
         record = {"n": 66, "nodes": [], "edges": []}
@@ -341,7 +356,7 @@ class TestParseValidation:
     def test_malformed_record(self):
         record = self.record()
         del record["nodes"][0]["dim"]
-        self.check_rejected(record, "malformed graph record")
+        self.check_rejected(record, r"nodes\[0\]: keys \['a', 'b', 'h', 'id', 's'\] != \['a', 'b', 'dim'")
         self.check_rejected([], "malformed graph record")
         with pytest.raises(ValueError):
             parse_graph_json(b"{not json")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilbstrata.diagrams import enumerate_diagrams
-from hilbstrata.laurent import IntLaurentPoly, combine
+from hilbstrata.laurent import IntLaurentPoly
 
 P = IntLaurentPoly
 
@@ -24,12 +24,6 @@ def test_product_with_negative_degrees():
     assert a * b == P({-1: 1, -3: -1})
 
 
-def test_reverse_examples():
-    assert P({0: 1, 1: 2}).reverse() == P({0: 1, -1: 2})
-    assert P({2: 1}).reverse() == P({-2: 1})
-    assert P().reverse() == P()
-
-
 def test_coeff_examples():
     shift = P({-1: 1, -2: -1})
     three_collinear = shift * P({0: 1, -1: 1, -2: 1}) * P({0: 1, 1: 1, 2: 1})
@@ -42,21 +36,6 @@ def test_canonical_form_drops_zeros():
     assert P({3: 0, 1: 2}) == P({1: 2})
     assert (P({1: 1}) - P({1: 1})).is_zero()
     assert P({1: 1}).coeffs == {1: 1}
-
-
-def test_combine_dispatch():
-    a, b = P({0: 2}), P({1: 3})
-    assert combine(a, b, "add") == a + b
-    assert combine(a, b, "sub") == a - b
-    assert combine(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        combine(a, b, "div")
-
-
-def test_render():
-    assert P().render() == "0"
-    assert P({0: 1, 1: -3, 2: 3, 3: -1}).render() == "1 - 3*t + 3*t^2 - t^3"
-    assert P({-2: -1, 0: 2}).render() == "-t^-2 + 2"
 
 
 small_polys = st.dictionaries(
@@ -89,16 +68,6 @@ def test_mul_associates(a, b, c):
 @given(small_polys, small_polys, small_polys)
 def test_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
-
-
-@given(small_polys)
-def test_reverse_involution(a):
-    assert a.reverse().reverse() == a
-
-
-@given(small_polys, small_polys)
-def test_reverse_is_multiplicative(a, b):
-    assert (a * b).reverse() == a.reverse() * b.reverse()
 
 
 @pytest.mark.parametrize("n", range(0, 13))

@@ -187,7 +187,7 @@ GRAPH_RECORDS = {n: json.loads(emit(build_hilbert_graph(n), "json")) for n in ra
 def mutated_graph_records(draw):
     """The JSON text of a valid weight <= 6 graph record after one to three
     edits, each at any depth: a value replaced by another JSON value, an
-    integer moved by one, or an entry deleted."""
+    integer moved by one, an entry deleted, or a key or an entry inserted."""
     record = copy.deepcopy(GRAPH_RECORDS[draw(st.integers(1, 6))])
     for _ in range(draw(st.integers(1, 3))):
         parent = record
@@ -200,9 +200,13 @@ def mutated_graph_records(draw):
             parent = child
         if not parent:
             continue
-        action = draw(st.sampled_from(("replace", "nudge", "delete")))
+        action = draw(st.sampled_from(("replace", "nudge", "delete", "insert")))
         if action == "delete":
             del parent[key]
+        elif action == "insert" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=4))] = draw(json_values)
+        elif action == "insert":
+            parent.insert(key, draw(json_values))
         elif action == "nudge" and type(parent[key]) is int:
             parent[key] += draw(st.sampled_from((-1, 1)))
         else:
