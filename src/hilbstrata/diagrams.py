@@ -11,6 +11,7 @@ Hilbert functions.
 """
 
 from itertools import accumulate, zip_longest
+from operator import ge, sub
 
 
 def is_castelnuovo(seq) -> bool:
@@ -19,25 +20,21 @@ def is_castelnuovo(seq) -> bool:
     Validity: for some k >= 0 the first k entries are exactly 1, 2, ..., k
     and from position k-1 on the entries never increase.  Equivalently the
     sequence climbs by exactly one per step while it is climbing, and once
-    it stops climbing it never recovers.
+    it stops climbing it never recovers.  After the staircase prefix is
+    found, the tail is checked by one comparison of itself with its shift.
     """
     s = list(seq)
     while s and s[-1] == 0:
         s.pop()
     if not s:
         return True
-    if any(x < 0 for x in s):
+    if s[0] != 1 or min(s) < 0:
         return False
-    if s[0] != 1:
-        return False
-    climbing = True
-    for i in range(1, len(s)):
-        if climbing and s[i] == s[i - 1] + 1:
-            continue
-        climbing = False
-        if s[i] > s[i - 1]:
-            return False
-    return True
+    k = 1
+    while k < len(s) and s[k] == k + 1:
+        k += 1
+    tail = s[k - 1 :]
+    return all(map(ge, tail, tail[1:]))
 
 
 class CastelnuovoDiagram:
@@ -91,7 +88,7 @@ class CastelnuovoDiagram:
         return HilbertFunction(self)
 
     def render(self) -> str:
-        return ",".join(str(x) for x in self.s)
+        return ",".join(map(str, self.s))
 
     def __eq__(self, other):
         if not isinstance(other, CastelnuovoDiagram):
@@ -142,11 +139,7 @@ class HilbertFunction:
         the stable tail.  Raises ValueError when the differences are not a
         valid height sequence."""
         vals = list(values)
-        diffs = []
-        prev = 0
-        for v in vals:
-            diffs.append(v - prev)
-            prev = v
+        diffs = list(map(sub, vals, [0, *vals]))
         while diffs and diffs[-1] == 0:
             diffs.pop()
         if not is_castelnuovo(diffs):
@@ -163,7 +156,7 @@ class HilbertFunction:
     def render(self) -> str:
         if not self.transient:
             return "0,.."
-        return ",".join(str(v) for v in self.transient) + ",.."
+        return ",".join(map(str, self.transient)) + ",.."
 
     def __eq__(self, other):
         if not isinstance(other, HilbertFunction):
@@ -351,10 +344,20 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
 def _parse_int_list(text: str, what: str):
     """Comma-separated integers with a character position in error messages.
 
-    A token is decimal digits with an optional leading '-'.  ``isdecimal``
-    accepts exactly the digits ``int`` reads (fullwidth ones too), where
-    ``isdigit`` would also pass superscripts that ``int`` rejects.
+    A token is decimal digits with an optional leading '-', inside
+    whitespace.  ``isdecimal`` accepts exactly the digits ``int`` reads
+    (fullwidth ones too), where ``isdigit`` would also pass superscripts
+    that ``int`` rejects.  Beyond such tokens ``int`` accepts only tokens
+    holding '+' or '_', so text with neither is converted by one ``int``
+    per token.  When that raises, the token loop decides: it accepts a
+    token padded by whitespace that ``strip`` removes and ``int`` does not
+    ('\x1c'..'\x1f'), or names the first bad token by its position.
     """
+    if "+" not in text and "_" not in text:
+        try:
+            return list(map(int, text.split(",")))
+        except ValueError:
+            pass
     values = []
     pos = 0
     for token in text.split(","):

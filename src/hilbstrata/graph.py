@@ -239,20 +239,40 @@ def _first_difference(got, want, path: str):
         entries = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(got, want)))
     elif type(want) is dict:
         if got.keys() != want.keys():
-            return f"{path or 'record'}: keys {sorted(got)} != {sorted(want)}"
+            return f"{path or 'record'}: keys {_show_keys(got)} != {_show_keys(want)}"
         entries = ((f"{path}.{k}" if path else k, got[k], want[k]) for k in want)
     else:
-        return None if got == want else f"{path}: {got!r} != {want!r}"
+        return None if got == want else f"{path}: {_show(got)} != {_show(want)}"
     return next(filter(None, (_first_difference(x, y, p) for p, x, y in entries)), None)
 
 
+# A refusal stays one short line whatever the record holds: at most this
+# many keys of a key set, and at most this many characters of a ``repr``.
+_SHOWN_KEYS = 10
+_SHOWN_REPR = 80
+
+
 def _show(x) -> str:
-    """A scalar by ``repr``, a container by its JSON type and length."""
+    """A scalar by ``repr``, cut past ``_SHOWN_REPR`` characters with its
+    length given, and a container by its JSON type and length."""
     if type(x) is list:
         return f"array of {len(x)} entries"
     if type(x) is dict:
         return f"object of {len(x)} keys"
-    return repr(x)
+    shown = repr(x)
+    if len(shown) > _SHOWN_REPR:
+        return f"{shown[:_SHOWN_REPR]}… ({len(shown)} characters)"
+    return shown
+
+
+def _show_keys(record: dict) -> str:
+    """The sorted keys as a list, each by ``_show``; past ``_SHOWN_KEYS``
+    keys only the first ones, then how many more there are."""
+    keys = sorted(record)
+    shown = "[" + ", ".join(map(_show, keys[:_SHOWN_KEYS])) + "]"
+    if len(keys) > _SHOWN_KEYS:
+        shown += f" … and {len(keys) - _SHOWN_KEYS} more"
+    return shown
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:

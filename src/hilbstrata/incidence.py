@@ -170,14 +170,16 @@ def betti_criterion(pair: CoverPair, betti_phi: BettiTable | None = None) -> boo
     nonzero, with extra equalities tied to the width v - u of the move."""
     t = betti_phi if betti_phi is not None else generic_betti(pair.phi)
     u, v = pair.u, pair.v
-    a_u = t.a_at(u)
-    b_v3 = t.b_at(v + 3)
+    return _betti_rule(u, v, t.a_at(u), t.b_at(u + 1), t.a_at(v + 2), t.b_at(v + 3))
+
+
+def _betti_rule(u: int, v: int, a_u: int, b_u1: int, a_v2: int, b_v3: int) -> bool:
+    """``betti_criterion`` on the four counts of phi that it reads: a_u,
+    b_{u+1}, a_{v+2} and b_{v+3}.  The middle two matter only for v > u."""
     if a_u == 0 or b_v3 == 0:
         return False
     if v == u:
         return True
-    b_u1 = t.b_at(u + 1)
-    a_v2 = t.a_at(v + 2)
     if v == u + 1:
         return (b_u1 <= a_u <= b_u1 + 1 and b_v3 == a_v2) or (
             a_u == b_u1 + 1 and b_v3 == a_v2 - 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
-from .incidence import CoverPair, _certificate, betti_criterion, cover_moves, is_type_zero
+from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero
 from .resolution import generic_betti
 from .strata import required_window, stratum_dim, tangent_excess
 
@@ -62,13 +62,13 @@ class SweepSummary:
         self.failures.extend(other.failures)
 
 
-def _expected_numerator_shift(u: int, v: int) -> dict:
-    """Per-degree change of a_l - b_l caused by the move (u, v)."""
-    if v == u:
-        return {u: -1, u + 1: 3, u + 2: -3, u + 3: 1}
-    if v == u + 1:
-        return {u: -1, u + 1: 2, v + 2: -2, v + 3: 1}
-    return {u: -1, u + 1: 2, u + 2: -1, v + 1: 1, v + 2: -2, v + 3: 1}
+# The change of a_l - b_l that a move (u, v) makes, per width v - u of 0, 1
+# and at least 2: (l - u, change) pairs, then (l - v, change) pairs.
+_NUMERATOR_SHIFTS = (
+    (((0, -1), (1, 3), (2, -3), (3, 1)), ()),
+    (((0, -1), (1, 2)), ((2, -2), (3, 1))),
+    (((0, -1), (1, 2), (2, -1)), ((1, 1), (2, -2), (3, 1))),
+)
 
 
 def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
@@ -92,18 +92,17 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     dim_ok = dim_phi < dim_psi
     tangent_ok = not excess
     incident = dim_ok and tangent_ok
-    betti_ok = betti_criterion(pair, betti_phi)
+
+    # The four counts of phi that the Betti criterion, the zero pattern, the
+    # shortcut and the wide-move law share, each read once.
+    a_u, b_u1, a_v2, b_v3 = a.get(u, 0), b.get(u + 1, 0), a.get(v + 2, 0), b.get(v + 3, 0)
+    betti_ok = _betti_rule(u, v, a_u, b_u1, a_v2, b_v3)
 
     if incident != betti_ok:
         fail("criterion-equivalence", f"dim_ok={dim_ok} tangent_ok={tangent_ok} betti={betti_ok}")
 
-    # The four counts of phi that the zero pattern, the shortcut and the
-    # wide-move law share, each read once.
-    a_u, b_v3 = a.get(u, 0), b.get(v + 3, 0)
-
     # Zero pattern and inequalities forced by a move wider than one column.
     if v >= u + 1:
-        b_u1, a_v2 = b.get(u + 1, 0), a.get(v + 2, 0)
         if not a.keys().isdisjoint(range(u + 1, v + 2)):
             fail("betti-zero-pattern", "generator in the plateau range")
         if not b.keys().isdisjoint(range(u + 2, v + 3)):
@@ -137,8 +136,11 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     # shift the move predicts, trimmed, must be psi's row; every degree
     # where they differ is a failure.
     expected = list(q)
-    for l, c in _expected_numerator_shift(u, v).items():
-        expected[l] += c
+    after_u, after_v = _NUMERATOR_SHIFTS[min(v - u, 2)]
+    for d, c in after_u:
+        expected[u + d] += c
+    for d, c in after_v:
+        expected[v + d] += c
     while expected and not expected[-1]:
         expected.pop()
     if tuple(expected) != betti_psi.q:

@@ -194,3 +194,42 @@ def greedy_maximal_diagram(n):
     if left:
         s.append(left)
     return CastelnuovoDiagram(s)
+
+
+def parse_int_list_by_tokens(text, what):
+    """Comma-separated integers read token by token: each stripped token
+    must be decimal digits after an optional '-', else ValueError names the
+    token and its character position."""
+    values = []
+    pos = 0
+    for token in text.split(","):
+        stripped = token.strip()
+        digits = stripped[1:] if stripped[:1] == "-" else stripped
+        if not digits.isdecimal():
+            raise ValueError(f"{what}: expected an integer at position {pos}, got {token!r}")
+        values.append(int(stripped))
+        pos += len(token) + 1
+    return values
+
+
+def is_castelnuovo_stepwise(seq):
+    """The staircase rule walked one entry at a time: after trailing zeros
+    are dropped, no entry is negative, the first is 1, each step climbs by
+    exactly one while climbing, and once it stops it never rises again."""
+    s = list(seq)
+    while s and s[-1] == 0:
+        s.pop()
+    if not s:
+        return True
+    if any(x < 0 for x in s):
+        return False
+    if s[0] != 1:
+        return False
+    climbing = True
+    for i in range(1, len(s)):
+        if climbing and s[i] == s[i - 1] + 1:
+            continue
+        climbing = False
+        if s[i] > s[i - 1]:
+            return False
+    return True

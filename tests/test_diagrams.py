@@ -21,7 +21,12 @@ from hilbstrata.diagrams import (
 from hilbstrata import diagrams
 from hilbstrata.resolution import generic_betti
 from hilbstrata.sweep import _shard_tasks
-from oracles import count_distinct_partitions, diagrams_by_sorting, greedy_maximal_diagram
+from oracles import (
+    count_distinct_partitions,
+    diagrams_by_sorting,
+    greedy_maximal_diagram,
+    is_castelnuovo_stepwise,
+)
 
 
 class TestIsCastelnuovo:
@@ -43,6 +48,24 @@ class TestIsCastelnuovo:
         assert not is_castelnuovo([1, 0, 1])
         assert not is_castelnuovo([1, 2, 1, 2])
         assert not is_castelnuovo([1, -1])
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-2, 8), max_size=14))
+    def test_matches_the_stepwise_rule(self, s):
+        assert is_castelnuovo(s) == is_castelnuovo_stepwise(s)
+
+    def test_matches_the_stepwise_rule_next_to_every_small_diagram(self):
+        # Every diagram of weight <= 20, and each with one entry moved by one.
+        checked = 0
+        for n in range(21):
+            for d in enumerate_diagrams(n):
+                near = [d.s] + [
+                    d.s[:i] + (x + step,) + d.s[i + 1 :] for i, x in enumerate(d.s) for step in (-1, 1)
+                ]
+                for s in near:
+                    assert is_castelnuovo(s) == is_castelnuovo_stepwise(s), s
+                    checked += 1
+        assert checked == 7329
 
 
 class TestConvert:

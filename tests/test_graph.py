@@ -344,6 +344,21 @@ class TestParseValidation:
             want = re.escape(f"{sorted(keys + ['extra'])} != {keys}")
             self.check_rejected(record, f"not the graph of weight 8: {path}: keys {want}")
 
+    def test_refusal_stays_short_for_a_huge_record(self):
+        # 5,000 extra top-level keys: ten of them are shown, then a count.
+        record = self.record(40)
+        record.update({f"extra{i}": 0 for i in range(5000)})
+        with pytest.raises(ValueError) as caught:
+            parse_graph_json(json.dumps(record))
+        message = str(caught.value)
+        assert len(message) < 1000 and "record: keys ['edges', 'extra0'," in message
+        assert message.endswith(" … and 4993 more != ['edges', 'n', 'nodes']")
+        # A long scalar is cut to 80 characters of its repr, with its length.
+        record = self.record()
+        record["nodes"][0]["dim"] = "x" * 5000
+        cut = "'" + "x" * 79
+        self.check_rejected(record, re.escape(f"nodes[0].dim: {cut}… (5002 characters) != 16") + "$")
+
     def test_weight_past_the_node_bound(self):
         record = {"n": 66, "nodes": [], "edges": []}
         self.check_rejected(record, f"weight 66 has more than {MAX_NODES} diagrams")

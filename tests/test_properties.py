@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hilbstrata.cli import main
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
+    _parse_int_list,
     count_diagrams,
     is_castelnuovo,
     parse_diagram,
@@ -32,7 +33,7 @@ from hilbstrata.incidence import (
 )
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import stratum_dim
-from oracles import brute_single_square_moves
+from oracles import brute_single_square_moves, parse_int_list_by_tokens
 
 deterministic = settings(deadline=None, derandomize=True)
 
@@ -87,6 +88,55 @@ def test_parsers_return_a_value_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+# What ``int`` reads beyond the token grammar ('+', '_'), the whitespace
+# that ``strip`` removes and ``int`` does not ('\x1c'..'\x1f'), and a
+# no-break space, which both remove.
+BEYOND_GRAMMAR = "+_\x1c\x1d\x1e\x1f\u00a0"
+
+
+def _tokens(padding, signs, digits, min_digits):
+    pad = st.text(alphabet=padding, max_size=2)
+    return st.builds(
+        "{}{}{}{}".format,
+        pad,
+        st.sampled_from(signs),
+        st.text(alphabet=digits, min_size=min_digits, max_size=4),
+        pad,
+    )
+
+
+int_tokens = st.one_of(
+    # Tokens that int() reads, so that whole lists of them come up, ...
+    _tokens(" \t\u00a0", ("", "-"), "0123456789１", 1),
+    # ... and tokens with padding, a sign, a separator or a digit that one of
+    # the two readings rejects.
+    _tokens(" \t\u00a0\x1c\x1f", ("", "-", "+", "--"), "0123456789_²１", 0),
+)
+int_list_texts = st.one_of(
+    st.text(alphabet=NEAR_GRAMMAR + BEYOND_GRAMMAR),
+    st.lists(int_tokens, min_size=1, max_size=6).map(",".join),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, "diagram")
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@deterministic
+@given(int_list_texts)
+@example("1,2," + "9" * 5000)
+@example("\x1c1,-2\x1f")
+@example("1,+2")
+@example("1_0,2")
+def test_int_lists_read_as_the_token_loop_reads_them(text):
+    # The same list, or a ValueError with the same message.  A 5,000-digit
+    # token exceeds int's digit limit on both paths.
+    assert _outcome(_parse_int_list, text) == _outcome(parse_int_list_by_tokens, text)
 
 
 @deterministic
