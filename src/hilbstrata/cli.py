@@ -2,11 +2,14 @@
 
 Exit status: 0 on success (and on a clean verification sweep), 1 when the
 sweep finds a counterexample, 2 on usage or parse errors and on an output
-file that cannot be written.
+that cannot be written: an output file, or standard output whose reader has
+gone (``hilbstrata enumerate -n 60 | head -1``), which ends the command
+with no message.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from .diagrams import (
@@ -14,6 +17,7 @@ from .diagrams import (
     iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
+    run_of_ones,
 )
 from .graph import build_hilbert_graph, emit
 from .incidence import find_intermediate, is_length_zero, resolve_incidence, verdict_line
@@ -31,10 +35,11 @@ def _positive(text):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process on the first ``main`` call.
+    """The top-level argument parser and its subcommand parsers by name,
+    built once per process on the first ``main`` call.
 
-    It depends on no input, and parsing leaves it unchanged, so every call
-    shares it.
+    They depend on no input, and parsing leaves them unchanged, so every
+    call shares them.
     """
     parser = argparse.ArgumentParser(
         prog="hilbstrata",
@@ -67,7 +72,7 @@ def _build_parser():
     p.add_argument(
         "--workers", type=_positive, help="worker processes (default: every CPU available)"
     )
-    return parser
+    return parser, sub.choices
 
 
 def _function_arg(text):
@@ -103,9 +108,10 @@ def _cmd_dim(args, out):
 def _cmd_resolve(args, out):
     phi = _function_arg(args.phi)
     psi = _function_arg(args.psi)
-    pair = is_length_zero(phi, psi)
+    run = run_of_ones(phi, psi)
+    pair = None if run is None else is_length_zero(phi, psi, run)
     if pair is None:
-        between = find_intermediate(phi, psi)
+        between = None if run is None else find_intermediate(phi, psi, run)
         if between is not None:
             return _usage_error(
                 "pair is not length zero: "
@@ -165,16 +171,52 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _parse(argv):
+    """(command, arguments) of ``argv``, parsed once; raises SystemExit as
+    argparse does.  The subcommand named first parses the rest.  Anything
+    else (no or an unknown command, an option first, arguments left over)
+    goes through the top-level parser, so every usage text and error is
+    the one a full parse prints."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            return argv[0], args
+    args = parser.parse_args(argv)
+    return args.command, args
+
+
+def _silence_stdout():
+    """Point standard output at the null device, so the interpreter's last
+    flush of what is still buffered cannot fail on the closed pipe."""
     try:
-        args = parser.parse_args(argv)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # not a file: nothing flushes it at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _run(argv) -> int:
+    try:
+        command, args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return _COMMANDS[command](args, sys.stdout)
     except ValueError as exc:
         return _usage_error(str(exc))
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        return 2
+    return code
 
 
 if __name__ == "__main__":

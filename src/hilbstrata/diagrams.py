@@ -10,7 +10,7 @@ order, and addressable by rank), and the coefficientwise partial order on
 Hilbert functions.
 """
 
-from itertools import accumulate, zip_longest
+from itertools import accumulate, compress, count
 from operator import ge, sub
 
 
@@ -322,21 +322,25 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
     Returns None when the difference is anything else (zero, negative
     somewhere, higher than 1, or not contiguous).  Such a run is exactly
     what a single square jumping left does to the running sums.  Raises on
-    degree mismatch.  One pass over the two transient tuples, the shorter
-    one continued by the common degree.
+    degree mismatch.  The difference is one ``map`` over the two transient
+    tuples, the shorter one padded with the common degree; the degrees
+    where it is nonzero are its run exactly when they are contiguous and
+    each holds a 1.
     """
-    if phi.degree != psi.degree:
-        raise ValueError(f"degree mismatch: {phi.degree} != {psi.degree}")
-    u = v = None
-    for m, (x, y) in enumerate(zip_longest(phi.transient, psi.transient, fillvalue=phi.degree)):
-        if x == y:
-            continue
-        if y - x != 1 or (v is not None and v != m - 1):
-            return None
-        if u is None:
-            u = m
-        v = m
-    if u is None or u < 1:
+    d = phi.degree
+    if d != psi.degree:
+        raise ValueError(f"degree mismatch: {d} != {psi.degree}")
+    x, y = phi.transient, psi.transient
+    if len(x) < len(y):
+        x += (d,) * (len(y) - len(x))
+    else:
+        y += (d,) * (len(x) - len(y))
+    diff = list(map(sub, y, x))
+    moved = list(compress(count(), diff))
+    if not moved or moved[0] < 1:
+        return None
+    u, v = moved[0], moved[-1]
+    if v - u + 1 != len(moved) or diff.count(1) != len(moved):
         return None
     return u, v
 

@@ -133,19 +133,22 @@ def cover_moves(hf: HilbertFunction):
     return out
 
 
-def is_length_zero(phi: HilbertFunction, psi: HilbertFunction):
+def is_length_zero(phi: HilbertFunction, psi: HilbertFunction, run=None):
     """The CoverPair for (phi, psi) when it is a cover, else None.
 
     Raises on degree mismatch.  The pair must differ by a run of ones
-    (a single-square move) whose (u, v) the cover scan of phi lists.
+    (a single-square move) whose (u, v) the cover scan of phi lists.  A
+    caller that has already found that run, ``run_of_ones(phi, psi)`` and
+    not None, may pass it as ``run``.
     """
-    run = run_of_ones(phi, psi)
+    if run is None:
+        run = run_of_ones(phi, psi)
     if run is None or run not in _scan_covers(phi.diagram.s):
         return None
     return CoverPair(phi, psi, *run)
 
 
-def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
+def find_intermediate(phi: HilbertFunction, psi: HilbertFunction, run=None):
     """Some Hilbert function strictly between phi and psi, or None.
 
     Only meaningful for single-square-move pairs; for other inputs the
@@ -153,8 +156,10 @@ def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
     Any function strictly between phi and its move image is reachable from
     phi by a first single-square jump staying below the image, and staying
     below means precisely that the jump's interval nests inside [u, v].
+    ``run`` is as for ``is_length_zero``.
     """
-    run = run_of_ones(phi, psi)
+    if run is None:
+        run = run_of_ones(phi, psi)
     if run is None:
         return None
     u, v = run

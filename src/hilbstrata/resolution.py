@@ -25,6 +25,8 @@ derives its row from them.  Degrees are non-negative: a dense row has no
 place for a negative one.
 """
 
+from itertools import compress, count
+
 from .diagrams import HilbertFunction
 
 
@@ -88,19 +90,23 @@ class BettiTable:
 def generic_betti(hf: HilbertFunction) -> BettiTable:
     """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0).
 
-    The coefficient list, trimmed, becomes the table's row, and the
-    table skips the sort-and-filter pass of ``BettiTable.__init__``.
+    Only the nonzero degrees are visited, found by one ``compress`` pass
+    (second differences of long flat tails are mostly zero).  The
+    coefficient list, trimmed after its last nonzero degree, becomes the
+    table's row, and the table skips the sort-and-filter pass of
+    ``BettiTable.__init__``.
     """
     q = series_numerator(hf)
     a = {}
     b = {}
-    for d, c in enumerate(q):
+    d = -1
+    for d in compress(count(), q):
+        c = q[d]
         if c > 0:
             a[d] = c
-        elif c < 0:
+        else:
             b[d] = -c
-    while q and not q[-1]:
-        q.pop()
+    del q[d + 1 :]
     table = BettiTable.__new__(BettiTable)
     table.a, table.b, table.q = a, b, tuple(q)
     return table

@@ -1,3 +1,5 @@
+import random
+
 from hilbstrata.diagrams import CastelnuovoDiagram
 
 
@@ -6,3 +8,16 @@ def hf(seq):
     if isinstance(seq, str):
         seq = [int(x) for x in seq.split(",")] if seq else []
     return CastelnuovoDiagram(seq).hilbert_function()
+
+
+def long_diagrams(seed, count, tail=150):
+    """``count`` seeded diagrams whose tails run ``tail`` columns: a
+    staircase 1..k (k from 2 to 12), then ``tail`` random parts <= k in
+    non-increasing order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 12)
+        parts = sorted((rng.randint(1, k) for _ in range(tail)), reverse=True)
+        out.append(CastelnuovoDiagram([*range(1, k + 1), *parts]))
+    return out

@@ -5,6 +5,8 @@ search, triple loops, truncated series) and never calls the code paths it
 is checking.
 """
 
+from itertools import zip_longest
+
 from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo
 
 
@@ -233,3 +235,33 @@ def is_castelnuovo_stepwise(seq):
         if s[i] > s[i - 1]:
             return False
     return True
+
+
+def run_of_ones_by_zip(phi, psi):
+    """The run of ones of psi - phi walked one degree at a time over the two
+    transient tuples, the shorter continued by the common degree: each
+    nonzero difference must be 1 and follow the previous one directly, and
+    the run must start at degree 1 or later.  Raises on degree mismatch."""
+    if phi.degree != psi.degree:
+        raise ValueError(f"degree mismatch: {phi.degree} != {psi.degree}")
+    u = v = None
+    for m, (x, y) in enumerate(zip_longest(phi.transient, psi.transient, fillvalue=phi.degree)):
+        if x == y:
+            continue
+        if y - x != 1 or (v is not None and v != m - 1):
+            return None
+        if u is None:
+            u = m
+        v = m
+    if u is None or u < 1:
+        return None
+    return u, v
+
+
+def first_nested_move(moves, u, v):
+    """The first move (u', v') of the sorted list ``moves`` other than
+    (u, v) that nests inside it (u' >= u, v' <= v), or None."""
+    for up, vp in moves:
+        if (up, vp) != (u, v) and up >= u and vp <= v:
+            return up, vp
+    return None

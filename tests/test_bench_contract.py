@@ -4,10 +4,14 @@ Runs the graph workload once untraced and once traced, where the tracer
 wraps the library's functions and reads their arguments and results, and
 checks that each run exits 0 and ends with a result that ``json.loads``
 reads without the non-standard constants NaN, Infinity and -Infinity.  A
-traced run writes its span file to ``perfbench/out/``.
+traced result must be complete: it holds every per-layer metric that
+``BENCHMARK.json`` names, each a finite number.  The tracer leaves out a
+metric whose function it cannot find, so a deleted or renamed function
+shows here.  A traced run writes its span file to ``perfbench/out/``.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +36,12 @@ def test_last_line_is_a_strict_json_result(trace):
     result = json.loads(last, parse_constant=_no_constant)
     assert result["correct"] is True
     assert result["attempted"] == 5 * (1 + trace) and result["failed"] == 0
+    if trace:
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        metrics = result["metrics"]
+        missing = [m["name"] for m in declared if m["name"] not in metrics]
+        assert not missing, f"per-layer metrics absent from the traced result: {missing}"
+        for m in declared:
+            value = metrics[m["name"]]["value"]
+            assert isinstance(value, (int, float)) and not isinstance(value, bool), m["name"]
+            assert math.isfinite(value), m["name"]

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from hilbstrata import cli
 from hilbstrata.cli import main
 
 
@@ -212,3 +217,146 @@ def test_import_leaves_multiprocessing_out():
         text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def main_by_full_parse(argv):
+    """``main`` by one top-level parse of the whole of ``argv``: the
+    reference the once-only parse must answer as."""
+    parser, _ = cli._build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    try:
+        return cli._COMMANDS[args.command](args, sys.stdout)
+    except ValueError as exc:
+        return cli._usage_error(str(exc))
+
+
+# Help, missing and extra arguments, abbreviated, repeated and '='-joined
+# options, '--', values that look like options, unknown commands and
+# options before the command.
+ARGV_CORPUS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-x"],
+    ["--"],
+    ["nonsense"],
+    ["res"],
+    ["-h", "resolve"],
+    ["--phi", "1,2", "resolve"],
+    ["--", "dim", "--phi", "1,1,1"],
+    ["resolve"],
+    ["resolve", "-h"],
+    ["resolve", "--help", "extra"],
+    ["resolve", "--phi", "1,2"],
+    ["resolve", "--phi", "1,2,3,3,..", "--psi", "1,3,3,.."],
+    ["resolve", "--phi=1,2,3,3,..", "--psi=1,3,3,.."],
+    ["resolve", "--phi=", "--psi", "1,3,3,.."],
+    ["resolve", "--ph", "1,1,1", "--ps", "1,2"],
+    ["resolve", "--p", "1,1,1"],
+    ["resolve", "--phi", "1,1,1", "--psi", "1,2", "extra"],
+    ["resolve", "--phi", "1,1,1", "--psi", "1,2", "--bogus"],
+    ["resolve", "--phi", "1,1,1", "--psi", "1,2", "--"],
+    ["resolve", "--", "--phi", "1,1,1", "--psi", "1,2"],
+    ["resolve", "--phi", "1,2,2,2,1", "--psi", "1,2,3,2"],
+    ["resolve", "--phi", "1,1,1,1,1,1", "--psi", "1,2,2,1"],
+    ["resolve", "--phi", "1,1", "--psi", "1,1,1"],
+    ["resolve", "--phi", "-1,2", "--psi", "1,2"],
+    ["betti", "--phi"],
+    ["betti", "--phi", "1,2,3,3,.."],
+    ["betti", "--phi", "1,3,2"],
+    ["betti", "--phi", "1,2", "--bogus"],
+    ["dim", "--phi", ""],
+    ["dim", "--phi", "-5"],
+    ["dim", "--phi", "1,1,1", "--phi", "1,2"],
+    ["dim", "--phi", "1 ,1, 1"],
+    ["enumerate"],
+    ["enumerate", "-n", "4"],
+    ["enumerate", "-n4"],
+    ["enumerate", "-n=4"],
+    ["enumerate", "-n", "0"],
+    ["enumerate", "-n", "x"],
+    ["graph", "-n", "3", "--format", "xml"],
+    ["graph", "-n", "3", "--form", "json"],
+    ["verify", "--n-m", "3"],
+    ["verify", "--n-min", "5", "--n-max", "3"],
+    ["verify", "--n-max", "3", "--workers", "1"],
+)
+
+
+def test_main_answers_as_one_top_level_parse(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = set()
+    for argv in ARGV_CORPUS:
+        got = run_cli(capsys, *argv)
+        assert main_by_full_parse(list(argv)) == got[0], argv
+        assert capsys.readouterr() == got[1:], argv
+        codes.add(got[0])
+    assert codes == {0, 2}
+
+
+def test_a_subcommand_line_is_parsed_once(monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["dim", "--phi", "1,1,1"]) == 0
+        assert calls == ["hilbstrata dim"]
+        calls.clear()
+        # Leftover arguments: the top-level parser reports them.
+        assert main(["dim", "--phi", "1,1,1", "extra"]) == 2
+        assert calls == ["hilbstrata dim", "hilbstrata", "hilbstrata dim"]
+
+
+def test_closed_pipe_in_process_exits_2(monkeypatch):
+    # A stream with no file behind it whose reader has gone.
+    class Gone:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    assert main(["enumerate", "-n", "5"]) == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_2_quietly(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # The reader leaves after one line of a long listing: a later write fails.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hilbstrata.cli", "enumerate", "-n", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert (first, err) == (b"1,2,3,4,5,6,7,8,9,10,5\n", b"")
+
+    # The reader is gone before the first write: with buffered output, the
+    # last flush fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbstrata.cli", "dim", "--phi", "1,1,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")

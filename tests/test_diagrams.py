@@ -1,10 +1,11 @@
 import itertools
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hf
+from conftest import hf, long_diagrams
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
@@ -19,6 +20,7 @@ from hilbstrata.diagrams import (
     unrank,
 )
 from hilbstrata import diagrams
+from hilbstrata.incidence import apply_move, move_params
 from hilbstrata.resolution import generic_betti
 from hilbstrata.sweep import _shard_tasks
 from oracles import (
@@ -26,6 +28,7 @@ from oracles import (
     diagrams_by_sorting,
     greedy_maximal_diagram,
     is_castelnuovo_stepwise,
+    run_of_ones_by_zip,
 )
 
 
@@ -259,6 +262,47 @@ def test_run_of_ones():
     assert run_of_ones(hf("1,1,1,1,1,1"), hf("1,2,2,1")) is None  # height two
     with pytest.raises(ValueError):
         run_of_ones(hf("1,1"), hf("1,1,1"))
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_run_of_ones_matches_the_zip_loop_on_every_small_pair():
+    # All ordered pairs of the 70 diagrams of weight <= 12; a pair of two
+    # weights raises the same degree mismatch on both sides.
+    fns = [d.hilbert_function() for n in range(13) for d in enumerate_diagrams(n)]
+    runs = 0
+    for phi in fns:
+        for psi in fns:
+            got = _outcome(run_of_ones, phi, psi)
+            assert got == _outcome(run_of_ones_by_zip, phi, psi)
+            runs += isinstance(got, tuple)
+    assert runs > 50
+
+
+def test_run_of_ones_matches_the_zip_loop_on_long_tails():
+    # Diagrams with 150-column tails, each against itself, the results of
+    # its single-square moves and of two moves in turn (both ways round),
+    # and another diagram of its weight.
+    rng = random.Random(19)
+    for phi in long_diagrams(19, 30):
+        others = [phi, CastelnuovoDiagram(unrank(phi.weight, rng.randrange(count_diagrams(phi.weight))))]
+        moves = move_params(phi)
+        for u, v in rng.sample(moves, min(20, len(moves))):
+            once = apply_move(phi, u, v)
+            others.append(once)
+            again = move_params(once)
+            others.extend(apply_move(once, *m) for m in rng.sample(again, min(3, len(again))))
+        f = phi.hilbert_function()
+        for psi in others:
+            g = psi.hilbert_function()
+            assert run_of_ones(f, g) == run_of_ones_by_zip(f, g)
+            assert run_of_ones(g, f) == run_of_ones_by_zip(g, f)
 
 
 class TestPaddedValues:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import hf
+from conftest import hf, long_diagrams
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
     enumerate_diagrams,
@@ -26,6 +28,7 @@ from hilbstrata.resolution import generic_betti
 from oracles import (
     brute_single_square_moves,
     cover_relations_triple_loop,
+    first_nested_move,
     has_intermediate_by_patterns,
 )
 
@@ -104,6 +107,47 @@ class TestIsLengthZero:
                 for psi, u, v in _move_images(phi):
                     expected = not has_intermediate_by_patterns(phi, u, v)
                     assert (is_length_zero(phi, psi) is not None) == expected
+
+    def test_a_run_found_before_gives_the_same_answers(self):
+        # Every move image of weight <= 14, where ``resolve`` passes the run
+        # it has already found: the same pair, and the same intermediate.
+        blocked = 0
+        for n in range(1, 15):
+            for d in enumerate_diagrams(n):
+                phi = d.hilbert_function()
+                for psi, u, v in _move_images(phi):
+                    assert is_length_zero(phi, psi, (u, v)) == is_length_zero(phi, psi)
+                    between = find_intermediate(phi, psi, (u, v))
+                    assert between == find_intermediate(phi, psi)
+                    blocked += between is not None
+        assert blocked > 0
+
+    def test_every_move_matches_the_brute_force_moves(self):
+        # Every move of weight <= 16, and moves of 150-column tails: a move
+        # is a cover exactly when no other valid move nests inside it, and
+        # the function named as lying between is the image of the first
+        # nested move.
+        rng = random.Random(7)
+        cases = [(d, None) for n in range(1, 17) for d in enumerate_diagrams(n)]
+        cases += [(d, 25) for d in long_diagrams(7, 8)]
+        found = {True: 0, False: 0}
+        for d, sample in cases:
+            phi = d.hilbert_function()
+            moves = brute_single_square_moves(d)
+            picked = moves if sample is None else rng.sample(moves, min(sample, len(moves)))
+            for u, v in picked:
+                psi = apply_move(d, u, v).hilbert_function()
+                nested = first_nested_move(moves, u, v)
+                assert (is_length_zero(phi, psi) is None) == (nested is not None)
+                expected = None
+                if nested is not None:
+                    t = list(d.s)
+                    t[nested[0]] += 1
+                    t[nested[1] + 1] -= 1
+                    expected = CastelnuovoDiagram(t).hilbert_function()
+                assert find_intermediate(phi, psi) == expected, (d.s, u, v)
+                found[nested is None] += 1
+        assert min(found.values()) > 100
 
     def test_matches_triple_loop_covers(self):
         for n in range(1, 21):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import hf
+from conftest import hf, long_diagrams
 from hilbstrata.diagrams import enumerate_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.resolution import BettiTable, generic_betti, series_numerator
@@ -80,6 +80,18 @@ class TestGenericBetti:
                 t = generic_betti(h)
                 assert t.a == {l: c for l, c in q.items() if c > 0}
                 assert t.b == {l: -c for l, c in q.items() if c < 0}
+
+    def test_split_of_truncated_series_oracle_on_long_tails(self):
+        # 150-column tails, where most second differences are zero: the
+        # counts, their degree order (which ``render`` prints) and the row.
+        for d in long_diagrams(150, 40):
+            h = d.hilbert_function()
+            q = numerator_by_truncation(h)
+            t = generic_betti(h)
+            assert t.a == {l: c for l, c in q.items() if c > 0}
+            assert t.b == {l: -c for l, c in q.items() if c < 0}
+            assert list(t.a) == sorted(t.a) and list(t.b) == sorted(t.b)
+            assert t.q == tuple(q.get(l, 0) for l in range(max(q) + 1))
 
     def test_rank_one_total(self):
         for n in range(1, 21):
