@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import IncidenceVerdict, cover_moves, resolve_incidence
 from .resolution import BettiTable, generic_betti
-from .strata import stratum_dim
+from .strata import cover_row, stratum_dim
 
 # The most nodes a graph may have.  Weight 65 has 18,200 diagrams and
 # weight 66 has 20,132, so graphs are built and parsed up to weight 65.
@@ -71,19 +71,22 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
     _check_size(n)
     ids = {}
     nodes = []
+    rows = []  # each node's cover_row, read by the tangent comparisons of its covers
     for i, s in enumerate(iter_diagrams(n)):
         ids[s] = i
         hf = HilbertFunction(CastelnuovoDiagram._unchecked(s))
-        nodes.append(NodeRecord(id=i, hf=hf, dim=stratum_dim(hf), betti=generic_betti(hf)))
+        betti = generic_betti(hf)
+        nodes.append(NodeRecord(id=i, hf=hf, dim=stratum_dim(hf), betti=betti))
+        rows.append(cover_row(hf, betti))
     edges = []
     for node in nodes:
         for pair in cover_moves(node.hf):
-            target = ids[pair.psi.diagram.s]
+            target = ids[pair.psi_heights]
             verdict = resolve_incidence(
                 pair,
                 betti_phi=node.betti,
-                betti_psi=nodes[target].betti,
                 dims=(node.dim, nodes[target].dim),
+                rows=(rows[node.id], rows[target]),
             )
             edges.append(EdgeRecord(node.id, target, pair.u, pair.v, verdict))
     edges.sort(key=lambda e: (e.from_id, e.to_id))

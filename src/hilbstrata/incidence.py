@@ -18,21 +18,76 @@ from dataclasses import dataclass
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, run_of_ones
 from .resolution import BettiTable, generic_betti
-from .strata import required_window, stratum_dim, tangent_excess
+from .strata import cover_excess, required_window, stratum_dim, tangent_excess
 
 
-@dataclass(frozen=True)
 class CoverPair:
-    """A cover (phi, psi) together with its move columns 0 < u <= v."""
+    """A cover (phi, psi) together with its move columns 0 < u <= v.
 
-    phi: HilbertFunction
-    psi: HilbertFunction
-    u: int
-    v: int
+    Immutable, and equal to another pair exactly when phi, psi's height
+    tuple ``psi_heights``, u and v are equal.  A pair from ``cover_moves``
+    holds only psi's heights and builds psi's ``HilbertFunction`` on first
+    access, which a sweep never makes unless it reports a failure.
+    """
+
+    __slots__ = ("phi", "psi_heights", "u", "v", "_psi")
+
+    def __new__(cls, phi: HilbertFunction, psi: HilbertFunction, u: int, v: int):
+        return _cover_pair(phi, psi.diagram.s, u, v, psi)
+
+    @property
+    def psi(self) -> HilbertFunction:
+        psi = self._psi
+        if psi is None:
+            psi = HilbertFunction(CastelnuovoDiagram._unchecked(self.psi_heights))
+            _set_psi(self, psi)
+        return psi
 
     @property
     def degree(self) -> int:
         return self.phi.degree
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CoverPair is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CoverPair is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverPair):
+            return NotImplemented
+        return (self.phi, self.psi_heights, self.u, self.v) == (
+            other.phi, other.psi_heights, other.u, other.v
+        )
+
+    def __hash__(self):
+        return hash((self.phi, self.psi_heights, self.u, self.v))
+
+    def __reduce__(self):
+        return CoverPair, (self.phi, self.psi, self.u, self.v)
+
+    def __repr__(self):
+        return f"CoverPair(phi={self.phi!r}, psi={self.psi!r}, u={self.u!r}, v={self.v!r})"
+
+
+# The slots are written through their descriptors, which bypass the
+# refusing ``__setattr__`` at the cost of one call each.
+_new = object.__new__
+_set_phi, _set_psi_heights, _set_u, _set_v, _set_psi = (
+    getattr(CoverPair, name).__set__ for name in CoverPair.__slots__
+)
+
+
+def _cover_pair(phi, psi_heights, u, v, psi=None) -> CoverPair:
+    """The pair whose psi has the heights ``psi_heights``; without ``psi``,
+    psi's ``HilbertFunction`` is built from them when first read."""
+    pair = _new(CoverPair)
+    _set_phi(pair, phi)
+    _set_psi_heights(pair, psi_heights)
+    _set_u(pair, u)
+    _set_v(pair, v)
+    _set_psi(pair, psi)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -118,7 +173,8 @@ def cover_moves(hf: HilbertFunction):
     column u is addable, column w = v+1 is removable, u < w, and no column
     strictly between them is either.  Each psi is phi's height tuple with
     column u raised, column w lowered and a trailing zero dropped; the
-    scan guarantees that the result is valid, so it is not validated again.
+    scan guarantees that the result is valid, so it is not validated again,
+    and the pair builds psi's ``HilbertFunction`` only when it is read.
     """
     s = hf.diagram.s
     out = []
@@ -128,8 +184,7 @@ def cover_moves(hf: HilbertFunction):
         t[v + 1] -= 1
         if not t[-1]:
             t.pop()
-        psi = HilbertFunction(CastelnuovoDiagram._unchecked(tuple(t)))
-        out.append(CoverPair(hf, psi, u, v))
+        out.append(_cover_pair(hf, tuple(t), u, v))
     return out
 
 
@@ -224,23 +279,27 @@ def is_type_zero(pair: CoverPair) -> bool:
     return True
 
 
-def resolve_incidence(pair: CoverPair, betti_phi=None, betti_psi=None, dims=None) -> IncidenceVerdict:
+def resolve_incidence(pair: CoverPair, betti_phi=None, dims=None, rows=None) -> IncidenceVerdict:
     """Full verdict for one cover: incident iff both comparisons hold.
 
     The dimension comparison asks that the smaller stratum have strictly
     smaller dimension; the tangent comparison that its tangent function
     dominate coefficientwise, compared on the window that the move (u, v)
-    of the pair decides.
+    of the pair decides.  A caller that keeps each side's ``cover_row``,
+    as the graph does, passes the two as ``rows``, and psi is then never
+    built; without them the two tangent rows are built on the window only,
+    which on a long diagram reads fewer degrees than a whole ``cover_row``.
     """
     if betti_phi is None:
         betti_phi = generic_betti(pair.phi)
-    if betti_psi is None:
-        betti_psi = generic_betti(pair.psi)
     if dims is None:
         dims = (stratum_dim(pair.phi), stratum_dim(pair.psi))
     dim_ok = dims[0] < dims[1]
-    lo, hi = required_window(pair.u, pair.v)
-    tangent_ok = not tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
+    if rows is None:
+        window = required_window(pair.u, pair.v)
+        tangent_ok = not tangent_excess(pair.phi, pair.psi, *window, betti_phi)
+    else:
+        tangent_ok = not cover_excess(*rows, pair.u, pair.v)
     return IncidenceVerdict(
         incident=dim_ok and tangent_ok,
         dim_ok=dim_ok,

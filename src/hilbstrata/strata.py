@@ -21,18 +21,27 @@ sections(m) - 3 h(m+1) + h(m) + b_{m+3}, read straight off the Hilbert
 function and the relation counts of the generic Betti table; only windows
 of it are ever needed, and they are computed exactly degree by degree.
 
-Both sides of a window are read by index.  Each Hilbert function keeps its
-values h(-3) .. h(L+5) as one list (``HilbertFunction.padded``), computed
-once on first use: in the sweep, the lower function's list is built once
-and read by all of its covers, and each upper function's once for its one
-cover.  A window that starts below -3 or reads past a function's list
-gets a copy of that list padded further.  The comparison of two strata on
-one window (``tangent_excess``) walks the window once.  The sections term
-depends only on m, so it cancels from the comparison and is left out; each
-side reads only its own h and its own b.
+The formula is written once, in ``tangent_row``: on a window it lists
+h(m) - 3 h(m+1) + b_{m+3} + 2 deg, the tangent value less the sections
+term (which depends only on m) plus twice the degree.  That shift makes
+the values 2 deg below degree -1, 0 from the last column on and between
+0 and 2 deg in between (checked for n <= 30 in the tests), so up to
+weight 128 they are small ints, which CPython shares, and a row costs one
+pointer per degree.  ``tangent_function`` adds the sections term back and
+takes the shift off.  Two strata of one degree are compared
+(``tangent_excess``) by comparing their rows in one C-level
+``compress``/``map`` pass; the sections term and the shift cancel, so the
+degrees must be equal.  Each row reads only its own h and its own b.  The
+h values come from ``HilbertFunction.padded``, h(-3) .. h(L+5), or from a
+copy padded further for a window that reaches past it.  ``cover_row`` is
+the row over degrees -3 .. L+4, every degree that a cover's window reads
+on either side, and ``cover_excess`` compares two such rows on a cover's
+window by slicing: the sweep and the graph keep one row per diagram and
+compare all of its covers from it.
 """
 
-from operator import mul, sub
+from itertools import compress, count
+from operator import gt, mul, sub
 
 from .diagrams import HilbertFunction
 from .resolution import BettiTable, generic_betti
@@ -59,33 +68,66 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def _values(hf: HilbertFunction, lo: int, hi: int) -> list:
-    """h(m) at index m + max(3, -lo) for every m in [lo, hi + 1].
+def tangent_row(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None) -> list:
+    """h(m) - 3*h(m+1) + b(m+3) + 2*degree for every m in [lo, hi], in order.
 
-    ``hf.padded`` itself when it reaches that far, as it does for every
-    window a cover decides; else a copy padded with more zeros in front
-    and more copies of the degree behind.
+    The tangent-function value at m less the sections term, which depends
+    only on m, plus twice the degree, which depends only on the degree.
+    ``b`` holds the relation counts of the generic Betti table of ``hf``
+    (``betti`` when given).  The h values are read from ``hf.padded``, or
+    from a copy padded further for a window that reaches past it.
     """
+    b = (betti if betti is not None else generic_betti(hf)).b
     h = hf.padded
-    if lo < -3 or hi + 4 >= len(h):
-        h = [0] * max(0, -3 - lo) + h + [hf.degree] * max(0, hi + 5 - len(h))
-    return h
+    start = lo + 3  # the index of h(lo)
+    if start < 0 or hi + 4 >= len(h):
+        h = [0] * max(0, -start) + h + [hf.degree] * max(0, hi + 5 - len(h))
+        start = max(start, 0)
+    stop = start + hi - lo + 1
+    twice = 2 * hf.degree
+    row = [x - 3 * y + twice for x, y in zip(h[start:stop], h[start + 1 : stop + 1])]
+    for d, c in b.items():
+        if lo <= d - 3 <= hi:
+            row[d - 3 - lo] += c
+    return row
+
+
+def row_excess(row_phi, row_psi, lo: int) -> list:
+    """Degrees where ``row_psi`` exceeds ``row_phi``: two ``tangent_row``
+    lists of one degree over one window that starts at degree ``lo``."""
+    return list(compress(count(lo), map(gt, row_psi, row_phi)))
+
+
+def cover_row(hf: HilbertFunction, betti: BettiTable | None = None) -> list:
+    """``tangent_row`` of ``hf`` over degrees -3 .. L+4 (L its last column),
+    degree m at index m + 3: every degree that the window of a cover reads,
+    with ``hf`` on either side of the cover."""
+    return tangent_row(hf, -3, len(hf.diagram.s) + 3, betti)
+
+
+def cover_excess(row_phi: list, row_psi: list, u: int, v: int) -> list:
+    """``tangent_excess`` of a cover (u, v) on its required window, from the
+    two sides' ``cover_row`` lists.
+
+    The window [u-3, v+4] is the slice [u, v+8) of each row.  psi's row
+    reaches that far because psi's last column is phi's or the one before.
+    """
+    return row_excess(row_phi[u : v + 8], row_psi[u : v + 8], u - 3)
 
 
 def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
     """Exact tangent-function values on the degree window [lo, hi].
 
     Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
-    relation counts of the generic Betti table of ``hf``.
+    relation counts of the generic Betti table of ``hf``: the sections
+    term added back to ``tangent_row``.
     """
     if lo > hi:
         raise ValueError("empty window")
-    b = (betti if betti is not None else generic_betti(hf)).b
-    base = max(3, -lo)
-    h = _values(hf, lo, hi)
+    twice = 2 * hf.degree
     return {
-        m: tangent_bundle_sections(m) - 3 * h[m + base + 1] + h[m + base] + b.get(m + 3, 0)
-        for m in range(lo, hi + 1)
+        m: tangent_bundle_sections(m) + t - twice
+        for m, t in zip(range(lo, hi + 1), tangent_row(hf, lo, hi, betti))
     }
 
 
@@ -109,25 +151,14 @@ def tangent_excess(
 ) -> list:
     """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds that of ``phi``.
 
-    One pass over the window compares h(m) - 3*h(m+1) + b(m+3) of the two
-    sides, each from its own Hilbert function's values and its own relation
-    counts, read by index; the sections term of the tangent function is the
-    same on both sides and cancels.  The tangent comparison holds exactly
-    when the list is empty.
+    Compares the two sides' ``tangent_row`` lists, each from its own Hilbert
+    function and its own relation counts; the sections term is the same on
+    both sides and cancels, and so does the 2*degree term, which is why
+    the degrees must be equal.  The tangent comparison holds exactly when
+    the list is empty.
     """
     if lo > hi:
         raise ValueError("empty window")
-    b_phi = (betti_phi if betti_phi is not None else generic_betti(phi)).b
-    b_psi = (betti_psi if betti_psi is not None else generic_betti(psi)).b
-    base = max(3, -lo)
-    h_phi, h_psi = _values(phi, lo, hi), _values(psi, lo, hi)
-    get_phi, get_psi = b_phi.get, b_psi.get
-    out = []
-    for m in range(lo, hi + 1):
-        i = m + base
-        # Each side's tangent value at m, less the sections term.
-        t_phi = h_phi[i] - 3 * h_phi[i + 1] + get_phi(m + 3, 0)
-        t_psi = h_psi[i] - 3 * h_psi[i + 1] + get_psi(m + 3, 0)
-        if t_psi > t_phi:
-            out.append(m)
-    return out
+    if phi.degree != psi.degree:
+        raise ValueError(f"tangent comparison needs equal degrees, got {phi.degree} and {psi.degree}")
+    return row_excess(tangent_row(phi, lo, hi, betti_phi), tangent_row(psi, lo, hi, betti_psi), lo)

@@ -17,8 +17,20 @@ Betti dimension delta, e + sum over i in u..v of (q_i - q_{i+3}),
 telescopes to e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}),
 six reads whatever the width of the move.
 
-The Betti cache of a task keeps two staircase blocks.  Write k for the
-length of the longest staircase prefix 1..k of a diagram.  A cover's psi
+The cache of a task holds one lean entry per diagram, ``cache_entry``:
+its numerator row q, its dimension and its tangent row over every degree
+a cover's window reads (``strata.cover_row``).  That is all that psi's
+side of ``check_cover`` reads; phi's full Betti table, whose sparse counts
+the zero-pattern, shortcut, wide-move and certificate checks read, is
+computed once when phi is enumerated and is not kept.  So a cover costs
+two row slices and one C-level comparison on the tangent side, and the
+pair never builds psi's ``HilbertFunction`` unless psi misses the cache
+or a failure is rendered.  The entry holds no verdict: each cover's
+checks run on it afresh, and each row was read from its own diagram's h
+and b.
+
+The cache keeps two staircase blocks.  Write k for the length of the
+longest staircase prefix 1..k of a diagram.  A cover's psi
 is phi with column u raised and column w = v+1 > u lowered, so psi comes
 before phi in canonical (descending lexicographic) order, and its k is
 phi's or one more.  A column c in 1..k-1 of phi's staircase is never
@@ -38,8 +50,8 @@ from itertools import zip_longest
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero
-from .resolution import generic_betti
-from .strata import required_window, stratum_dim, tangent_excess
+from .resolution import BettiTable, generic_betti
+from .strata import cover_excess, cover_row, stratum_dim
 
 # Rank-range shards per worker and weight in a parallel sweep.
 SHARDS_PER_WORKER = 4
@@ -71,10 +83,23 @@ _NUMERATOR_SHIFTS = (
 )
 
 
-def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
-    """All cross-checks for one cover; returns failure descriptions."""
+def cache_entry(hf: HilbertFunction, betti: BettiTable, dim: int) -> tuple:
+    """The data of ``hf`` that the sweep keeps: its numerator row ``q``, its
+    dimension ``dim`` and its ``cover_row``, read from ``hf`` and its own
+    Betti table ``betti``."""
+    return betti.q, dim, cover_row(hf, betti)
+
+
+def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
+    """All cross-checks for one cover; returns failure descriptions.
+
+    ``betti_phi`` is phi's Betti table, and ``entry_phi`` and ``entry_psi``
+    are the two sides' ``cache_entry`` tuples.
+    """
     u, v = pair.u, pair.v
     a, b = betti_phi.a, betti_phi.b
+    q, dim_phi, row_phi = entry_phi
+    q_psi, dim_psi, row_psi = entry_psi
     failures = []
 
     def fail(kind, detail=""):
@@ -84,11 +109,10 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
         )
 
     # The dimension and tangent comparisons, the independent side of every
-    # equivalence below.  The two tangent functions are compared in one pass
-    # over the window the move (u, v) decides, and the degrees where psi's
-    # exceeds phi's also feed the pointwise bound.
-    lo, hi = required_window(u, v)
-    excess = tangent_excess(pair.phi, pair.psi, lo, hi, betti_phi, betti_psi)
+    # equivalence below.  The two cached tangent rows are compared on the
+    # window the move (u, v) decides, and the degrees where psi's exceeds
+    # phi's also feed the pointwise bound.
+    excess = cover_excess(row_phi, row_psi, u, v)
     dim_ok = dim_phi < dim_psi
     tangent_ok = not excess
     incident = dim_ok and tangent_ok
@@ -119,7 +143,6 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
     # Betti one, e + sum over i in u..v of q_i - q_{i+3}, telescopes to six
     # reads of phi's row.
     e = -1 if v == u else (1 if v == u + 1 else 0)
-    q = betti_phi.q
     if len(q) < v + 4:
         q += (0,) * (v + 4 - len(q))
     delta_betti = e + q[u] + q[u + 1] + q[u + 2] - q[v + 1] - q[v + 2] - q[v + 3]
@@ -143,8 +166,8 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
         expected[v + d] += c
     while expected and not expected[-1]:
         expected.pop()
-    if tuple(expected) != betti_psi.q:
-        for l, (x, y) in enumerate(zip_longest(expected, betti_psi.q, fillvalue=0)):
+    if tuple(expected) != q_psi:
+        for l, (x, y) in enumerate(zip_longest(expected, q_psi, fillvalue=0)):
             if x != y:
                 fail("numerator-shift", f"degree {l}")
 
@@ -166,7 +189,7 @@ def check_cover(pair: CoverPair, betti_phi, betti_psi, dim_phi, dim_psi):
         if dim_ok and dim_psi != dim_phi + 1:
             fail("wide-move-dim-law", f"dims {dim_phi}->{dim_psi}")
 
-    type_zero = is_type_zero(pair)
+    type_zero = v == u + 1 and is_type_zero(pair)  # the shape needs v = u+1
     if type_zero and not incident:
         fail("type-zero-incidence")
 
@@ -182,8 +205,8 @@ def _sweep_chunk(task):
     """Worker: run all covers whose lower diagram has a rank in the task's range.
 
     A task is three integers (n, start, stop); the worker enumerates its
-    own range.  The Betti cache holds two staircase blocks: the data of
-    the diagrams whose longest staircase prefix 1..k is phi's (``current``)
+    own range.  The cache holds two staircase blocks: the entries of the
+    diagrams whose longest staircase prefix 1..k is phi's (``current``)
     and of those with k+1 (``above``).  That is every psi a cover can
     reach, because psi's staircase is phi's or one longer (see the module
     docstring), and canonical order runs the staircases from the longest
@@ -193,14 +216,6 @@ def _sweep_chunk(task):
     summary = SweepSummary(n=n)
     current, above = {}, {}
     k = 0
-
-    def data_for(hf, block):
-        found = block.get(hf.diagram.s)
-        if found is None:
-            found = (generic_betti(hf), stratum_dim(hf))
-            block[hf.diagram.s] = found
-        return found
-
     for s in iter_diagrams(n, start, stop):
         summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
@@ -208,14 +223,16 @@ def _sweep_chunk(task):
             # The task's first diagram, or phi's staircase fell to k-1.
             above, current = current, {}
             k = phi.diagram.sigma + 1
-        betti_phi, dim_phi = data_for(phi, current)
+        betti_phi = generic_betti(phi)
+        entry_phi = current[s] = cache_entry(phi, betti_phi, stratum_dim(phi))
         for pair in cover_moves(phi):
             # Raising column k to k+1 is the one move that lengthens the staircase.
             block = above if pair.u == k and s[k] == k else current
-            betti_psi, dim_psi = data_for(pair.psi, block)
-            incident, _, type_zero, failures = check_cover(
-                pair, betti_phi, betti_psi, dim_phi, dim_psi
-            )
+            entry_psi = block.get(pair.psi_heights)
+            if entry_psi is None:
+                psi = pair.psi
+                entry_psi = block[pair.psi_heights] = cache_entry(psi, generic_betti(psi), stratum_dim(psi))
+            incident, _, type_zero, failures = check_cover(pair, betti_phi, entry_phi, entry_psi)
             summary.covers += 1
             summary.incident += 1 if incident else 0
             summary.type_zero += 1 if type_zero else 0

@@ -25,6 +25,7 @@ from hilbstrata.incidence import (
     verify_intersections,
 )
 from hilbstrata.resolution import generic_betti
+from hilbstrata.strata import cover_row, stratum_dim
 from oracles import (
     brute_single_square_moves,
     cover_relations_triple_loop,
@@ -302,6 +303,50 @@ class TestTypeZero:
         assert differing and differing[0][0] == 28
 
 
+class TestCoverPair:
+    def test_lazy_and_eager_pairs_compare_and_hash_equal(self):
+        # A pair from cover_moves holds psi's heights; one built from psi's
+        # function is the same value, before and after the lazy psi is read.
+        for n in range(1, 15):
+            for d in enumerate_diagrams(n):
+                phi = d.hilbert_function()
+                for lazy in cover_moves(phi):
+                    psi = CastelnuovoDiagram(lazy.psi_heights).hilbert_function()
+                    eager = CoverPair(phi, psi, lazy.u, lazy.v)
+                    assert lazy == eager and hash(lazy) == hash(eager)
+                    assert eager.psi is psi and lazy.psi == psi and lazy.psi is lazy.psi
+                    assert lazy == eager and hash(lazy) == hash(eager) and {lazy, eager} == {eager}
+                    assert lazy.degree == eager.degree == phi.degree == psi.degree
+
+    def test_pairs_differ_in_any_part(self):
+        pair = is_length_zero(hf("1,1,1,1"), hf("1,2,1"))
+        assert pair != CoverPair(pair.phi, pair.phi, pair.u, pair.v)
+        assert pair != CoverPair(pair.phi, pair.psi, pair.u + 1, pair.v)
+        assert pair != CoverPair(pair.phi, pair.psi, pair.u, pair.v + 1)
+        assert pair != CoverPair(hf("1,2,1"), pair.psi, pair.u, pair.v)
+        assert pair != (pair.phi, pair.psi, pair.u, pair.v)
+
+    def test_immutable(self):
+        pair = cover_moves(hf("1,1,1,1"))[0]
+        for name in ("phi", "psi", "psi_heights", "u", "v", "degree", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, 0)
+        with pytest.raises(AttributeError):
+            del pair.u
+        assert (pair.u, pair.v, pair.psi_heights) == (1, 2, (1, 2, 1))
+
+    def test_pickles_to_an_equal_pair(self):
+        import pickle
+
+        pair = cover_moves(hf("1,2,2,1,1,1"))[-1]
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy == pair and copy.psi == pair.psi
+
+    def test_repr_names_both_functions(self):
+        pair = cover_moves(hf("1,1,1"))[0]
+        assert repr(pair) == "CoverPair(phi=HilbertFunction(1,2,3,..), psi=HilbertFunction(1,3,..), u=1, v=1)"
+
+
 class TestResolve:
     def test_weight3_incident(self):
         pair = is_length_zero(hf("1,1,1"), hf("1,2"))
@@ -323,6 +368,18 @@ class TestResolve:
         pair = is_length_zero(hf("1,1,1"), hf("1,2"))
         line = verdict_line(pair, resolve_incidence(pair))
         assert line == "u=1 v=1 dim: 5->6 tangent:OK C:OK type0:N => INCIDENT"
+
+    def test_cached_rows_give_the_same_verdict(self):
+        # The graph passes each side's cover_row; psi is then never built.
+        for n in range(1, 21):
+            for d in enumerate_diagrams(n):
+                phi = d.hilbert_function()
+                for pair, fresh in zip(cover_moves(phi), cover_moves(phi)):
+                    psi = CastelnuovoDiagram(pair.psi_heights).hilbert_function()
+                    rows = (cover_row(phi), cover_row(psi))
+                    dims = (stratum_dim(phi), stratum_dim(psi))
+                    assert resolve_incidence(fresh, dims=dims, rows=rows) == resolve_incidence(pair)
+                    assert fresh._psi is None
 
     def test_internal_consistency_everywhere(self):
         for n in range(1, 21):

@@ -5,7 +5,7 @@ from hilbstrata.diagrams import enumerate_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.resolution import BettiTable, generic_betti, series_numerator
 from hilbstrata.strata import stratum_dim
-from hilbstrata.sweep import check_cover
+from hilbstrata.sweep import cache_entry, check_cover
 from oracles import numerator_by_truncation
 
 
@@ -184,7 +184,8 @@ class TestBettiTable:
         assert pair.v >= pair.u + 2 and t.b_at(pair.u + 1) > 0
         mutated = BettiTable({**t.a, pair.u + 1: 1}, t.b)
         assert mutated.a_at(pair.u + 1) == 1 and mutated.b_at(pair.u + 1) == t.b_at(pair.u + 1)
-        failures = check_cover(pair, mutated, generic_betti(psi), stratum_dim(phi), stratum_dim(psi))[3]
+        entries = cache_entry(phi, mutated, stratum_dim(phi)), cache_entry(psi, generic_betti(psi), stratum_dim(psi))
+        failures = check_cover(pair, mutated, *entries)[3]
         assert any(
             line.startswith("betti-zero-pattern:") and "generator in the plateau range" in line
             for line in failures

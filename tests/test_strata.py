@@ -1,16 +1,20 @@
 import pytest
 
 from conftest import hf
-from hilbstrata.diagrams import CastelnuovoDiagram, enumerate_diagrams
+from hilbstrata.diagrams import CastelnuovoDiagram, enumerate_diagrams, iter_diagrams
 from hilbstrata.incidence import cover_moves, is_length_zero
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import (
+    cover_excess,
+    cover_row,
     required_window,
+    row_excess,
     stratum_dim,
     tangent_bundle_sections,
     tangent_excess,
     tangent_function,
 )
+from hilbstrata.sweep import cache_entry
 from oracles import (
     dim_constant_by_product,
     greedy_maximal_diagram,
@@ -206,6 +210,68 @@ class TestTangentExcess:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             tangent_excess(hf("1,1,1"), hf("1,2"), 3, 2)
+
+    def test_rejects_unequal_degrees(self):
+        # The 2*degree term of each row cancels only between equal degrees.
+        for phi, psi in (("1,1,1", "1,2,1"), ("1,2", "1"), ("1,2,1", "1,2")):
+            with pytest.raises(ValueError, match="equal degrees"):
+                tangent_excess(hf(phi), hf(psi), -2, 6)
+
+
+class TestCoverRows:
+    """The rows the sweep caches, one per diagram, and their comparison."""
+
+    @staticmethod
+    def covers(n_max):
+        """(phi, psi, u, v, phi's cached row, psi's cached row) for every cover with n <= n_max."""
+        for n in range(1, n_max + 1):
+            entries = {}
+            for s in iter_diagrams(n):
+                h = CastelnuovoDiagram._unchecked(s).hilbert_function()
+                entries[s] = (h, cache_entry(h, generic_betti(h), stratum_dim(h))[2])
+            for phi, row_phi in entries.values():
+                for pair in cover_moves(phi):
+                    psi, row_psi = entries[pair.psi_heights]
+                    yield phi, psi, pair.u, pair.v, row_phi, row_psi
+
+    def test_cached_rows_decide_every_cover_as_tangent_excess(self):
+        # On the required window, on windows widened inside both rows and on
+        # windows that reach past both rows, where the rows are constant and
+        # equal (2*degree below degree -1, 0 from the last column on).
+        seen = 0
+        for phi, psi, u, v, row_phi, row_psi in self.covers(30):
+            lo, hi = required_window(u, v)
+            assert cover_excess(row_phi, row_psi, u, v) == tangent_excess(phi, psi, lo, hi)
+            top = min(len(row_phi), len(row_psi)) - 4  # the last degree both rows hold
+            for k in (1, 2, 5):
+                wide = (max(lo - k, -3), min(hi + k, top))
+                inside = row_excess(row_phi[wide[0] + 3 : wide[1] + 4], row_psi[wide[0] + 3 : wide[1] + 4], wide[0])
+                assert inside == tangent_excess(phi, psi, *wide)
+            whole = row_excess(row_phi[: top + 4], row_psi[: top + 4], -3)
+            assert whole == tangent_excess(phi, psi, lo - 20, hi + 20)
+            seen += 1
+        assert seen == 3702
+
+    def test_cover_excess_reads_exactly_the_required_window(self):
+        for u, v in ((1, 1), (2, 3), (4, 9)):
+            low, high = [0] * (v + 12), [1] * (v + 12)
+            lo, hi = required_window(u, v)
+            assert cover_excess(low, high, u, v) == list(range(lo, hi + 1))
+            assert cover_excess(high, low, u, v) == []
+
+    def test_rows_are_the_tangent_function_less_the_sections(self):
+        for n in range(1, 31):
+            for d in enumerate_diagrams(n):
+                h = d.hilbert_function()
+                table = generic_betti(h)
+                row = cover_row(h, table)
+                top = len(d.s) + 3
+                assert len(row) == top + 4
+                assert tangent_function(h, -3, top, table) == {
+                    m: tangent_bundle_sections(m) + row[m + 3] - 2 * n for m in range(-3, top + 1)
+                }
+                assert row[:2] == [2 * n, 2 * n] and row[-5:] == [0] * 5
+                assert min(row) >= 0 and max(row) <= 2 * n
 
 
 def test_dimension_delta_formulas_agree():

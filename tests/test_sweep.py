@@ -12,7 +12,7 @@ from hilbstrata import cli, incidence, sweep
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import BettiTable, generic_betti
 from hilbstrata.strata import stratum_dim
-from hilbstrata.sweep import SweepSummary, check_cover, pool_size, verify_range
+from hilbstrata.sweep import SweepSummary, cache_entry, check_cover, pool_size, verify_range
 
 # Real covers, named by the width of their move; all four are incident.
 COVERS = {
@@ -33,8 +33,14 @@ def _inputs(lower, upper):
     return pair, generic_betti(pair.phi), generic_betti(pair.psi), stratum_dim(pair.phi), stratum_dim(pair.psi)
 
 
+def _check(pair, betti_phi, betti_psi, dim_phi, dim_psi):
+    """``check_cover`` with the two sides' cache entries built from these tables and dimensions."""
+    entry_phi = cache_entry(pair.phi, betti_phi, dim_phi)
+    return check_cover(pair, betti_phi, entry_phi, cache_entry(pair.psi, betti_psi, dim_psi))
+
+
 def _failures(pair, betti_phi, betti_psi, dim_phi, dim_psi):
-    return check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)[3]
+    return _check(pair, betti_phi, betti_psi, dim_phi, dim_psi)[3]
 
 
 def _kinds(*inputs):
@@ -61,7 +67,7 @@ def _bump(table, which, degree, by):
 @pytest.mark.parametrize("cover", [*COVERS.values(), FAILS_AT_V, FAILS_AT_U])
 def test_clean_inputs_give_no_failures(cover):
     pair, betti_phi, betti_psi, dim_phi, dim_psi = _inputs(*cover)
-    incident, betti_ok, _, failures = check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)
+    incident, betti_ok, _, failures = _check(pair, betti_phi, betti_psi, dim_phi, dim_psi)
     assert failures == []
     assert incident == betti_ok == (cover in COVERS.values())
 
@@ -72,7 +78,7 @@ def test_cover_widths_and_type_zero():
     assert widths["v=u+1"].v == widths["v=u+1"].u + 1
     assert widths["v>=u+2"].v >= widths["v>=u+2"].u + 2
     pair, betti_phi, betti_psi, dim_phi, dim_psi = _inputs(*COVERS["type-zero"])
-    assert check_cover(pair, betti_phi, betti_psi, dim_phi, dim_psi)[2]
+    assert _check(pair, betti_phi, betti_psi, dim_phi, dim_psi)[2]
 
 
 # (cover, mutation, failures that must appear).  A mutation gets the clean

@@ -3,7 +3,7 @@
 import pytest
 
 from hilbstrata import sweep
-from hilbstrata.diagrams import CastelnuovoDiagram, iter_diagrams
+from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.sweep import SweepSummary
 
@@ -42,6 +42,23 @@ def test_serial_sweep_computes_each_table_once(monkeypatch, n):
     summary = sweep.sweep_weight(n)
     assert summary.covers > 0 and summary.failures == []
     assert len(calls) == summary.diagrams == len(set(calls))
+
+
+@pytest.mark.parametrize("n", range(20, 31))
+def test_serial_sweep_builds_no_psi_function(monkeypatch, n):
+    # Every psi was an earlier phi, so its cache entry answers for it and
+    # the pair never builds psi's HilbertFunction: one per diagram, for phi.
+    built = []
+    init = HilbertFunction.__init__
+
+    def counted(self, diagram):
+        built.append(diagram.s)
+        init(self, diagram)
+
+    monkeypatch.setattr(HilbertFunction, "__init__", counted)
+    summary = sweep.sweep_weight(n)
+    assert summary.covers > 0 and summary.failures == []
+    assert built == list(iter_diagrams(n))
 
 
 @pytest.mark.parametrize("n", range(25, 33))
