@@ -8,7 +8,9 @@ record.
 """
 
 import json
+import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import IncidenceVerdict, cover_moves, resolve_incidence
@@ -102,30 +104,80 @@ def detect_noncatenary(g: HilbertGraph):
     length-3 chain.  The edges are assumed to be exactly the covers, so the
     saturated chains of [i, j] are the edge paths from i to j.
 
-    One forward pass per source i, in topological order: bit l of
-    ``chains[j]`` is set when some edge path from i to j has length l.
+    After ``_layers`` has found the longest chain, a walk in reverse
+    topological order builds, for every node x, one integer ``rows[x]`` with
+    a field of W bits per node j: bit l of field j is set when some edge
+    path from x to j has length l.  So ``rows[x]`` is the OR of its upper
+    covers' rows shifted up by one, plus bit 0 of field x.  W is the
+    smallest multiple of 64 that keeps the top bit of every field above the
+    longest chain.  That top bit is a guard: with G every field's guard and
+    ONES every field's bit 0, ``q = row | G`` and ``q & (q - ONES) & ~G``
+    keep exactly the fields holding two or more lengths, and no borrow
+    crosses a field.  Each source's row is then read as 64-bit words, and
+    its witnesses are zipped from the kept fields.  The cost is E
+    big-integer ORs over N·W-bit rows plus one extraction per source; the
+    rows take N²·W/8 bytes.
     Raises ValueError when the edges contain a cycle.
     """
     order, up = _topological_order(g)
-    lengths_of = {}
+    n = len(order)
+    k = (max(_layers(order, up), default=0) + 65) // 64  # 64-bit words per field
+    width = 64 * k
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    guards = ones << (width - 1)
+    rows = [0] * n
+    for x in reversed(order):
+        above = 0
+        for y in up[x]:
+            above |= rows[y]
+        rows[x] = above << 1 | 1 << width * x
+    lengths = _Lengths()
     witnesses = []
-    for i in range(len(order)):
-        chains = [0] * len(order)
-        chains[i] = 1
-        for x in order:
-            mask = chains[x] << 1
-            if mask:
-                for y in up[x]:
-                    chains[y] |= mask
-        # chains[i] stays 1 in an acyclic graph, so the source never qualifies.
-        for j, mask in enumerate(chains):
-            if mask & (mask - 1):
-                lengths = lengths_of.get(mask)
-                if lengths is None:
-                    lengths = tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
-                    lengths_of[mask] = lengths
-                witnesses.append((i, j, lengths))
+    for i, row in enumerate(rows):
+        q = row | guards
+        multiple = q & (q - ones) & ~guards
+        if multiple:
+            # Word 0 of each field ORed with its other words: nonzero
+            # exactly for the fields with two or more lengths.
+            folded = multiple
+            for t in range(1, k):
+                folded |= multiple >> 64 * t
+            hits = _words(folded, n * k)[::k]
+            masks = _split_fields(row, n, k, hits)
+            witnesses.extend(
+                zip(repeat(i), compress(range(n), hits), map(lengths.__getitem__, masks))
+            )
     return witnesses
+
+
+class _Lengths(dict):
+    """A field's words, lowest first -> the ascending tuple of its set bits,
+    one tuple per distinct field."""
+
+    def __missing__(self, words):
+        lengths = self[words] = tuple(
+            64 * t + l for t, w in enumerate(words) for l in range(w.bit_length()) if w >> l & 1
+        )
+        return lengths
+
+
+# The format of a native 64-bit unsigned word.
+_WORD = next(code for code in "LQ" if memoryview(bytes(8)).cast(code).itemsize == 8)
+
+
+def _words(value: int, size: int) -> memoryview:
+    """``value`` as ``size`` 64-bit words, lowest first."""
+    words = memoryview(value.to_bytes(8 * size, sys.byteorder)).cast(_WORD)
+    return words[::-1] if sys.byteorder == "big" else words
+
+
+def _split_fields(value: int, n: int, k: int, keep):
+    """The fields j of ``value`` whose ``keep[j]`` is true, out of ``n``
+    fields of ``k`` words each, lowest first.  Each is the tuple of its
+    words, lowest first: field j holds the bits of
+    ``(value >> 64*k*j) & ((1 << 64*k) - 1)``."""
+    words = _words(value, n * k)
+    return zip(*[compress(words[t::k], keep) for t in range(k)])
 
 
 def _topological_order(g: HilbertGraph):
@@ -147,9 +199,9 @@ def _topological_order(g: HilbertGraph):
     return order, up
 
 
-def _layers(g: HilbertGraph):
-    """Longest-cover-path depth of each node above the minimal function."""
-    order, up = _topological_order(g)
+def _layers(order, up):
+    """Longest-cover-path depth of each node above the minimal function,
+    from ``_topological_order``'s two lists."""
     layer = [0] * len(order)
     for x in order:
         for y in up[x]:
@@ -279,7 +331,7 @@ def _show_keys(record: dict) -> str:
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:
-    layer = _layers(g)
+    layer = _layers(*_topological_order(g))
     lines = [f"digraph strata_{g.n} {{", "  node [shape=box];"]
     for node in g.nodes:
         label = f"{node.diagram.render()}\\ndim {node.dim}"

@@ -265,3 +265,42 @@ def first_nested_move(moves, u, v):
         if (up, vp) != (u, v) and up >= u and vp <= v:
             return up, vp
     return None
+
+
+def noncatenary_by_forward_passes(g):
+    """(i, j, lengths) for every non-catenary interval of a graph whose
+    edges are its covers: one forward pass per source i over a topological
+    order (Kahn's algorithm), carrying for every node j a bitset whose bit l
+    is set when some edge path from i to j has length l."""
+    size = len(g.nodes)
+    up = [[] for _ in range(size)]
+    indeg = [0] * size
+    for e in g.edges:
+        up[e.from_id].append(e.to_id)
+        indeg[e.to_id] += 1
+    order = [x for x in range(size) if indeg[x] == 0]
+    for x in order:
+        for y in up[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                order.append(y)
+    if len(order) != size:
+        raise ValueError("cover graph has a cycle")
+    lengths_of = {}
+    witnesses = []
+    for i in range(size):
+        chains = [0] * size
+        chains[i] = 1
+        for x in order:
+            mask = chains[x] << 1
+            if mask:
+                for y in up[x]:
+                    chains[y] |= mask
+        for j, mask in enumerate(chains):
+            if mask & (mask - 1):
+                lengths = lengths_of.get(mask)
+                if lengths is None:
+                    lengths = tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
+                    lengths_of[mask] = lengths
+                witnesses.append((i, j, lengths))
+    return witnesses

@@ -54,7 +54,12 @@ def test_last_line_is_a_strict_json_result(trace):
     result = _run("graph-noncatenary", trace)
     assert result["attempted"] == 5 * (1 + trace)
     if trace:
-        _assert_complete(result["metrics"])
+        # The work counts of the weights 26..30, so that a faster detection
+        # cannot come from finding fewer intervals.
+        metrics = result["metrics"]
+        _assert_complete(metrics)
+        counts = {"graph.nodes": 1_131, "graph.edges": 2_251, "graph.witnesses": 70_970}
+        assert {name: metrics[name]["value"] for name in counts} == counts
 
 
 def test_traced_sweep_result_is_complete():

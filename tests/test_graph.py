@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -9,12 +10,25 @@ from hilbstrata.graph import (
     EdgeRecord,
     HilbertGraph,
     NodeRecord,
+    _layers,
+    _split_fields,
+    _topological_order,
     build_hilbert_graph,
     detect_noncatenary,
     emit,
     parse_graph_json,
 )
-from oracles import cover_relations_triple_loop, noncatenary_by_chains
+from oracles import (
+    cover_relations_triple_loop,
+    noncatenary_by_chains,
+    noncatenary_by_forward_passes,
+)
+
+
+def hand_built(size, pairs):
+    """A graph of ``size`` bare nodes whose edges are the (from, to) ``pairs``."""
+    edges = [EdgeRecord(a, b, 0, 0, None) for a, b in pairs]
+    return HilbertGraph(n=0, nodes=[NodeRecord(i, None, 0, None) for i in range(size)], edges=edges)
 
 
 class TestBuild:
@@ -120,11 +134,56 @@ class TestNoncatenary:
         assert len(detect_noncatenary(build_hilbert_graph(17))) == 224
         assert len(detect_noncatenary(build_hilbert_graph(20))) == 716
 
+    def test_matches_forward_pass_oracle(self):
+        # Weights up to 34 have chains of at most 62 covers, so one word per
+        # field; from 35 on each field takes two words.
+        for n in [*range(1, 37), 40]:
+            g = build_hilbert_graph(n)
+            assert detect_noncatenary(g) == noncatenary_by_forward_passes(g), n
+        longest = [max(_layers(*_topological_order(build_hilbert_graph(n)))) for n in (34, 35, 36, 40)]
+        assert longest == [61, 64, 67, 79]
+
     def test_hand_built_pentagon(self):
         # bottom 4 -> 1 -> top 0 and bottom 4 -> 3 -> 2 -> top 0
         edges = [EdgeRecord(a, b, 0, 0, None) for a, b in [(4, 1), (1, 0), (4, 3), (3, 2), (2, 0)]]
         g = HilbertGraph(n=0, nodes=[NodeRecord(i, None, 0, None) for i in range(5)], edges=edges)
         assert detect_noncatenary(g) == [(4, 0, (2, 3))]
+
+    def test_empty_and_isolated_nodes(self):
+        assert detect_noncatenary(hand_built(0, [])) == []
+        assert detect_noncatenary(hand_built(4, [])) == []
+        # isolated nodes 0 and 6 around a pentagon 5 -> ... -> 1
+        pentagon = [(5, 2), (2, 1), (5, 4), (4, 3), (3, 1)]
+        assert detect_noncatenary(hand_built(7, pentagon)) == [(5, 1, (2, 3))]
+
+    @pytest.mark.parametrize("length", [62, 63, 70])
+    def test_long_chain_with_a_shortcut(self, length):
+        # 62 covers leave the guard bit of a one-word field free, 63 need two
+        # words per field, and at 70 the lengths (1, 70) span both words.
+        # The ids fall along the chain, so they are not a topological order.
+        chain = [(x + 1, x) for x in range(length)]
+        g = hand_built(length + 1, chain + [(length, 0)])
+        assert detect_noncatenary(g) == [(length, 0, (1, length))]
+        # a second shortcut 40 -> 2 inside the chain: every x >= 40 and
+        # y <= 2 are joined by two lengths, and the whole chain by three
+        g = hand_built(length + 1, chain + [(length, 0), (40, 2)])
+        got = detect_noncatenary(g)
+        assert got == noncatenary_by_forward_passes(g)
+        assert len(got) == 3 * (length - 39) and (length, 0, (1, length - 37, length)) in got
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_field_split_matches_shifts(self, k):
+        rng = random.Random(k)
+        width = 64 * k
+        for n in (1, 2, 7, 50):
+            for row in (rng.getrandbits(width * n), (1 << width * n) - 1, 1 << width * n - 1):
+                keep = [rng.random() < 0.5 for _ in range(n)]
+                want = [(row >> width * j) & ((1 << width) - 1) for j in range(n) if keep[j]]
+                got = [
+                    sum(w << 64 * t for t, w in enumerate(words))
+                    for words in _split_fields(row, n, k, keep)
+                ]
+                assert got == want
 
     def test_rejects_a_cycle(self):
         g = parse_graph_json(emit(build_hilbert_graph(4), "json"))
