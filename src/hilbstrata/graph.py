@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
-from .incidence import IncidenceVerdict, cover_moves, resolve_incidence
+from .incidence import IncidenceVerdict, cover_moves, cover_verdict
 from .resolution import BettiTable, generic_betti
-from .strata import cover_row, stratum_dim
+from .strata import cover_excess, cover_row, stratum_dim
 
 # The most nodes a graph may have.  Weight 65 has 18,200 diagrams and
 # weight 66 has 20,132, so graphs are built and parsed up to weight 65.
@@ -81,16 +81,12 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
         nodes.append(NodeRecord(id=i, hf=hf, dim=stratum_dim(hf), betti=betti))
         rows.append(cover_row(hf, betti))
     edges = []
-    for node in nodes:
+    for i, node in enumerate(nodes):
         for pair in cover_moves(node.hf):
-            target = ids[pair.psi_heights]
-            verdict = resolve_incidence(
-                pair,
-                betti_phi=node.betti,
-                dims=(node.dim, nodes[target].dim),
-                rows=(rows[node.id], rows[target]),
-            )
-            edges.append(EdgeRecord(node.id, target, pair.u, pair.v, verdict))
+            j = ids[pair.psi_heights]
+            excess = cover_excess(rows[i], rows[j], pair.u, pair.v)
+            verdict = cover_verdict(pair, node.betti, (node.dim, nodes[j].dim), excess)
+            edges.append(EdgeRecord(i, j, pair.u, pair.v, verdict))
     edges.sort(key=lambda e: (e.from_id, e.to_id))
     return HilbertGraph(n=n, nodes=nodes, edges=edges)
 

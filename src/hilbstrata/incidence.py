@@ -12,82 +12,44 @@ the tangent comparison hold; this module also evaluates the equivalent
 criterion on the Betti numbers of phi, the type-zero shape of the diagram,
 and the truncated intersection products that certify solvability of the
 underlying equation systems.
+
+A cover is the plain record ``CoverPair(phi, psi_heights, u, v)``.  Its
+verdict is assembled in one place, ``cover_verdict``, from the two
+dimensions and the tangent excess on the cover's window: ``resolve_incidence``
+computes those from the pair alone, and the graph from its per-node rows.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, run_of_ones
 from .resolution import BettiTable, generic_betti
-from .strata import cover_excess, required_window, stratum_dim, tangent_excess
+from .strata import required_window, stratum_dim, tangent_excess
 
 
-class CoverPair:
-    """A cover (phi, psi) together with its move columns 0 < u <= v.
+class CoverPair(NamedTuple):
+    """A cover (phi, psi) as phi, psi's height tuple and the move columns
+    0 < u <= v; a plain record, equal to the tuple of those four fields.
 
-    Immutable, and equal to another pair exactly when phi, psi's height
-    tuple ``psi_heights``, u and v are equal.  A pair from ``cover_moves``
-    holds only psi's heights and builds psi's ``HilbertFunction`` on first
-    access, which a sweep never makes unless it reports a failure.
+    ``psi`` builds psi's ``HilbertFunction`` from the heights each time it
+    is read; a serial sweep and the graph never read it.
     """
 
-    __slots__ = ("phi", "psi_heights", "u", "v", "_psi")
-
-    def __new__(cls, phi: HilbertFunction, psi: HilbertFunction, u: int, v: int):
-        return _cover_pair(phi, psi.diagram.s, u, v, psi)
+    phi: HilbertFunction
+    psi_heights: tuple
+    u: int
+    v: int
 
     @property
     def psi(self) -> HilbertFunction:
-        psi = self._psi
-        if psi is None:
-            psi = HilbertFunction(CastelnuovoDiagram._unchecked(self.psi_heights))
-            _set_psi(self, psi)
-        return psi
+        return HilbertFunction(CastelnuovoDiagram._unchecked(self.psi_heights))
 
     @property
     def degree(self) -> int:
         return self.phi.degree
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CoverPair is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CoverPair is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverPair):
-            return NotImplemented
-        return (self.phi, self.psi_heights, self.u, self.v) == (
-            other.phi, other.psi_heights, other.u, other.v
-        )
-
-    def __hash__(self):
-        return hash((self.phi, self.psi_heights, self.u, self.v))
-
-    def __reduce__(self):
-        return CoverPair, (self.phi, self.psi, self.u, self.v)
-
     def __repr__(self):
         return f"CoverPair(phi={self.phi!r}, psi={self.psi!r}, u={self.u!r}, v={self.v!r})"
-
-
-# The slots are written through their descriptors, which bypass the
-# refusing ``__setattr__`` at the cost of one call each.
-_new = object.__new__
-_set_phi, _set_psi_heights, _set_u, _set_v, _set_psi = (
-    getattr(CoverPair, name).__set__ for name in CoverPair.__slots__
-)
-
-
-def _cover_pair(phi, psi_heights, u, v, psi=None) -> CoverPair:
-    """The pair whose psi has the heights ``psi_heights``; without ``psi``,
-    psi's ``HilbertFunction`` is built from them when first read."""
-    pair = _new(CoverPair)
-    _set_phi(pair, phi)
-    _set_psi_heights(pair, psi_heights)
-    _set_u(pair, u)
-    _set_v(pair, v)
-    _set_psi(pair, psi)
-    return pair
 
 
 @dataclass(frozen=True)
@@ -174,7 +136,7 @@ def cover_moves(hf: HilbertFunction):
     strictly between them is either.  Each psi is phi's height tuple with
     column u raised, column w lowered and a trailing zero dropped; the
     scan guarantees that the result is valid, so it is not validated again,
-    and the pair builds psi's ``HilbertFunction`` only when it is read.
+    and the pair holds only psi's heights.
     """
     s = hf.diagram.s
     out = []
@@ -184,7 +146,7 @@ def cover_moves(hf: HilbertFunction):
         t[v + 1] -= 1
         if not t[-1]:
             t.pop()
-        out.append(_cover_pair(hf, tuple(t), u, v))
+        out.append(CoverPair(hf, tuple(t), u, v))
     return out
 
 
@@ -200,7 +162,7 @@ def is_length_zero(phi: HilbertFunction, psi: HilbertFunction, run=None):
         run = run_of_ones(phi, psi)
     if run is None or run not in _scan_covers(phi.diagram.s):
         return None
-    return CoverPair(phi, psi, *run)
+    return CoverPair(phi, psi.diagram.s, *run)
 
 
 def find_intermediate(phi: HilbertFunction, psi: HilbertFunction, run=None):
@@ -279,35 +241,30 @@ def is_type_zero(pair: CoverPair) -> bool:
     return True
 
 
-def resolve_incidence(pair: CoverPair, betti_phi=None, dims=None, rows=None) -> IncidenceVerdict:
+def resolve_incidence(pair: CoverPair) -> IncidenceVerdict:
     """Full verdict for one cover: incident iff both comparisons hold.
 
     The dimension comparison asks that the smaller stratum have strictly
     smaller dimension; the tangent comparison that its tangent function
     dominate coefficientwise, compared on the window that the move (u, v)
-    of the pair decides.  A caller that keeps each side's ``cover_row``,
-    as the graph does, passes the two as ``rows``, and psi is then never
-    built; without them the two tangent rows are built on the window only,
-    which on a long diagram reads fewer degrees than a whole ``cover_row``.
+    of the pair decides.  psi is built once, and each side's tangent row
+    is built on that window only, which on a long diagram reads fewer
+    degrees than a whole ``cover_row``.
     """
-    if betti_phi is None:
-        betti_phi = generic_betti(pair.phi)
-    if dims is None:
-        dims = (stratum_dim(pair.phi), stratum_dim(pair.psi))
+    phi, psi = pair.phi, pair.psi
+    betti_phi = generic_betti(phi)
+    excess = tangent_excess(phi, psi, *required_window(pair.u, pair.v), betti_phi)
+    return cover_verdict(pair, betti_phi, (stratum_dim(phi), stratum_dim(psi)), excess)
+
+
+def cover_verdict(pair: CoverPair, betti_phi: BettiTable, dims: tuple, excess: list) -> IncidenceVerdict:
+    """The verdict of ``pair`` from phi's Betti table ``betti_phi``, the
+    dimensions ``dims`` of phi and psi, and ``excess``, the degrees of the
+    cover's window where psi's tangent function exceeds phi's."""
     dim_ok = dims[0] < dims[1]
-    if rows is None:
-        window = required_window(pair.u, pair.v)
-        tangent_ok = not tangent_excess(pair.phi, pair.psi, *window, betti_phi)
-    else:
-        tangent_ok = not cover_excess(*rows, pair.u, pair.v)
-    return IncidenceVerdict(
-        incident=dim_ok and tangent_ok,
-        dim_ok=dim_ok,
-        tangent_ok=tangent_ok,
-        betti_ok=betti_criterion(pair, betti_phi),
-        type_zero=is_type_zero(pair),
-        dims=dims,
-    )
+    tangent_ok = not excess
+    betti_ok = betti_criterion(pair, betti_phi)
+    return IncidenceVerdict(dim_ok and tangent_ok, dim_ok, tangent_ok, betti_ok, is_type_zero(pair), dims)
 
 
 def verdict_line(pair: CoverPair, verdict: IncidenceVerdict) -> str:

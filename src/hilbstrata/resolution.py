@@ -71,10 +71,6 @@ class BettiTable:
     def b_at(self, d) -> int:
         return self.b.get(d, 0)
 
-    def delta(self, d) -> int:
-        """a_d - b_d."""
-        return self.a.get(d, 0) - self.b.get(d, 0)
-
     def render(self) -> str:
         return f"a: {self.a}, b: {self.b}"
 

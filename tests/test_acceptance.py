@@ -70,10 +70,10 @@ def test_criterion_3_identity_suite_to_25():
                 t = generic_betti(d.hilbert_function())
                 acc = 0
                 for l in range(0, len(d.s) + 4):
-                    acc += t.delta(l)
+                    acc += t.a_at(l) - t.b_at(l)
                     assert acc == 1 + d.height(l - 1) - d.height(l)
                     if l > 0:
-                        assert t.delta(l) == (
+                        assert t.a_at(l) - t.b_at(l) == (
                             -d.height(l) + 2 * d.height(l - 1) - d.height(l - 2)
                         )
             # per-cover identities: numerator shifts, zero pattern, both

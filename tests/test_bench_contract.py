@@ -55,10 +55,18 @@ def test_last_line_is_a_strict_json_result(trace):
     assert result["attempted"] == 5 * (1 + trace)
     if trace:
         # The work counts of the weights 26..30, so that a faster detection
-        # cannot come from finding fewer intervals.
+        # cannot come from finding fewer intervals, and the per-diagram work
+        # done once per node, so that none of it moves onto the edges.
         metrics = result["metrics"]
         _assert_complete(metrics)
-        counts = {"graph.nodes": 1_131, "graph.edges": 2_251, "graph.witnesses": 70_970}
+        counts = {
+            "graph.nodes": 1_131,
+            "graph.edges": 2_251,
+            "graph.witnesses": 70_970,
+            "resolution.generic_betti.calls": 1_131,
+            "strata.stratum_dim.calls": 1_131,
+            "incidence.cover_moves.calls": 1_131,
+        }
         assert {name: metrics[name]["value"] for name in counts} == counts
 
 

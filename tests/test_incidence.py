@@ -9,6 +9,7 @@ from hilbstrata.diagrams import (
     is_castelnuovo,
     parse_hilbert_function,
 )
+from hilbstrata.graph import build_hilbert_graph
 from hilbstrata.incidence import (
     CoverPair,
     _certificate,
@@ -25,7 +26,6 @@ from hilbstrata.incidence import (
     verify_intersections,
 )
 from hilbstrata.resolution import generic_betti
-from hilbstrata.strata import cover_row, stratum_dim
 from oracles import (
     brute_single_square_moves,
     cover_relations_triple_loop,
@@ -304,26 +304,28 @@ class TestTypeZero:
 
 
 class TestCoverPair:
-    def test_lazy_and_eager_pairs_compare_and_hash_equal(self):
-        # A pair from cover_moves holds psi's heights; one built from psi's
-        # function is the same value, before and after the lazy psi is read.
+    def test_cover_moves_and_is_length_zero_give_equal_pairs(self):
+        # Both build the record (phi, psi_heights, u, v): the same value,
+        # whose psi is the function of those heights.
         for n in range(1, 15):
             for d in enumerate_diagrams(n):
                 phi = d.hilbert_function()
-                for lazy in cover_moves(phi):
-                    psi = CastelnuovoDiagram(lazy.psi_heights).hilbert_function()
-                    eager = CoverPair(phi, psi, lazy.u, lazy.v)
-                    assert lazy == eager and hash(lazy) == hash(eager)
-                    assert eager.psi is psi and lazy.psi == psi and lazy.psi is lazy.psi
-                    assert lazy == eager and hash(lazy) == hash(eager) and {lazy, eager} == {eager}
-                    assert lazy.degree == eager.degree == phi.degree == psi.degree
+                for pair in cover_moves(phi):
+                    psi = CastelnuovoDiagram(pair.psi_heights).hilbert_function()
+                    checked = is_length_zero(phi, psi)
+                    assert pair == checked and hash(pair) == hash(checked) and {pair, checked} == {pair}
+                    assert pair == (phi, psi.diagram.s, pair.u, pair.v)
+                    assert pair.psi == psi and checked.psi == psi
+                    assert pair.degree == checked.degree == phi.degree == psi.degree
 
     def test_pairs_differ_in_any_part(self):
         pair = is_length_zero(hf("1,1,1,1"), hf("1,2,1"))
-        assert pair != CoverPair(pair.phi, pair.phi, pair.u, pair.v)
-        assert pair != CoverPair(pair.phi, pair.psi, pair.u + 1, pair.v)
-        assert pair != CoverPair(pair.phi, pair.psi, pair.u, pair.v + 1)
-        assert pair != CoverPair(hf("1,2,1"), pair.psi, pair.u, pair.v)
+        heights = pair.psi_heights
+        assert pair == CoverPair(pair.phi, heights, pair.u, pair.v)
+        assert pair != CoverPair(pair.phi, pair.phi.diagram.s, pair.u, pair.v)
+        assert pair != CoverPair(pair.phi, heights, pair.u + 1, pair.v)
+        assert pair != CoverPair(pair.phi, heights, pair.u, pair.v + 1)
+        assert pair != CoverPair(hf("1,2,1"), heights, pair.u, pair.v)
         assert pair != (pair.phi, pair.psi, pair.u, pair.v)
 
     def test_immutable(self):
@@ -369,17 +371,15 @@ class TestResolve:
         line = verdict_line(pair, resolve_incidence(pair))
         assert line == "u=1 v=1 dim: 5->6 tangent:OK C:OK type0:N => INCIDENT"
 
-    def test_cached_rows_give_the_same_verdict(self):
-        # The graph passes each side's cover_row; psi is then never built.
+    def test_graph_edges_match_resolve(self):
+        # The graph compares its per-node rows, resolve the two windowed
+        # rows of the pair alone; both verdicts come from cover_verdict.
         for n in range(1, 21):
-            for d in enumerate_diagrams(n):
-                phi = d.hilbert_function()
-                for pair, fresh in zip(cover_moves(phi), cover_moves(phi)):
-                    psi = CastelnuovoDiagram(pair.psi_heights).hilbert_function()
-                    rows = (cover_row(phi), cover_row(psi))
-                    dims = (stratum_dim(phi), stratum_dim(psi))
-                    assert resolve_incidence(fresh, dims=dims, rows=rows) == resolve_incidence(pair)
-                    assert fresh._psi is None
+            g = build_hilbert_graph(n)
+            for e in g.edges:
+                pair = is_length_zero(g.nodes[e.from_id].hf, g.nodes[e.to_id].hf)
+                assert (pair.u, pair.v) == (e.u, e.v)
+                assert e.verdict == resolve_incidence(pair)
 
     def test_internal_consistency_everywhere(self):
         for n in range(1, 21):

@@ -109,10 +109,10 @@ def test_cumulative_and_pointwise_height_identities():
             top = len(d.s) + 4
             acc = 0
             for l in range(0, top):
-                acc += t.delta(l)
+                acc += t.a_at(l) - t.b_at(l)
                 assert acc == 1 + d.height(l - 1) - d.height(l)
                 if l > 0:
-                    assert t.delta(l) == -d.height(l) + 2 * d.height(l - 1) - d.height(l - 2)
+                    assert t.a_at(l) - t.b_at(l) == -d.height(l) + 2 * d.height(l - 1) - d.height(l - 2)
 
 
 def test_numerator_shift_between_cover_tables():

@@ -286,8 +286,8 @@ def test_dimension_delta_formulas_agree():
                 e = -1 if v == u else (1 if v == u + 1 else 0)
                 actual = stratum_dim(pair.psi) - dim_phi
                 by_table = (
-                    sum(table.delta(i) for i in range(u, v + 1))
-                    - sum(table.delta(i) for i in range(u + 3, v + 4))
+                    sum(table.a_at(i) - table.b_at(i) for i in range(u, v + 1))
+                    - sum(table.a_at(i) - table.b_at(i) for i in range(u + 3, v + 4))
                     + e
                 )
                 s = d.height

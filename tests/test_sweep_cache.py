@@ -1,9 +1,11 @@
-"""The two-staircase rule behind the sweep's Betti cache."""
+"""The two-staircase rule behind the sweep's Betti cache, and the functions
+that the sweep and the graph build."""
 
 import pytest
 
 from hilbstrata import sweep
 from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
+from hilbstrata.graph import build_hilbert_graph
 from hilbstrata.incidence import cover_moves
 from hilbstrata.sweep import SweepSummary
 
@@ -44,21 +46,35 @@ def test_serial_sweep_computes_each_table_once(monkeypatch, n):
     assert len(calls) == summary.diagrams == len(set(calls))
 
 
-@pytest.mark.parametrize("n", range(20, 31))
-def test_serial_sweep_builds_no_psi_function(monkeypatch, n):
-    # Every psi was an earlier phi, so its cache entry answers for it and
-    # the pair never builds psi's HilbertFunction: one per diagram, for phi.
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The heights of every ``HilbertFunction`` built while the test runs."""
+    heights = []
     init = HilbertFunction.__init__
 
     def counted(self, diagram):
-        built.append(diagram.s)
+        heights.append(diagram.s)
         init(self, diagram)
 
     monkeypatch.setattr(HilbertFunction, "__init__", counted)
+    return heights
+
+
+@pytest.mark.parametrize("n", range(20, 31))
+def test_serial_sweep_builds_no_psi_function(built, n):
+    # Every psi was an earlier phi, so its cache entry answers for it and
+    # the pair never builds psi's HilbertFunction: one per diagram, for phi.
     summary = sweep.sweep_weight(n)
     assert summary.covers > 0 and summary.failures == []
     assert built == list(iter_diagrams(n))
+
+
+@pytest.mark.parametrize("n", range(20, 31))
+def test_graph_builds_one_function_per_node(built, n):
+    # Each edge reads psi's node by its heights and compares the two nodes'
+    # rows, so the graph builds no function beyond one per node.
+    g = build_hilbert_graph(n)
+    assert g.edges and built == list(iter_diagrams(n))
 
 
 @pytest.mark.parametrize("n", range(25, 33))
