@@ -42,6 +42,14 @@ can never be read again and is dropped.  In a serial sweep every psi was
 an earlier phi and every lookup hits; a task that starts inside a weight
 misses on the psi it never enumerated, and stores each in the block it
 belongs to.
+
+A parallel sweep therefore cuts each weight into as few rank ranges as
+it can: one per worker.  A tenth of the covers reach a psi more than
+500 ranks back (at n = 56), so every cut costs a few hundred entries
+computed twice, whatever the ranges' sizes; on 50..56 at two workers
+that is 40,214 Betti tables against 36,661 serially.  Later ranks have
+longer tails and cost more, so each weight's ranges are dispatched last
+first, and their summaries are merged back in rank order.
 """
 
 import os
@@ -52,9 +60,6 @@ from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_
 from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero
 from .resolution import BettiTable, generic_betti
 from .strata import cover_excess, cover_row, stratum_dim
-
-# Rank-range shards per worker and weight in a parallel sweep.
-SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -277,12 +282,15 @@ def verify_range(n_values, workers: int = 1):
 
     The worker count is clamped by ``pool_size`` against the diagram count
     of the largest weight (the count never decreases with the weight); at
-    one worker every weight runs through ``sweep_weight``.  Otherwise one
-    pool, started with the platform's default method, takes the rank-range
-    shards of every weight (``SHARDS_PER_WORKER`` per worker and weight)
-    through one ordered ``imap``, so no weight waits at a barrier; a
-    weight's summary is merged in shard order and yielded when its last
-    shard is back, and the output does not depend on the worker count.
+    one worker every weight runs through ``sweep_weight``.  Otherwise each
+    weight is cut into one contiguous rank range per worker
+    (``_shard_tasks``; the module docstring says why no finer), and the
+    ranges of every weight go through one ordered ``imap`` of one pool,
+    started with the platform's default method, so no weight waits at a
+    barrier.  Each weight's ranges go last first, the costliest first.  A
+    weight's summary is merged back in rank order and yielded when its
+    ranges are back, so the summaries, the failure order and the output do
+    not depend on the worker count.
     """
     ns = list(n_values)
     workers = pool_size(workers, count_diagrams(max(ns))) if ns else 1
@@ -294,11 +302,12 @@ def verify_range(n_values, workers: int = 1):
     # 10 ms to every import of the package.
     from multiprocessing import Pool
 
-    shards = {n: _shard_tasks(n, workers * SHARDS_PER_WORKER) for n in ns}
+    shards = {n: _shard_tasks(n, workers) for n in ns}
     with Pool(workers) as pool:
-        results = pool.imap(_sweep_chunk, [task for n in ns for task in shards[n]])
+        results = pool.imap(_sweep_chunk, [task for n in ns for task in reversed(shards[n])])
         for n in ns:
+            parts = [next(results) for _ in shards[n]]
             summary = SweepSummary(n=n)
-            for _ in shards[n]:
-                summary.merge(next(results))
+            for part in reversed(parts):
+                summary.merge(part)
             yield summary

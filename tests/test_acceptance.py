@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; every check is exact integer arithmetic, no tolerances anywhere.
 """
 
-import os
 import time
 from contextlib import contextmanager
 
@@ -25,7 +24,7 @@ from hilbstrata.incidence import (
 )
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import stratum_dim
-from hilbstrata.sweep import sweep_weight, verify_range
+from hilbstrata.sweep import available_cpus, sweep_weight, verify_range
 from oracles import (
     count_distinct_partitions,
     cover_relations_triple_loop,
@@ -54,7 +53,7 @@ def test_criterion_1_enumeration_counts():
 
 def test_criterion_2_criteria_equivalence_sweep_to_70():
     with criterion(2, "dimension+tangent verdict equals Betti criterion on every cover, n <= 70"):
-        workers = os.cpu_count() or 1
+        workers = available_cpus()
         covers = 0
         for summary in verify_range(range(1, 71), workers=workers):
             assert summary.failures == [], summary.failures[:5]

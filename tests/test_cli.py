@@ -10,6 +10,7 @@ import pytest
 
 from hilbstrata import cli
 from hilbstrata.cli import main
+from hilbstrata.sweep import available_cpus
 
 
 def run_cli(capsys, *argv):
@@ -360,3 +361,23 @@ def test_closed_pipe_exits_2_quietly(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="a parallel sweep needs two CPUs")
+def test_closed_pipe_during_a_parallel_sweep_exits_2_quietly():
+    # The reader leaves after the first weight's line, while the pool is
+    # still sweeping.  A verify listing is short enough to fit in one
+    # buffer, so the output is unbuffered: each line is its own write.
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hilbstrata.cli", "verify", "--n-min", "30", "--n-max", "52", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"n=30: diagrams=296 ") and err == b""

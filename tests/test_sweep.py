@@ -269,15 +269,83 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
 
 
-def test_shard_tasks_run_under_spawn():
+def _dispatched(monkeypatch, weights, workers=2):
+    """The summaries of a ``workers``-worker ``verify_range`` over
+    ``weights`` on a host with that many CPUs, and the tasks it dispatched,
+    recorded by an in-process stand-in for ``multiprocessing.Pool``."""
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            tasks.extend(iterable)
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(sweep, "available_cpus", lambda: workers)
+    return list(verify_range(weights, workers=workers)), tasks
+
+
+def test_parallel_sweep_dispatches_last_first_and_merges_in_rank_order(monkeypatch):
+    # Every cover fails once, by name, so the merged failure order shows.
+    def named(pair, betti_phi, entry_phi, entry_psi):
+        incident, betti_ok, type_zero, _ = check_cover(pair, betti_phi, entry_phi, entry_psi)
+        return incident, betti_ok, type_zero, [f"cover: phi={pair.phi.diagram.render()} u={pair.u} v={pair.v}"]
+
+    monkeypatch.setattr(sweep, "check_cover", named)
+    weights = range(20, 27)
+    summaries, tasks = _dispatched(monkeypatch, weights)
+    assert tasks == [task for n in weights for task in reversed(sweep._shard_tasks(n, 2))]
+    assert len(tasks) == 2 * len(weights)
+    serial = [sweep.sweep_weight(n) for n in weights]
+    assert all(len(s.failures) == s.covers > 0 for s in serial)
+    assert summaries == serial
+
+
+def test_two_worker_plan_pins_its_betti_tables(monkeypatch):
+    # A range misses the cache on the psi that lie in an earlier range, so
+    # the 2-worker plan computes more tables than the serial sweep (one per
+    # diagram) and fewer than the old plan of 8 ranges per weight.
+    calls = []
+    body = sweep.generic_betti
+
+    def counted(hf):
+        calls.append(hf)
+        return body(hf)
+
+    monkeypatch.setattr(sweep, "generic_betti", counted)
+    weights = range(40, 47)
+    _dispatched(monkeypatch, weights)
+    plan = len(calls)
+    calls.clear()
+    for n in weights:
+        sweep.sweep_weight(n)
+    serial = len(calls)
+    calls.clear()
+    for task in [task for n in weights for task in sweep._shard_tasks(n, 8)]:
+        sweep._sweep_chunk(task)
+    assert plan == 12_318
+    assert serial == sum(map(sweep.count_diagrams, weights)) == 11_577
+    assert serial < plan < len(calls) == 16_789
+
+
+def test_shard_tasks_run_under_spawn(monkeypatch):
     # A task is three integers, so it reaches a worker started by any
     # method, and the merged shards equal the in-process sweep.
     weights = range(1, 13)
-    tasks = [task for n in weights for task in sweep._shard_tasks(n, 2 * sweep.SHARDS_PER_WORKER)]
+    _, tasks = _dispatched(monkeypatch, weights)
     assert all(type(task) is tuple and [type(x) for x in task] == [int] * 3 for task in tasks)
     with multiprocessing.get_context("spawn").Pool(2) as pool:
         parts = pool.map(sweep._sweep_chunk, tasks)
     merged = {n: SweepSummary(n=n) for n in weights}
-    for (n, _, _), part in zip(tasks, parts):
+    for (n, _, _), part in sorted(zip(tasks, parts)):
         merged[n].merge(part)
     assert list(merged.values()) == [sweep.sweep_weight(n) for n in weights]
