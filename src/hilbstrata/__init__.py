@@ -32,12 +32,7 @@ from .incidence import (
 )
 from .laurent import IntLaurentPoly
 from .resolution import BettiTable, generic_betti, series_numerator
-from .strata import (
-    stratum_dim,
-    tangent_bundle_sections,
-    tangent_excess,
-    tangent_function,
-)
+from .strata import stratum_dim, tangent_bundle_sections, tangent_function
 from .sweep import SweepSummary, sweep_weight, verify_range
 
 __version__ = "0.1.0"

@@ -152,6 +152,7 @@ def _cmd_verify(args, out):
             + (" FAIL" if summary.failures else "")
             + "\n"
         )
+        out.flush()  # each line leaves as soon as its weight is swept, pipe or not
         bad.extend(summary.failures)
     if bad:
         for line in bad:

@@ -109,7 +109,7 @@ class HilbertFunction:
     column; from L on the value stays at the degree ``n``.
     """
 
-    __slots__ = ("diagram", "transient", "degree", "_padded")
+    __slots__ = ("diagram", "transient", "degree")
 
     def __init__(self, diagram: CastelnuovoDiagram):
         self.diagram = diagram
@@ -117,21 +117,6 @@ class HilbertFunction:
         # over-allocated, which read 2.5 MB more peak RSS over a sweep.
         self.transient = tuple([*accumulate(diagram.s)])
         self.degree = self.transient[-1] if self.transient else 0
-        self._padded = None
-
-    @property
-    def padded(self) -> list:
-        """The values h(-3), h(-2), ..., h(L+5) as a list, h(m) at index m + 3.
-
-        Three zeros, the transient values, then the degree five times: every
-        degree that a cover's tangent window reads.  Built in one allocation
-        on first use and kept, so all covers above one function share it;
-        callers must not modify it.
-        """
-        if self._padded is None:
-            d = self.degree
-            self._padded = [0, 0, 0, *self.transient, d, d, d, d, d]
-        return self._padded
 
     @classmethod
     def from_values(cls, values) -> "HilbertFunction":

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, run_of_ones
 from .resolution import BettiTable, generic_betti
-from .strata import required_window, stratum_dim, tangent_excess
+from .strata import cover_excess, cover_row, stratum_dim
 
 
 class CoverPair(NamedTuple):
@@ -247,13 +247,14 @@ def resolve_incidence(pair: CoverPair) -> IncidenceVerdict:
     The dimension comparison asks that the smaller stratum have strictly
     smaller dimension; the tangent comparison that its tangent function
     dominate coefficientwise, compared on the window that the move (u, v)
-    of the pair decides.  psi is built once, and each side's tangent row
-    is built on that window only, which on a long diagram reads fewer
-    degrees than a whole ``cover_row``.
+    of the pair decides, as the graph compares its edges.  Raises
+    ValueError for a pair of unequal degrees, whose rows do not compare.
     """
     phi, psi = pair.phi, pair.psi
+    if phi.degree != psi.degree:
+        raise ValueError(f"tangent comparison needs equal degrees, got {phi.degree} and {psi.degree}")
     betti_phi = generic_betti(phi)
-    excess = tangent_excess(phi, psi, *required_window(pair.u, pair.v), betti_phi)
+    excess = cover_excess(cover_row(phi, betti_phi), cover_row(psi), pair.u, pair.v)
     return cover_verdict(pair, betti_phi, (stratum_dim(phi), stratum_dim(psi)), excess)
 
 

@@ -18,26 +18,23 @@ how the sweep checks the difference of two ``stratum_dim`` values.
 The tangent function counts global sections of the ideal sheaf twisted by
 the tangent bundle of the plane.  Its value at m is
 sections(m) - 3 h(m+1) + h(m) + b_{m+3}, read straight off the Hilbert
-function and the relation counts of the generic Betti table; only windows
-of it are ever needed, and they are computed exactly degree by degree.
+function and the relation counts of the generic Betti table.
 
-The formula is written once, in ``tangent_row``: on a window it lists
-h(m) - 3 h(m+1) + b_{m+3} + 2 deg, the tangent value less the sections
-term (which depends only on m) plus twice the degree.  That shift makes
-the values 2 deg below degree -1, 0 from the last column on and between
-0 and 2 deg in between (checked for n <= 30 in the tests), so up to
-weight 128 they are small ints, which CPython shares, and a row costs one
-pointer per degree.  ``tangent_function`` adds the sections term back and
-takes the shift off.  Two strata of one degree are compared
-(``tangent_excess``) by comparing their rows in one C-level
-``compress``/``map`` pass; the sections term and the shift cancel, so the
-degrees must be equal.  Each row reads only its own h and its own b.  The
-h values come from ``HilbertFunction.padded``, h(-3) .. h(L+5), or from a
-copy padded further for a window that reaches past it.  ``cover_row`` is
-the row over degrees -3 .. L+4, every degree that a cover's window reads
-on either side, and ``cover_excess`` compares two such rows on a cover's
-window by slicing: the sweep and the graph keep one row per diagram and
-compare all of its covers from it.
+One row holds it and one comparison reads it.  ``cover_row`` is the only
+place the formula is evaluated: over degrees -3 .. L+4, every degree a
+cover's window reads on either side, it lists h(m) - 3 h(m+1) + b_{m+3}
++ 2 deg.  The two constants of the tangent value stay outside the row:
+the sections term, which depends only on m, is left out, and twice the
+degree, which depends only on the degree, is added; both cancel between
+two strata of one degree, and ``tangent_function`` takes both back on
+any window.  With the shift the values are 2 deg below degree -1, 0 from
+the last column on and between 0 and 2 deg in between (checked for
+n <= 30 in the tests); up to weight 128 they are small ints, which
+CPython shares, so a row costs one pointer per degree.  ``cover_excess``
+compares two rows on a cover's window in one C-level ``compress``/``map``
+pass.  Each row reads only its own h and its own b.  The sweep and the
+graph keep one row per diagram and compare all of its covers from it;
+``resolve_incidence`` builds the two rows of its one cover.
 """
 
 from itertools import compress, count
@@ -68,51 +65,37 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def tangent_row(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None) -> list:
-    """h(m) - 3*h(m+1) + b(m+3) + 2*degree for every m in [lo, hi], in order.
+def cover_row(hf: HilbertFunction, betti: BettiTable | None = None) -> list:
+    """h(m) - 3*h(m+1) + b(m+3) + 2*degree for m in -3 .. L+4 (L the last
+    column of ``hf``), degree m at index m + 3.
 
-    The tangent-function value at m less the sections term, which depends
-    only on m, plus twice the degree, which depends only on the degree.
     ``b`` holds the relation counts of the generic Betti table of ``hf``
-    (``betti`` when given).  The h values are read from ``hf.padded``, or
-    from a copy padded further for a window that reaches past it.
+    (``betti`` when given).  The degrees are every degree that the window
+    of a cover reads, with ``hf`` on either side of the cover.
     """
     b = (betti if betti is not None else generic_betti(hf)).b
-    h = hf.padded
-    start = lo + 3  # the index of h(lo)
-    if start < 0 or hi + 4 >= len(h):
-        h = [0] * max(0, -start) + h + [hf.degree] * max(0, hi + 5 - len(h))
-        start = max(start, 0)
-    stop = start + hi - lo + 1
-    twice = 2 * hf.degree
-    row = [x - 3 * y + twice for x, y in zip(h[start:stop], h[start + 1 : stop + 1])]
-    for d, c in b.items():
-        if lo <= d - 3 <= hi:
-            row[d - 3 - lo] += c
+    d = hf.degree
+    h = [0, 0, 0, *hf.transient, d, d, d, d, d]  # h(m) at index m + 3
+    twice = 2 * d
+    row = [x - 3 * y + twice for x, y in zip(h, h[1:])]
+    for m, c in b.items():
+        row[m] += c  # b(m) enters the row at degree m - 3, index m
     return row
 
 
-def row_excess(row_phi, row_psi, lo: int) -> list:
-    """Degrees where ``row_psi`` exceeds ``row_phi``: two ``tangent_row``
-    lists of one degree over one window that starts at degree ``lo``."""
-    return list(compress(count(lo), map(gt, row_psi, row_phi)))
-
-
-def cover_row(hf: HilbertFunction, betti: BettiTable | None = None) -> list:
-    """``tangent_row`` of ``hf`` over degrees -3 .. L+4 (L its last column),
-    degree m at index m + 3: every degree that the window of a cover reads,
-    with ``hf`` on either side of the cover."""
-    return tangent_row(hf, -3, len(hf.diagram.s) + 3, betti)
-
-
 def cover_excess(row_phi: list, row_psi: list, u: int, v: int) -> list:
-    """``tangent_excess`` of a cover (u, v) on its required window, from the
-    two sides' ``cover_row`` lists.
+    """Degrees of the window [u-3, v+4] of a cover (u, v) where psi's
+    tangent function exceeds phi's, from the two sides' ``cover_row`` lists
+    (two functions of one degree); the tangent comparison holds exactly
+    when the list is empty.
 
-    The window [u-3, v+4] is the slice [u, v+8) of each row.  psi's row
-    reaches that far because psi's last column is phi's or the one before.
+    The difference of the two tangent functions is supported inside
+    [u-3, v+1]; the margin up to v+4 also covers the shifted relation
+    counts and costs nothing.  The window is the slice [u, v+8) of each
+    row; psi's row reaches that far because psi's last column is phi's or
+    the one before.
     """
-    return row_excess(row_phi[u : v + 8], row_psi[u : v + 8], u - 3)
+    return list(compress(count(u - 3), map(gt, row_psi[u : v + 8], row_phi[u : v + 8])))
 
 
 def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
@@ -120,45 +103,14 @@ def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | 
 
     Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
     relation counts of the generic Betti table of ``hf``: the sections
-    term added back to ``tangent_row``.
+    term added back to ``cover_row``, which is 2*degree below its first
+    degree and 0 past its last.
     """
     if lo > hi:
         raise ValueError("empty window")
+    row = cover_row(hf, betti)
     twice = 2 * hf.degree
     return {
-        m: tangent_bundle_sections(m) + t - twice
-        for m, t in zip(range(lo, hi + 1), tangent_row(hf, lo, hi, betti))
+        m: tangent_bundle_sections(m) - twice + (row[m + 3] if 0 <= m + 3 < len(row) else twice if m < 0 else 0)
+        for m in range(lo, hi + 1)
     }
-
-
-def required_window(u: int, v: int):
-    """Window guaranteed to decide the tangent comparison for a move (u, v).
-
-    The difference of the two tangent functions is supported inside
-    [u-3, v+1]; the margin up to v+4 also covers the shifted relation
-    counts and costs nothing.
-    """
-    return u - 3, v + 4
-
-
-def tangent_excess(
-    phi: HilbertFunction,
-    psi: HilbertFunction,
-    lo: int,
-    hi: int,
-    betti_phi: BettiTable | None = None,
-    betti_psi: BettiTable | None = None,
-) -> list:
-    """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds that of ``phi``.
-
-    Compares the two sides' ``tangent_row`` lists, each from its own Hilbert
-    function and its own relation counts; the sections term is the same on
-    both sides and cancels, and so does the 2*degree term, which is why
-    the degrees must be equal.  The tangent comparison holds exactly when
-    the list is empty.
-    """
-    if lo > hi:
-        raise ValueError("empty window")
-    if phi.degree != psi.degree:
-        raise ValueError(f"tangent comparison needs equal degrees, got {phi.degree} and {psi.degree}")
-    return row_excess(tangent_row(phi, lo, hi, betti_phi), tangent_row(psi, lo, hi, betti_psi), lo)

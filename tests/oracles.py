@@ -183,6 +183,23 @@ def tangent_sections_by_euler(m):
     return 3 * binomial(m + 4, 2) - binomial(m + 5, 2) + (1 if m == -3 else 0)
 
 
+def tangent_excess_by_formula(phi, psi, lo, hi):
+    """Degrees in [lo, hi] where the tangent function of ``psi`` exceeds
+    that of ``phi``, each side evaluated on its own degree by degree: the
+    Euler-sequence section count, minus 3 h(m+1), plus h(m), plus the
+    relation count b(m+3) = max(-q_{m+3}, 0) of the truncated-series
+    numerator q."""
+
+    def values(hf):
+        q = numerator_by_truncation(hf)
+        return [
+            tangent_sections_by_euler(m) - 3 * hf.value(m + 1) + hf.value(m) + max(-q.get(m + 3, 0), 0)
+            for m in range(lo, hi + 1)
+        ]
+
+    return [m for m, t_phi, t_psi in zip(range(lo, hi + 1), values(phi), values(psi)) if t_psi > t_phi]
+
+
 def greedy_maximal_diagram(n):
     """The pointwise-largest weight-n diagram: climb the staircase as long
     as a full step fits, then drop the remainder in one last column."""

@@ -305,26 +305,6 @@ def test_run_of_ones_matches_the_zip_loop_on_long_tails():
             assert run_of_ones(g, f) == run_of_ones_by_zip(g, f)
 
 
-class TestPaddedValues:
-    def test_values_from_minus_three_to_five_past_the_last_column(self):
-        # Every diagram with n <= 25: the kept list is value(m) on
-        # [-3, L+5], L the last column, built once and never shared.
-        lists = []
-        for n in range(0, 26):
-            for d in enumerate_diagrams(n):
-                h = d.hilbert_function()
-                last = len(d.s) - 1
-                assert h.padded == [h.value(m) for m in range(-3, last + 6)]
-                assert h.padded is h.padded
-                lists.append(h.padded)
-        assert len({id(values) for values in lists}) == len(lists)
-
-    def test_equal_functions_keep_separate_lists(self):
-        a, b = hf("1,2,2,1"), hf("1,2,2,1")
-        assert a == b and a.padded == b.padded and a.padded is not b.padded
-        assert HilbertFunction.from_values([1, 3, 5, 6]).padded == a.padded
-
-
 class TestText:
     def test_diagram_round_trip(self):
         for text in ("1,2,3,4,4,1,1,1", "1", "1,2"):

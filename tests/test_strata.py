@@ -2,16 +2,13 @@ import pytest
 
 from conftest import hf
 from hilbstrata.diagrams import CastelnuovoDiagram, enumerate_diagrams, iter_diagrams
-from hilbstrata.incidence import cover_moves, is_length_zero
+from hilbstrata.incidence import CoverPair, cover_moves, is_length_zero, resolve_incidence
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import (
     cover_excess,
     cover_row,
-    required_window,
-    row_excess,
     stratum_dim,
     tangent_bundle_sections,
-    tangent_excess,
     tangent_function,
 )
 from hilbstrata.sweep import cache_entry
@@ -19,6 +16,7 @@ from oracles import (
     dim_constant_by_product,
     greedy_maximal_diagram,
     numerator_by_truncation,
+    tangent_excess_by_formula,
     tangent_sections_by_euler,
 )
 
@@ -119,16 +117,15 @@ class TestTangentFunction:
                     assert tangent_function(phi, lo, hi) == expected
 
     def test_windows_past_the_padded_values(self):
-        # Windows that fit the padded values h(-3) .. h(L+5) exactly, reach
-        # one degree past either end, or reach far past both, against the
-        # degree-by-degree formula; and the one-pass comparison on such
-        # windows against the two separate functions.
-        shapes = [(1,) * 12, (1, 2, 3, 3, 2) + (1,) * 8, (1, 2, 3, 2, 1, 1), (1, 2)]
-        functions = [CastelnuovoDiagram(s).hilbert_function() for s in shapes]
-        for phi in functions:
+        # Windows that fit the row's degrees -3 .. L+4 exactly, reach one
+        # degree past either end, lie wholly past either end, or reach far
+        # past both, against the degree-by-degree formula.
+        shapes = [(1,) * 12, (1, 2, 3, 3, 2) + (1,) * 8, (1, 2, 3, 2, 1, 1), (1, 2), (1,)]
+        for phi in [CastelnuovoDiagram(s).hilbert_function() for s in shapes]:
             q = numerator_by_truncation(phi)
-            top = len(phi.transient)
-            for lo, hi in ((-3, top + 3), (-4, 0), (-3, top + 4), (top + 4, top + 4), (-20, top + 20)):
+            top = len(phi.transient) + 3  # the row's last degree, L+4
+            windows = ((-3, top), (-4, top), (-3, top + 1), (-4, -4), (-6, -4), (top + 1, top + 1), (top, top + 3))
+            for lo, hi in (*windows, (-20, top + 20)):
                 expected = {
                     m: tangent_sections_by_euler(m)
                     - 3 * phi.value(m + 1)
@@ -137,13 +134,6 @@ class TestTangentFunction:
                     for m in range(lo, hi + 1)
                 }
                 assert tangent_function(phi, lo, hi) == expected
-        phi = functions[1]
-        for pair in cover_moves(phi):
-            for window in ((pair.u - 30, pair.v + 30), (-3, len(phi.transient) + 4)):
-                t_phi = tangent_function(phi, *window)
-                t_psi = tangent_function(pair.psi, *window)
-                expected = [m for m in t_phi if t_psi[m] > t_phi[m]]
-                assert tangent_excess(phi, pair.psi, *window) == expected
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
@@ -152,12 +142,14 @@ class TestTangentFunction:
 
 class TestTangentLeq:
     """The tangent comparison psi <= phi: no degree of the move's window
-    where psi's tangent function exceeds phi's."""
+    [u-3, v+4] where psi's tangent function exceeds phi's."""
 
     @staticmethod
-    def excess(lower, upper, window=None):
+    def excess(lower, upper):
         pair = is_length_zero(hf(lower), hf(upper))
-        return tangent_excess(pair.phi, pair.psi, *(window or required_window(pair.u, pair.v)))
+        found = cover_excess(cover_row(pair.phi), cover_row(pair.psi), pair.u, pair.v)
+        assert found == tangent_excess_by_formula(pair.phi, pair.psi, pair.u - 3, pair.v + 4)
+        return found
 
     def test_weight3_pair(self):
         assert self.excess("1,1,1", "1,2") == []
@@ -167,28 +159,29 @@ class TestTangentLeq:
 
     def test_identical_inputs(self):
         phi = hf("1,2,3,3")
-        assert tangent_excess(phi, phi, -6, 12) == []
+        row = cover_row(phi)
+        for pair in cover_moves(phi):
+            assert cover_excess(row, row, pair.u, pair.v) == []
 
     def test_window_must_cover_the_move(self):
-        # Here psi wins only at u - 3, the left end of the required window:
-        # a wider window finds the same degree, one that starts after it
-        # misses it.
+        # Here psi wins only at u - 3, the left end of the window: a wider
+        # window finds the same degree, one that starts after it misses it.
         lower, upper = "1,2,3,2,1,1", "1,2,3,2,2"
         pair = is_length_zero(hf(lower), hf(upper))
-        lo, hi = required_window(pair.u, pair.v)
-        assert self.excess(lower, upper) == [pair.u - 3] == [lo]
-        assert self.excess(lower, upper, (lo - 5, hi + 5)) == [lo]
-        assert self.excess(lower, upper, (lo + 1, hi)) == []
+        lo, hi = pair.u - 3, pair.v + 4
+        assert self.excess(lower, upper) == [lo]
+        assert tangent_excess_by_formula(pair.phi, pair.psi, lo - 5, hi + 5) == [lo]
+        assert tangent_excess_by_formula(pair.phi, pair.psi, lo + 1, hi) == []
 
 
 class TestTangentExcess:
     def test_matches_tangent_function(self):
-        # On every cover with n <= 25, on the required window and on one
-        # widened below -2 and past both diagrams, with the Betti tables
-        # computed inside, passed in, and passed in swapped (each side must
-        # read its own table), the one-pass comparison names exactly the
-        # degrees where the two separate tangent functions differ that way.
-        below = 0
+        # On every cover with n <= 25, with the Betti tables computed inside
+        # and passed in, the comparison of the two rows names exactly the
+        # degrees of the window where the degree-by-degree formula of psi
+        # exceeds phi's; with the tables swapped, each row reads the table
+        # it is given.
+        swapped = 0
         for n in range(1, 26):
             for d in enumerate_diagrams(n):
                 phi = d.hilbert_function()
@@ -196,26 +189,25 @@ class TestTangentExcess:
                 for pair in cover_moves(phi):
                     psi = pair.psi
                     b_psi = generic_betti(psi)
-                    lo, hi = required_window(pair.u, pair.v)
-                    wide = (lo - 4, max(hi + 4, len(d.s) + 1))
-                    below += wide[0] < -2
-                    for window in ((lo, hi), wide):
-                        for tables in ((None, None), (b_phi, b_psi), (b_psi, b_phi)):
-                            t_phi = tangent_function(phi, *window, tables[0])
-                            t_psi = tangent_function(psi, *window, tables[1])
-                            expected = [m for m in t_phi if t_psi[m] > t_phi[m]]
-                            assert tangent_excess(phi, psi, *window, *tables) == expected
-        assert below > 500
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            tangent_excess(hf("1,1,1"), hf("1,2"), 3, 2)
+                    expected = tangent_excess_by_formula(phi, psi, pair.u - 3, pair.v + 4)
+                    for tables in ((None, None), (b_phi, b_psi)):
+                        rows = cover_row(phi, tables[0]), cover_row(psi, tables[1])
+                        assert cover_excess(*rows, pair.u, pair.v) == expected
+                    for h, own, other in ((phi, b_phi, b_psi), (psi, b_psi, b_phi)):
+                        given, by_own = cover_row(h, other), cover_row(h, own)
+                        assert [x - y for x, y in zip(given, by_own)] == [
+                            other.b_at(m) - own.b_at(m) for m in range(len(given))
+                        ]
+                    swapped += b_phi.b != b_psi.b
+        assert swapped > 500
 
     def test_rejects_unequal_degrees(self):
-        # The 2*degree term of each row cancels only between equal degrees.
+        # The 2*degree term of each row cancels only between equal degrees,
+        # so resolve refuses a hand-built pair of two degrees.
         for phi, psi in (("1,1,1", "1,2,1"), ("1,2", "1"), ("1,2,1", "1,2")):
+            pair = CoverPair(hf(phi), hf(psi).diagram.s, 1, 1)
             with pytest.raises(ValueError, match="equal degrees"):
-                tangent_excess(hf(phi), hf(psi), -2, 6)
+                resolve_incidence(pair)
 
 
 class TestCoverRows:
@@ -234,41 +226,44 @@ class TestCoverRows:
                     psi, row_psi = entries[pair.psi_heights]
                     yield phi, psi, pair.u, pair.v, row_phi, row_psi
 
-    def test_cached_rows_decide_every_cover_as_tangent_excess(self):
-        # On the required window, on windows widened inside both rows and on
-        # windows that reach past both rows, where the rows are constant and
-        # equal (2*degree below degree -1, 0 from the last column on).
+    def test_cached_rows_decide_every_cover_as_the_formula(self):
+        # On the window [u-3, v+4], and over the whole of both rows, where
+        # outside them the tangent functions agree (the rows are 2*degree
+        # below degree -1 and 0 from the last column on), against the
+        # degree-by-degree formula of each side.
         seen = 0
         for phi, psi, u, v, row_phi, row_psi in self.covers(30):
-            lo, hi = required_window(u, v)
-            assert cover_excess(row_phi, row_psi, u, v) == tangent_excess(phi, psi, lo, hi)
+            lo, hi = u - 3, v + 4
+            assert cover_excess(row_phi, row_psi, u, v) == tangent_excess_by_formula(phi, psi, lo, hi)
             top = min(len(row_phi), len(row_psi)) - 4  # the last degree both rows hold
-            for k in (1, 2, 5):
-                wide = (max(lo - k, -3), min(hi + k, top))
-                inside = row_excess(row_phi[wide[0] + 3 : wide[1] + 4], row_psi[wide[0] + 3 : wide[1] + 4], wide[0])
-                assert inside == tangent_excess(phi, psi, *wide)
-            whole = row_excess(row_phi[: top + 4], row_psi[: top + 4], -3)
-            assert whole == tangent_excess(phi, psi, lo - 20, hi + 20)
+            whole = [m for m in range(-3, top + 1) if row_psi[m + 3] > row_phi[m + 3]]
+            assert whole == tangent_excess_by_formula(phi, psi, lo - 20, hi + 20)
             seen += 1
         assert seen == 3702
 
     def test_cover_excess_reads_exactly_the_required_window(self):
         for u, v in ((1, 1), (2, 3), (4, 9)):
             low, high = [0] * (v + 12), [1] * (v + 12)
-            lo, hi = required_window(u, v)
-            assert cover_excess(low, high, u, v) == list(range(lo, hi + 1))
+            assert cover_excess(low, high, u, v) == list(range(u - 3, v + 5))
             assert cover_excess(high, low, u, v) == []
 
     def test_rows_are_the_tangent_function_less_the_sections(self):
+        # Against h(m), the truncated-series relation counts and the
+        # Euler-sequence section counts, degree by degree.
         for n in range(1, 31):
             for d in enumerate_diagrams(n):
                 h = d.hilbert_function()
                 table = generic_betti(h)
+                q = numerator_by_truncation(h)
                 row = cover_row(h, table)
                 top = len(d.s) + 3
                 assert len(row) == top + 4
+                assert row == [
+                    h.value(m) - 3 * h.value(m + 1) + max(-q.get(m + 3, 0), 0) + 2 * n
+                    for m in range(-3, top + 1)
+                ]
                 assert tangent_function(h, -3, top, table) == {
-                    m: tangent_bundle_sections(m) + row[m + 3] - 2 * n for m in range(-3, top + 1)
+                    m: tangent_sections_by_euler(m) + row[m + 3] - 2 * n for m in range(-3, top + 1)
                 }
                 assert row[:2] == [2 * n, 2 * n] and row[-5:] == [0] * 5
                 assert min(row) >= 0 and max(row) <= 2 * n
@@ -307,14 +302,14 @@ def test_pointwise_tangent_bound_and_shortcut():
             table = generic_betti(phi)
             for pair in cover_moves(phi):
                 u, v = pair.u, pair.v
-                lo, hi = required_window(u, v)
+                lo, hi = u - 3, v + 4
                 t_phi = tangent_function(phi, lo, hi, table)
                 t_psi = tangent_function(pair.psi, lo, hi)
                 for m in range(lo, hi + 1):
                     if m not in (u - 3, v):
                         assert t_psi[m] <= t_phi[m]
                 shortcut = table.a_at(u) != 0 and table.b_at(v + 3) != 0
-                assert (not tangent_excess(phi, pair.psi, *required_window(u, v))) == shortcut
+                assert (not cover_excess(cover_row(phi, table), cover_row(pair.psi), u, v)) == shortcut
 
 
 def test_wide_move_dimension_law():
