@@ -7,10 +7,9 @@ label "0" = type zero, minimal function on top) and a round-trippable JSON
 record.
 """
 
-import json
 import sys
-from dataclasses import dataclass
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import IncidenceVerdict, cover_moves, cover_verdict
@@ -22,8 +21,7 @@ from .strata import cover_excess, cover_row, stratum_dim
 MAX_NODES = 20_000
 
 
-@dataclass
-class NodeRecord:
+class NodeRecord(NamedTuple):
     id: int
     hf: HilbertFunction
     dim: int
@@ -34,8 +32,7 @@ class NodeRecord:
         return self.hf.diagram
 
 
-@dataclass
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     from_id: int
     to_id: int
     u: int
@@ -43,8 +40,7 @@ class EdgeRecord:
     verdict: IncidenceVerdict
 
 
-@dataclass
-class HilbertGraph:
+class HilbertGraph(NamedTuple):
     n: int
     nodes: list
     edges: list
@@ -208,6 +204,8 @@ def _layers(order, up):
 def emit(g: HilbertGraph, fmt: str) -> bytes:
     """Serialize the graph; ``fmt`` is ``dot`` or ``json``."""
     if fmt == "json":
+        import json  # here and in parse_graph_json: no other path needs it
+
         return (json.dumps(_record(g), separators=(",", ":")) + "\n").encode("utf-8")
     if fmt == "dot":
         return _emit_dot(g)
@@ -259,6 +257,8 @@ def parse_graph_json(data) -> HilbertGraph:
     <want>``, with a JSON path such as ``nodes[3].b``.  A weight with more
     than ``MAX_NODES`` diagrams is refused before any graph is built.
     """
+    import json
+
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:

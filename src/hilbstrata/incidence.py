@@ -19,7 +19,6 @@ dimensions and the tangent excess on the cover's window: ``resolve_incidence``
 computes those from the pair alone, and the graph from its per-node rows.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, run_of_ones
@@ -52,8 +51,7 @@ class CoverPair(NamedTuple):
         return f"CoverPair(phi={self.phi!r}, psi={self.psi!r}, u={self.u!r}, v={self.v!r})"
 
 
-@dataclass(frozen=True)
-class IncidenceVerdict:
+class IncidenceVerdict(NamedTuple):
     """Resolution of one cover, with all diagnostics that fed the answer."""
 
     incident: bool

@@ -180,6 +180,22 @@ def test_console_entry_point():
     assert proc.stdout.splitlines() == ["1,2", "1,1,1"]
 
 
+def test_import_loads_no_module_that_only_one_command_needs():
+    # dataclasses would bring inspect with it; json serves only the graph's
+    # JSON paths and multiprocessing only the parallel sweep, which import
+    # them when called.
+    code = (
+        "import sys, hilbstrata, hilbstrata.cli\n"
+        "loaded = sorted({'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules))\n"
+        "from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json\n"
+        "data = emit(build_hilbert_graph(5), 'json')\n"
+        "print(loaded, emit(parse_graph_json(data), 'json') == data)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] True\n"
+
+
 # One process, one parser: each call must answer as a fresh interpreter
 # does.  --help is left out because its text follows the terminal width.
 SHARED_PARSER_SEQUENCE = (

@@ -44,6 +44,14 @@ class TestBuild:
         assert edge.verdict.incident
         assert g.nodes[edge.from_id].diagram.s == (1, 1, 1)
         assert g.nodes[edge.to_id].diagram.s == (1, 2)
+        # Each record is built alike by position and by keyword.
+        node = g.nodes[1]
+        assert node.diagram is node.hf.diagram
+        assert NodeRecord(1, node.hf, node.dim, node.betti) == node
+        assert NodeRecord(id=1, hf=node.hf, dim=node.dim, betti=node.betti) == node
+        assert EdgeRecord(1, 0, 1, 1, edge.verdict) == edge
+        assert EdgeRecord(from_id=1, to_id=0, u=1, v=1, verdict=edge.verdict) == edge
+        assert HilbertGraph(3, g.nodes, g.edges) == HilbertGraph(n=3, nodes=g.nodes, edges=g.edges) == g
 
     def test_weight17_size(self):
         g = build_hilbert_graph(17)

@@ -355,6 +355,11 @@ class TestResolve:
         verdict = resolve_incidence(pair)
         assert verdict.incident and verdict.dims == (5, 6)
         assert verdict.betti_ok and not verdict.type_zero
+        # A verdict is an immutable value: equal verdicts hash equally.
+        with pytest.raises(AttributeError):
+            verdict.incident = False
+        again = resolve_incidence(is_length_zero(hf("1,1,1"), hf("1,2")))
+        assert again == verdict and hash(again) == hash(verdict)
 
     def test_weight14_not_incident(self):
         pair = is_length_zero(hf("1,2,3,4,2,1,1"), hf("1,2,3,4,2,2"))

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import multiprocessing
+import pickle
 import re
 import sys
 
@@ -208,6 +209,30 @@ def test_every_failure_kind_is_exercised():
     exercised.add("intersection-certificate")
     assert len(emitted) == 9
     assert emitted == exercised
+
+
+def test_summaries_do_not_share_a_failure_list():
+    first, second = SweepSummary(n=3), SweepSummary(n=3)
+    first.failures.append("x")
+    assert second.failures == [] and first != second
+    assert SweepSummary(n=3) != (3, 0, 0, 0, 0, [])
+
+
+def test_merge_adds_every_counter_and_extends_failures_in_order():
+    total = SweepSummary(5, 1, 2, 3, 4, ["a"])
+    total.merge(SweepSummary(n=5, diagrams=10, covers=20, incident=30, type_zero=40, failures=["b", "c"]))
+    assert total == SweepSummary(5, 11, 22, 33, 44, ["a", "b", "c"])
+    assert repr(total) == (
+        "SweepSummary(n=5, diagrams=11, covers=22, incident=33, type_zero=44, failures=['a', 'b', 'c'])"
+    )
+
+
+def test_summary_pickles_to_an_equal_summary():
+    # The parallel sweep sends each range's summary back pickled.
+    summary = sweep.sweep_weight(12)
+    summary.failures.append("kind: detail")
+    copy = pickle.loads(pickle.dumps(summary))
+    assert copy == summary and copy.failures is not summary.failures
 
 
 class TestPoolSize:
