@@ -16,7 +16,6 @@ from .diagrams import (
     iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
-    unrank,
 )
 from .graph import HilbertGraph, build_hilbert_graph, detect_noncatenary, emit, parse_graph_json
 from .incidence import (

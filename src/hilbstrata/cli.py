@@ -17,7 +17,6 @@ from .diagrams import (
     iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
-    run_of_ones,
 )
 from .graph import build_hilbert_graph, emit
 from .incidence import find_intermediate, is_length_zero, resolve_incidence, verdict_line
@@ -108,10 +107,9 @@ def _cmd_dim(args, out):
 def _cmd_resolve(args, out):
     phi = _function_arg(args.phi)
     psi = _function_arg(args.psi)
-    run = run_of_ones(phi, psi)
-    pair = None if run is None else is_length_zero(phi, psi, run)
+    pair = is_length_zero(phi, psi)
     if pair is None:
-        between = None if run is None else find_intermediate(phi, psi, run)
+        between = find_intermediate(phi, psi)
         if between is not None:
             return _usage_error(
                 "pair is not length zero: "

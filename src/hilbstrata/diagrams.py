@@ -5,8 +5,8 @@ staircase 1, 2, ..., k and is non-increasing afterwards; its weight is the
 total number of unit squares.  The running sums of a weight-n diagram form
 the Hilbert function of a length-n subscheme of the plane: they increase to
 n and stay there.  This module owns validation, conversion both ways,
-enumeration of the diagrams of a given weight (streamed in canonical
-order, and addressable by rank), and the coefficientwise partial order on
+enumeration and counting of the diagrams of a given weight (streamed in
+canonical order from any rank), and the coefficientwise partial order on
 Hilbert functions.
 """
 
@@ -212,20 +212,6 @@ def _check_weight(n: int):
         raise ValueError("weight must be non-negative")
 
 
-def unrank(n: int, r: int) -> tuple:
-    """Height tuple of the weight-n diagram at position r of ``iter_diagrams(n)``.
-
-    Raises ValueError unless n >= 0 and 0 <= r < ``count_diagrams(n)``.
-    """
-    _check_weight(n)
-    ways = _tail_counts(n)
-    total = _total(n, ways)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} outside 0..{total - 1} for weight {n}")
-    k, tail = _locate(n, r, ways)
-    return tuple(range(1, k + 1)) + tuple(tail)
-
-
 def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     """Height tuples of the weight-n diagrams at ranks start..stop-1.
 
@@ -236,7 +222,8 @@ def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     tails of each come by the successor rule of descending order: lower the
     rightmost part above 1 by one, then refill the freed weight greedily
     with parts no larger than it.  ``start`` is placed by ``_locate`` and
-    nothing before it is generated; a stop past the last diagram is clamped.
+    nothing before it is generated, so ``iter_diagrams(n, r, r + 1)`` yields
+    the diagram at rank r alone; a stop past the last diagram is clamped.
     Every tuple is valid by construction.  Iterating raises ValueError for
     n < 0 or start < 0.
     """
@@ -282,15 +269,14 @@ def enumerate_diagrams(n: int):
 def count_diagrams(n: int) -> int:
     """Number of weight-n diagrams, without listing them.
 
-    They are as many as the partitions of n into distinct parts, counted
-    here by the knapsack recurrence over the part sizes in O(n^2) steps.
+    They are as many as the partitions of n into distinct parts.  The count
+    is the enumerator's own: the tails of every staircase summed from
+    ``_tail_counts``, the table that ``iter_diagrams`` places its start
+    with, in O(n^1.5) steps.  The distinct-part count is computed
+    independently only by the test oracles.
     """
     _check_weight(n)
-    ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(n, part - 1, -1):
-            ways[total] += ways[total - part]
-    return ways[n]
+    return _total(n, _tail_counts(n))
 
 
 def hf_leq(a: HilbertFunction, b: HilbertFunction) -> bool:

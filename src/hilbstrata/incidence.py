@@ -6,12 +6,16 @@ diagram arises from phi's by a minimal leftward jump of a single square,
 adding one to column u and removing one from column w = v+1.  Minimal
 means that no column strictly between u and w is addable or removable, so
 the covers are the adjacent (addable, removable) column pairs of one
-left-to-right scan.  For such pairs the closure of the bigger stratum
-contains the smaller one exactly when both the dimension comparison and
-the tangent comparison hold; this module also evaluates the equivalent
-criterion on the Betti numbers of phi, the type-zero shape of the diagram,
-and the truncated intersection products that certify solvability of the
-underlying equation systems.
+left-to-right scan, ``cover_moves``.  A pair given by its two functions
+needs no scan: their difference must be a run of ones [u, v]
+(``run_of_ones``), always a valid move between two valid diagrams, and
+one closed-form rule, ``_nested_move``, names the first move nested
+inside it, or none when (u, v) is a cover.  For covers the closure of
+the bigger stratum contains the smaller one exactly when both the
+dimension comparison and the tangent comparison hold; this module also
+evaluates the equivalent criterion on the Betti numbers of phi, the
+type-zero shape of the diagram, and the truncated intersection products
+that certify solvability of the underlying equation systems.
 
 A cover is the plain record ``CoverPair(phi, psi_heights, u, v)``.  Its
 verdict is assembled in one place, ``cover_verdict``, from the two
@@ -93,37 +97,15 @@ def move_params(diagram: CastelnuovoDiagram):
     return [(u, w - 1) for u in columns if _addable(s, u) for w in removable if u < w]
 
 
-def apply_move(diagram: CastelnuovoDiagram, u: int, v: int) -> CastelnuovoDiagram:
-    """Diagram after the single-square move (u, v); validates the result."""
-    s = list(diagram.s)
-    w = v + 1
-    if not (0 < u <= v and w < len(s) and s[w] > 0):
-        raise ValueError(f"move ({u}, {v}) out of range for {diagram.render()}")
-    s[u] += 1
-    s[w] -= 1
-    return CastelnuovoDiagram(s)
-
-
-def _scan_covers(s):
-    """The (u, v) of every cover above the heights ``s``, sorted, from one scan.
-
-    Each removable column w pairs with the last column before it that is
-    addable or removable, when that column is addable: then nothing
-    between them is either, and (u, w - 1) is a cover.  The scan reads
-    each column with its two neighbours and tests both properties inline,
-    as ``_addable`` and ``_removable`` state them.
-    """
-    out = []
-    u = 0  # the last addable-or-removable column if it is addable, else 0
-    for c, (left, x, right) in enumerate(zip(s, s[1:], s[2:] + (0,)), 1):
-        removable = x > right
-        if removable and u:
-            out.append((u, c - 1))
-        if x < left or left == x == c:
-            u = c
-        elif removable:
-            u = 0
-    return out
+def _jump(s, u, v):
+    """The heights ``s`` with column u raised, column v+1 lowered and a
+    trailing zero dropped; the caller knows the move is valid."""
+    t = list(s)
+    t[u] += 1
+    t[v + 1] -= 1
+    if not t[-1]:
+        t.pop()
+    return tuple(t)
 
 
 def cover_moves(hf: HilbertFunction):
@@ -131,57 +113,86 @@ def cover_moves(hf: HilbertFunction):
 
     One left-to-right scan finds them: (u, v) is a cover exactly when
     column u is addable, column w = v+1 is removable, u < w, and no column
-    strictly between them is either.  Each psi is phi's height tuple with
-    column u raised, column w lowered and a trailing zero dropped; the
-    scan guarantees that the result is valid, so it is not validated again,
-    and the pair holds only psi's heights.
+    strictly between them is either.  So each removable column w pairs
+    with the last column before it that is addable or removable, when that
+    one is addable; each column is read with its two neighbours, as
+    ``_addable`` and ``_removable`` state them.  The pair holds only psi's
+    heights, ``_jump``, valid by the scan and not validated again.
     """
     s = hf.diagram.s
     out = []
-    for u, v in _scan_covers(s):
-        t = list(s)
-        t[u] += 1
-        t[v + 1] -= 1
-        if not t[-1]:
-            t.pop()
-        out.append(CoverPair(hf, tuple(t), u, v))
+    u = 0  # the last addable-or-removable column if it is addable, else 0
+    for c, (left, x, right) in enumerate(zip(s, s[1:], s[2:] + (0,)), 1):
+        removable = x > right
+        if removable and u:
+            out.append(CoverPair(hf, _jump(s, u, c - 1), u, c - 1))
+        if x < left or left == x == c:
+            u = c
+        elif removable:
+            u = 0
     return out
 
 
-def is_length_zero(phi: HilbertFunction, psi: HilbertFunction, run=None):
+def _nested_move(s, u, v):
+    """The first valid move of the heights ``s`` nested inside the valid
+    move (u, v), in (u, v) order, or None when (u, v) is a cover.
+
+    A nested move (u', v') has u <= u', v' <= v and is not (u, v).
+    Column u is addable, so the first removable column c in u+1..v gives
+    (u, c-1).  Otherwise a nested move removes at v+1 and adds at the
+    first addable column in u+1..v.  The heights never rise from u-1 on
+    (u is addable), so with no removable column in u+1..v they are level
+    from u+1 to v+1, and only column u+1 can be addable: when it is below
+    column u, (u+1, v).  With neither, (u, v) is a cover.
+
+    Every run of ones [u, v] between two valid diagrams phi and psi is
+    such a valid move of phi, so it needs no check here.  psi is phi with
+    column u raised and column w = v+1 lowered.  If psi climbs at u, it
+    climbs up to u, so phi's columns u-1 and u both have height u;
+    otherwise psi's raised column stays at most its left neighbour, so
+    phi's column u is below it.  Either way u is addable.  If psi climbed
+    at w+1, its column w would hold the staircase height w+1; but it holds
+    phi's height there less one, and no column w is higher than w+1.  So
+    psi's column w is at least its right neighbour, which is phi's, and
+    phi's column w is above it: w is removable.
+    """
+    for c in range(u + 1, v + 1):
+        if s[c] > s[c + 1]:
+            return u, c - 1
+    if u < v and s[u + 1] < s[u]:
+        return u + 1, v
+    return None
+
+
+def is_length_zero(phi: HilbertFunction, psi: HilbertFunction):
     """The CoverPair for (phi, psi) when it is a cover, else None.
 
     Raises on degree mismatch.  The pair must differ by a run of ones
-    (a single-square move) whose (u, v) the cover scan of phi lists.  A
-    caller that has already found that run, ``run_of_ones(phi, psi)`` and
-    not None, may pass it as ``run``.
+    (a single-square move, ``run_of_ones``) inside which no other move
+    nests (``_nested_move``).
     """
-    if run is None:
-        run = run_of_ones(phi, psi)
-    if run is None or run not in _scan_covers(phi.diagram.s):
+    run = run_of_ones(phi, psi)
+    if run is None or _nested_move(phi.diagram.s, *run) is not None:
         return None
     return CoverPair(phi, psi.diagram.s, *run)
 
 
-def find_intermediate(phi: HilbertFunction, psi: HilbertFunction, run=None):
+def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
     """Some Hilbert function strictly between phi and psi, or None.
 
-    Only meaningful for single-square-move pairs; for other inputs the
-    answer is None (the caller already knows the difference is not a run).
-    Any function strictly between phi and its move image is reachable from
-    phi by a first single-square jump staying below the image, and staying
-    below means precisely that the jump's interval nests inside [u, v].
-    ``run`` is as for ``is_length_zero``.
+    Raises on degree mismatch.  Only meaningful for single-square-move
+    pairs; for other inputs the answer is None.  Any function strictly
+    between phi and its move image is reachable from phi by a first
+    single-square jump staying below the image, and staying below means
+    precisely that the jump's interval nests inside [u, v]; the answer is
+    the image of the first such jump, ``_nested_move``.
     """
-    if run is None:
-        run = run_of_ones(phi, psi)
-    if run is None:
+    run = run_of_ones(phi, psi)
+    s = phi.diagram.s
+    move = None if run is None else _nested_move(s, *run)
+    if move is None:
         return None
-    u, v = run
-    for up, vp in move_params(phi.diagram):
-        if (up, vp) != (u, v) and up >= u and vp <= v:
-            return apply_move(phi.diagram, up, vp).hilbert_function()
-    return None
+    return HilbertFunction(CastelnuovoDiagram._unchecked(_jump(s, *move)))
 
 
 def betti_criterion(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
@@ -218,25 +229,21 @@ def is_type_zero(pair: CoverPair) -> bool:
     h >= 2 that lower level is at least two columns wide).  On such
     diagrams the generator count at u equals the relation count at u+1 and
     the counts at v+2 and v+3 are both one, so the shape always passes the
-    Betti criterion.
+    Betti criterion.  The shape is read from slices of phi's height tuple;
+    the wall needs two columns left of u, so u >= 2.
     """
-    u, v = pair.u, pair.v
-    if v != u + 1:
+    u = pair.u
+    if pair.v != u + 1 or u < 2:
         return False
-    ht = pair.phi.diagram.height
-    h = ht(u)
-    if ht(u - 1) <= h:
-        return False
-    if ht(u - 2) != ht(u - 1):
-        return False
-    if ht(u + 1) != h or ht(u + 2) != h:
-        return False
-    last = len(pair.phi.diagram.s) - 1
-    if any(ht(j) != h - 1 for j in range(v + 2, last + 1)):
-        return False
-    if h >= 2 and ht(v + 3) != h - 1:
-        return False
-    return True
+    s = pair.phi.diagram.s
+    h = s[u]
+    tail = s[u + 3 :]
+    return (
+        s[u - 2] == s[u - 1] > h
+        and s[u + 1] == s[u + 2] == h
+        and tail == (h - 1,) * len(tail)
+        and (h < 2 or len(tail) >= 2)
+    )
 
 
 def resolve_incidence(pair: CoverPair) -> IncidenceVerdict:

@@ -284,26 +284,28 @@ def pool_size(requested: int, tasks: int, cpus: int | None = None) -> int:
 
 def sweep_weight(n: int) -> SweepSummary:
     """Verify every cover of weight ``n`` in this process, streaming the diagrams."""
-    return _sweep_chunk((n, 0, count_diagrams(n)))
+    return _sweep_chunk((n, 0, None))
 
 
 def verify_range(n_values, workers: int = 1):
     """Sweep each weight in turn, yielding one summary per weight.
 
     The worker count is clamped by ``pool_size`` against the diagram count
-    of the largest weight (the count never decreases with the weight); at
-    one worker every weight runs through ``sweep_weight``.  Otherwise each
-    weight is cut into one contiguous rank range per worker
-    (``_shard_tasks``; the module docstring says why no finer), and the
-    ranges of every weight go through one ordered ``imap`` of one pool,
-    started with the platform's default method, so no weight waits at a
-    barrier.  Each weight's ranges go last first, the costliest first.  A
-    weight's summary is merged back in rank order and yielded when its
-    ranges are back, so the summaries, the failure order and the output do
-    not depend on the worker count.
+    of the largest weight, or of weight 100 if that is smaller (the count
+    never decreases with the weight, and weight 100 has 444,793 diagrams,
+    more than any CPU count), so no large weight is counted before the
+    first summary.  At one worker every weight runs through
+    ``sweep_weight``.  Otherwise each weight is cut into one contiguous
+    rank range per worker (``_shard_tasks``; the module docstring says why
+    no finer), and the ranges of every weight go through one ordered
+    ``imap`` of one pool, started with the platform's default method, so
+    no weight waits at a barrier.  Each weight's ranges go last first, the
+    costliest first.  A weight's summary is merged back in rank order and
+    yielded when its ranges are back, so the summaries, the failure order
+    and the output do not depend on the worker count.
     """
     ns = list(n_values)
-    workers = pool_size(workers, count_diagrams(max(ns))) if ns else 1
+    workers = pool_size(workers, count_diagrams(min(max(ns), 100))) if ns else 1
     if workers == 1:
         for n in ns:
             yield sweep_weight(n)

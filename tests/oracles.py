@@ -5,7 +5,7 @@ search, triple loops, truncated series) and never calls the code paths it
 is checking.
 """
 
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo
 
@@ -24,6 +24,17 @@ def distinct_part_partitions(n, largest=None):
 
 def count_distinct_partitions(n):
     return sum(1 for _ in distinct_part_partitions(n))
+
+
+def distinct_partition_counts_by_knapsack(top):
+    """The number of partitions of each n in 0..top into distinct parts,
+    by the 0/1 knapsack recurrence over the part sizes in one O(top^2)
+    pass: each part is taken at most once, so the totals run downwards."""
+    ways = [1] + [0] * top
+    for part in range(1, top + 1):
+        for total in range(top, part - 1, -1):
+            ways[total] += ways[total - part]
+    return ways
 
 
 def _recursive_tails(remaining, max_part):
@@ -64,6 +75,46 @@ def brute_single_square_moves(diagram):
             if is_castelnuovo(t):
                 found.append((u, w - 1))
     return sorted(found)
+
+
+def move_image(diagram, u, v):
+    """The diagram after adding a square at column u and removing one at
+    column v+1, built by the validating constructor; raises ValueError when
+    the result is not a valid diagram or the columns are out of range."""
+    s = list(diagram.s)
+    if not (0 < u <= v < len(s) - 1):
+        raise ValueError(f"move ({u}, {v}) out of range for {diagram.render()}")
+    s[u] += 1
+    s[v + 1] -= 1
+    return CastelnuovoDiagram(s)
+
+
+def type_zero_by_runs(s, u, v):
+    """The type-zero shape read from the run-length encoding of the heights
+    ``s`` of phi for the move (u, v) with v = u+1: the run starting at
+    column u is a plateau of exactly three columns at some height h, the
+    run before it a wall of at least two columns above h, and after it
+    come only columns of height h-1, at least two of them when h >= 2."""
+    if v != u + 1:
+        return False
+    runs = []  # (first column, height, length)
+    start = 0
+    for height, group in groupby(s):
+        length = len(list(group))
+        runs.append((start, height, length))
+        start += length
+    at = [i for i, run in enumerate(runs) if run[0] == u]
+    if not at or at[0] == 0:
+        return False
+    i = at[0]
+    _, h, length = runs[i]
+    _, wall, wall_length = runs[i - 1]
+    if length != 3 or wall <= h or wall_length < 2:
+        return False
+    rest = runs[i + 1 :]
+    if h == 1:
+        return not rest
+    return len(rest) == 1 and rest[0][1] == h - 1 and rest[0][2] >= 2
 
 
 def has_intermediate_by_patterns(phi, u, v):

@@ -17,17 +17,18 @@ from hilbstrata.diagrams import (
     parse_diagram,
     parse_hilbert_function,
     run_of_ones,
-    unrank,
 )
 from hilbstrata import diagrams
-from hilbstrata.incidence import apply_move, move_params
+from hilbstrata.incidence import move_params
 from hilbstrata.resolution import generic_betti
 from hilbstrata.sweep import _shard_tasks
 from oracles import (
     count_distinct_partitions,
     diagrams_by_sorting,
+    distinct_partition_counts_by_knapsack,
     greedy_maximal_diagram,
     is_castelnuovo_stepwise,
+    move_image,
     run_of_ones_by_zip,
 )
 
@@ -126,6 +127,9 @@ class TestEnumerate:
     def test_counts_match_partition_oracle(self):
         for n in range(0, 26):
             assert len(enumerate_diagrams(n)) == count_distinct_partitions(n) == count_diagrams(n)
+        knapsack = distinct_partition_counts_by_knapsack(1200)
+        assert [count_diagrams(n) for n in range(0, 301)] == knapsack[:301]
+        assert count_diagrams(1200) == knapsack[1200]
         with pytest.raises(ValueError):
             count_diagrams(-1)
 
@@ -159,9 +163,10 @@ class TestIterDiagrams:
             assert list(iter_diagrams(n)) == diagrams_by_sorting(n)
 
     def test_unrank_is_the_position(self):
+        # The range of one rank r holds the diagram at position r.
         for n in range(0, 31):
             for r, s in enumerate(iter_diagrams(n)):
-                assert unrank(n, r) == s
+                assert list(iter_diagrams(n, r, r + 1)) == [s]
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7, None])
     def test_shards_rejoin_to_the_full_list(self, count):
@@ -172,15 +177,24 @@ class TestIterDiagrams:
             assert [s for _, lo, hi in shards for s in iter_diagrams(n, lo, hi)] == full
 
     def test_tail_counts_sum_to_the_count(self):
+        # Each staircase's tail count is the number of diagrams with that
+        # longest staircase, and together they are the distinct-part count.
+        knapsack = distinct_partition_counts_by_knapsack(200)
         for n in range(0, 201):
             ways = diagrams._tail_counts(n)
             per_staircase = [ways[k][n - k * (k + 1) // 2] for k in range(len(ways))]
-            assert sum(per_staircase) == count_diagrams(n)
+            assert sum(per_staircase) == knapsack[n]
+            if n <= 30:
+                longest = [CastelnuovoDiagram(s).sigma + 1 if s else 0 for s in iter_diagrams(n)]
+                assert per_staircase == [longest.count(k) for k in range(len(ways))]
 
     def test_unrank_rejects_out_of_range(self):
-        for bad in ((5, -1), (5, count_diagrams(5)), (0, 1), (-1, 0)):
+        # A rank past the last diagram holds nothing; a negative one raises.
+        for n, r in ((5, count_diagrams(5)), (0, 1), (12, 10**6)):
+            assert list(iter_diagrams(n, r, r + 1)) == []
+        for bad in ((5, -1), (-1, 0)):
             with pytest.raises(ValueError):
-                unrank(*bad)
+                list(iter_diagrams(bad[0], bad[1], bad[1] + 1))
         with pytest.raises(ValueError):
             list(iter_diagrams(-1))
         with pytest.raises(ValueError):
@@ -198,7 +212,8 @@ class TestIterDiagrams:
         assert len(head) == 1000
         assert all(is_castelnuovo(s) and sum(s) == 1200 for s in head)
         assert all(a > b for a, b in zip(head, head[1:]))
-        assert unrank(1200, count_diagrams(1200) - 1) == (1,) * 1200
+        last = count_diagrams(1200) - 1
+        assert list(iter_diagrams(1200, last, last + 1)) == [(1,) * 1200]
 
 
 @settings(deadline=None)
@@ -209,7 +224,7 @@ class TestIterDiagrams:
 )
 def test_unrank_neighbours(case):
     n, r = case
-    here, after = unrank(n, r), unrank(n, r + 1)
+    here, after = next(iter_diagrams(n, r, r + 1)), next(iter_diagrams(n, r + 1, r + 2))
     assert is_castelnuovo(here) and sum(here) == n
     assert here > after
     assert list(iter_diagrams(n, r, r + 2)) == [here, after]
@@ -291,13 +306,14 @@ def test_run_of_ones_matches_the_zip_loop_on_long_tails():
     # and another diagram of its weight.
     rng = random.Random(19)
     for phi in long_diagrams(19, 30):
-        others = [phi, CastelnuovoDiagram(unrank(phi.weight, rng.randrange(count_diagrams(phi.weight))))]
+        r = rng.randrange(count_diagrams(phi.weight))
+        others = [phi, CastelnuovoDiagram(next(iter_diagrams(phi.weight, r, r + 1)))]
         moves = move_params(phi)
         for u, v in rng.sample(moves, min(20, len(moves))):
-            once = apply_move(phi, u, v)
+            once = move_image(phi, u, v)
             others.append(once)
             again = move_params(once)
-            others.extend(apply_move(once, *m) for m in rng.sample(again, min(3, len(again))))
+            others.extend(move_image(once, *m) for m in rng.sample(again, min(3, len(again))))
         f = phi.hilbert_function()
         for psi in others:
             g = psi.hilbert_function()

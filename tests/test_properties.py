@@ -18,33 +18,32 @@ from hilbstrata.diagrams import (
     _parse_int_list,
     count_diagrams,
     is_castelnuovo,
+    iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
     run_of_ones,
-    unrank,
 )
 from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json
-from hilbstrata.incidence import (
-    _scan_covers,
-    apply_move,
-    is_length_zero,
-    move_params,
-    resolve_incidence,
-)
+from hilbstrata.incidence import cover_moves, is_length_zero, move_params, resolve_incidence
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import stratum_dim
-from oracles import brute_single_square_moves, parse_int_list_by_tokens
+from oracles import brute_single_square_moves, move_image, parse_int_list_by_tokens
 
 deterministic = settings(deadline=None, derandomize=True)
+
+
+def _at_rank(draw, n):
+    """The weight-n diagram at a rank drawn uniformly."""
+    r = draw(st.integers(0, count_diagrams(n) - 1))
+    s = next(iter_diagrams(n, r, r + 1))
+    assert is_castelnuovo(s) and sum(s) == n
+    return CastelnuovoDiagram(s)
 
 
 @st.composite
 def diagrams(draw, max_weight=200):
     """A weight-n diagram, n <= ``max_weight``, drawn uniformly by rank."""
-    n = draw(st.integers(0, max_weight))
-    s = unrank(n, draw(st.integers(0, count_diagrams(n) - 1)))
-    assert is_castelnuovo(s) and sum(s) == n
-    return CastelnuovoDiagram(s)
+    return _at_rank(draw, draw(st.integers(0, max_weight)))
 
 
 # Text near the grammar (digits, signs, separators, a superscript and a
@@ -59,6 +58,11 @@ texts = st.one_of(
 )
 
 
+def _cover_params(d):
+    """The (u, v) of the covers above the diagram ``d``."""
+    return [(p.u, p.v) for p in cover_moves(d.hilbert_function())]
+
+
 @st.composite
 def pairs(draw):
     """Two texts for ``resolve``: arbitrary, or a diagram and the image of
@@ -67,8 +71,8 @@ def pairs(draw):
     if draw(st.booleans()):
         return draw(texts), draw(texts)
     phi = draw(diagrams())
-    moves = _scan_covers(phi.s) if draw(st.booleans()) else move_params(phi)
-    psi = apply_move(phi, *draw(st.sampled_from(moves))) if moves else phi
+    moves = _cover_params(phi) if draw(st.booleans()) else move_params(phi)
+    psi = move_image(phi, *draw(st.sampled_from(moves))) if moves else phi
     if draw(st.booleans()):
         return phi.hilbert_function().render(), psi.hilbert_function().render()
     return phi.render(), psi.render()
@@ -170,7 +174,7 @@ def test_moves_match_the_brute_force_oracle(d):
         for u, v in moves
         if not any((up, vp) != (u, v) and up >= u and vp <= v for up, vp in moves)
     ]
-    assert _scan_covers(d.s) == minimal
+    assert _cover_params(d) == minimal
 
 
 def run_of_ones_by_degree(phi, psi):
@@ -195,12 +199,12 @@ def same_weight_pairs(draw):
     phi = draw(diagrams(max_weight=60))
     n = phi.weight
     if draw(st.booleans()):
-        return phi, CastelnuovoDiagram(unrank(n, draw(st.integers(0, count_diagrams(n) - 1))))
+        return phi, _at_rank(draw, n)
     psi = phi
     for _ in range(draw(st.integers(1, 3))):
         moves = move_params(psi)
         if moves:
-            psi = apply_move(psi, *draw(st.sampled_from(moves)))
+            psi = move_image(psi, *draw(st.sampled_from(moves)))
     return phi, psi
 
 

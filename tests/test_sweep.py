@@ -10,6 +10,7 @@ import pytest
 
 from conftest import hf
 from hilbstrata import cli, incidence, sweep
+from hilbstrata.diagrams import count_diagrams
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import BettiTable, generic_betti
 from hilbstrata.strata import stratum_dim
@@ -264,6 +265,20 @@ class TestPoolSize:
         assert sweep.available_cpus() == 6 and pool_size(8, tasks=100) == 6
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
         assert sweep.available_cpus() == 1
+
+    def test_clamp_counts_no_weight_above_100(self, monkeypatch):
+        # The first summary of an unbounded range comes without counting
+        # the diagrams of its largest weight.
+        counted = []
+
+        def recording_count(n):
+            counted.append(n)
+            return count_diagrams(n)
+
+        monkeypatch.setattr(sweep, "count_diagrams", recording_count)
+        first = next(verify_range(range(1, 10**6), workers=1))
+        assert (first.n, first.diagrams, first.failures) == (1, 1, [])
+        assert counted and max(counted) <= 100
 
 
 def test_verify_workers_default_to_the_affinity_mask(monkeypatch):
