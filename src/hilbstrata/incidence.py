@@ -6,16 +6,17 @@ diagram arises from phi's by a minimal leftward jump of a single square,
 adding one to column u and removing one from column w = v+1.  Minimal
 means that no column strictly between u and w is addable or removable, so
 the covers are the adjacent (addable, removable) column pairs of one
-left-to-right scan, ``cover_moves``.  A pair given by its two functions
-needs no scan: their difference must be a run of ones [u, v]
-(``run_of_ones``), always a valid move between two valid diagrams, and
-one closed-form rule, ``_nested_move``, names the first move nested
-inside it, or none when (u, v) is a cover.  For covers the closure of
-the bigger stratum contains the smaller one exactly when both the
-dimension comparison and the tangent comparison hold; this module also
-evaluates the equivalent criterion on the Betti numbers of phi, the
-type-zero shape of the diagram, and the truncated intersection products
-that certify solvability of the underlying equation systems.
+left-to-right scan, ``cover_moves``; its mirror, ``last_cover_column``,
+names the last diagram in canonical order that a given one covers.  A
+pair given by its two functions needs no scan: their difference must be
+a run of ones [u, v] (``run_of_ones``), always a valid move between two
+valid diagrams, and one closed-form rule, ``_nested_move``, names the
+first move nested inside it, or none when (u, v) is a cover.  For covers
+the closure of the bigger stratum contains the smaller one exactly when
+both the dimension comparison and the tangent comparison hold; this
+module also evaluates the equivalent criterion on the Betti numbers of
+phi, the type-zero shape of the diagram, and the truncated intersection
+products that certify solvability of the underlying equation systems.
 
 A cover is the plain record ``CoverPair(phi, psi_heights, u, v)``.  Its
 verdict is assembled in one place, ``cover_verdict``, from the two
@@ -66,35 +67,23 @@ class IncidenceVerdict(NamedTuple):
     dims: tuple
 
 
-def _addable(s, u) -> bool:
-    """Can column u >= 1 of the heights ``s`` take one extra square?
-
-    Either the raised column still fits under its left neighbour, or the
-    column currently matches the staircase value of its neighbour and the
-    extra square extends the staircase by one step.
-    """
-    left = s[u - 1]
-    return s[u] < left or left == s[u] == u
-
-
-def _removable(s, w) -> bool:
-    """Can column w >= 1 of the heights ``s`` lose its top square?  The
-    lowered column must not dip below its right neighbour."""
-    return s[w] > (s[w + 1] if w + 1 < len(s) else 0)
-
-
 def move_params(diagram: CastelnuovoDiagram):
     """All (u, v) with a valid single-square move from column v+1 to column u.
 
-    Independent validity of the addition and the removal suffices for the
-    combined move: the two edits touch disjoint junctions except when
-    v+1 = u+1, where the raised column only grows away from the lowered
-    one.  Sorted by (u, v).
+    Column u >= 1 is addable when the raised column still fits under its
+    left neighbour, or when it matches its neighbour's staircase height u
+    and the extra square extends the staircase; column w >= 1 is removable
+    when it is above its right neighbour.  Independent validity of the
+    addition and the removal suffices for the combined move: the two edits
+    touch disjoint junctions except when v+1 = u+1, where the raised
+    column only grows away from the lowered one.  Sorted by (u, v).
     """
     s = diagram.s
+    p = s + (0,)
     columns = range(1, len(s))
-    removable = [w for w in columns if _removable(s, w)]
-    return [(u, w - 1) for u in columns if _addable(s, u) for w in removable if u < w]
+    removable = [w for w in columns if p[w] > p[w + 1]]
+    addable = [u for u in columns if s[u] < s[u - 1] or s[u - 1] == s[u] == u]
+    return [(u, w - 1) for u in addable for w in removable if u < w]
 
 
 def _jump(s, u, v):
@@ -116,7 +105,7 @@ def cover_moves(hf: HilbertFunction):
     strictly between them is either.  So each removable column w pairs
     with the last column before it that is addable or removable, when that
     one is addable; each column is read with its two neighbours, as
-    ``_addable`` and ``_removable`` state them.  The pair holds only psi's
+    ``move_params`` states the two tests.  The pair holds only psi's
     heights, ``_jump``, valid by the scan and not validated again.
     """
     s = hf.diagram.s
@@ -131,6 +120,47 @@ def cover_moves(hf: HilbertFunction):
         elif removable:
             u = 0
     return out
+
+
+def last_cover_column(s):
+    """Which diagram that the heights ``s`` cover comes last in canonical
+    order, named by the column u where it is lower than ``s``; 0 when ``s``
+    covers none.
+
+    Such a diagram phi is s with column u lowered and a column c > u
+    raised, (u, c-1) a cover of phi: the mirror of ``cover_moves``.  It
+    agrees with s left of u and is lower at u, so in canonical (descending
+    lexicographic) order the first u comes last; and u forces c, as
+    follows, so u alone names phi.  Column u must drop, h = s[u+1] < s[u],
+    so it is at or past the staircase's top.  If s[u] >= h + 2, then c is
+    u+1: a c further right leaves phi's column u+1 removable between u and
+    c.  If s[u] = h + 1, raising a column of the plateau of height h from
+    u+1 on lifts it above its left neighbour, and raising one past p, the
+    first column right of the plateau, or p itself when s[p] < h - 1,
+    leaves p-1 removable between u and c.  So c = p when s[p] = h - 1, and
+    otherwise the next drop, p-1's by two or more, gives c = p; with h = 0,
+    s is all ones, the bottom.  In each case phi's column u is addable
+    (s[u] - 1 < s[u-1], or s climbs at u and phi's columns u-1 and u both
+    hold u), and no column j strictly between u and c is removable, or
+    addable, which would need j = h at height h, while every column right
+    of the staircase is numbered above h.
+    """
+    if len(s) < 2:
+        return 0
+    p = s + (0,)
+    u = 1
+    while p[u] <= p[u + 1]:  # the last column drops to 0
+        u += 1
+    h = p[u + 1]
+    if p[u] == h + 1:
+        if not h:
+            return 0
+        c = u + 2
+        while p[c] == h:
+            c += 1
+        if p[c] < h - 1:
+            return c - 1
+    return u
 
 
 def _nested_move(s, u, v):

@@ -29,19 +29,16 @@ or a failure is rendered.  The entry holds no verdict: each cover's
 checks run on it afresh, and each row was read from its own diagram's h
 and b.
 
-The cache keeps two staircase blocks.  Write k for the length of the
-longest staircase prefix 1..k of a diagram.  A cover's psi
-is phi with column u raised and column w = v+1 > u lowered, so psi comes
-before phi in canonical (descending lexicographic) order, and its k is
-phi's or one more.  A column c in 1..k-1 of phi's staircase is never
-addable (its height c+1 already exceeds its left neighbour's c), so
-u >= k and w > k leave the staircase in place, and raising column k
-lengthens it, to k+1, exactly when phi's height there is k.  Canonical
-order runs k downwards, so once phi's k falls, the block two above it
-can never be read again and is dropped.  In a serial sweep every psi was
-an earlier phi and every lookup hits; a task that starts inside a weight
-misses on the psi it never enumerated, and stores each in the block it
-belongs to.
+Each entry is kept until its last reader.  A cover's psi is phi with
+column u raised and column v+1 > u lowered, so psi comes before phi in
+canonical (descending lexicographic) order, and its readers are the
+diagrams psi covers.  The last of them is psi lowered at the column
+``last_cover_column(psi)``, and no other reader lowers psi there, so each
+entry, phi's own or one built on a miss, is kept with that column and
+dropped when a cover (u, v) with that u reads it.  In a serial sweep
+every psi was an earlier phi and every lookup hits; a task that starts
+inside a weight misses on the psi it never enumerated, and keeps an
+entry whose reader lies past its stop to its end.
 
 A parallel sweep therefore cuts each weight into as few rank ranges as
 it can: one per worker.  A tenth of the covers reach a psi more than
@@ -56,7 +53,7 @@ import os
 from itertools import zip_longest
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
-from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero
+from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero, last_cover_column
 from .resolution import BettiTable, generic_betti
 from .strata import cover_excess, cover_row, stratum_dim
 
@@ -220,33 +217,33 @@ def _sweep_chunk(task):
     """Worker: run all covers whose lower diagram has a rank in the task's range.
 
     A task is three integers (n, start, stop); the worker enumerates its
-    own range.  The cache holds two staircase blocks: the entries of the
-    diagrams whose longest staircase prefix 1..k is phi's (``current``)
-    and of those with k+1 (``above``).  That is every psi a cover can
-    reach, because psi's staircase is phi's or one longer (see the module
-    docstring), and canonical order runs the staircases from the longest
-    down, so a block is dropped once phi's staircase falls below it.
+    own range.  The cache maps a diagram's heights to its entry and the
+    column at which its last reader is lower, and a cover (u, v) with that
+    u drops it on reading it (see the module docstring); a miss that phi
+    itself reads last is not kept.
     """
     n, start, stop = task
     summary = SweepSummary(n=n)
-    current, above = {}, {}
-    k = 0
+    cache = {}  # heights -> (entry, last_cover_column of the heights)
     for s in iter_diagrams(n, start, stop):
         summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
-        if not k or s[k - 1] != k:
-            # The task's first diagram, or phi's staircase fell to k-1.
-            above, current = current, {}
-            k = phi.diagram.sigma + 1
         betti_phi = generic_betti(phi)
-        entry_phi = current[s] = cache_entry(phi, betti_phi, stratum_dim(phi))
+        entry_phi = cache_entry(phi, betti_phi, stratum_dim(phi))
+        cache[s] = entry_phi, last_cover_column(s)
         for pair in cover_moves(phi):
-            # Raising column k to k+1 is the one move that lengthens the staircase.
-            block = above if pair.u == k and s[k] == k else current
-            entry_psi = block.get(pair.psi_heights)
-            if entry_psi is None:
+            t = pair.psi_heights
+            kept = cache.get(t)
+            if kept is None:
                 psi = pair.psi
-                entry_psi = block[pair.psi_heights] = cache_entry(psi, generic_betti(psi), stratum_dim(psi))
+                entry_psi = cache_entry(psi, generic_betti(psi), stratum_dim(psi))
+                u = last_cover_column(t)
+                if u != pair.u:
+                    cache[t] = entry_psi, u
+            else:
+                entry_psi, u = kept
+                if u == pair.u:
+                    del cache[t]
             incident, _, type_zero, failures = check_cover(pair, betti_phi, entry_phi, entry_psi)
             summary.covers += 1
             summary.incident += 1 if incident else 0
@@ -256,11 +253,12 @@ def _sweep_chunk(task):
 
 
 def _shard_tasks(n: int, count: int):
-    """Up to ``count`` tasks (n, start, stop) of near-equal rank ranges that
-    together cover the weight-n diagrams in order; empty ranges are dropped."""
+    """min(count, count_diagrams(n)) tasks (n, start, stop) of near-equal,
+    non-empty rank ranges that together cover the weight-n diagrams in order."""
     total = count_diagrams(n)
+    count = min(count, total)
     bounds = [total * i // count for i in range(count + 1)]
-    return [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    return [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def available_cpus() -> int:
@@ -299,7 +297,9 @@ def verify_range(n_values, workers: int = 1):
     rank range per worker (``_shard_tasks``; the module docstring says why
     no finer), and the ranges of every weight go through one ordered
     ``imap`` of one pool, started with the platform's default method, so
-    no weight waits at a barrier.  Each weight's ranges go last first, the
+    no weight waits at a barrier.  The pool plans one weight at a time as
+    it reads the ranges (in a thread of its own, so each weight's range
+    count is computed again here).  Each weight's ranges go last first, the
     costliest first.  A weight's summary is merged back in rank order and
     yielded when its ranges are back, so the summaries, the failure order
     and the output do not depend on the worker count.
@@ -314,11 +314,11 @@ def verify_range(n_values, workers: int = 1):
     # 12 ms to every import of the package.
     from multiprocessing import Pool
 
-    shards = {n: _shard_tasks(n, workers) for n in ns}
+    tasks = (task for n in ns for task in reversed(_shard_tasks(n, workers)))
     with Pool(workers) as pool:
-        results = pool.imap(_sweep_chunk, [task for n in ns for task in reversed(shards[n])])
+        results = pool.imap(_sweep_chunk, tasks)
         for n in ns:
-            parts = [next(results) for _ in shards[n]]
+            parts = [next(results) for _ in range(min(workers, count_diagrams(n)))]
             summary = SweepSummary(n=n)
             for part in reversed(parts):
                 summary.merge(part)

@@ -7,7 +7,8 @@ is checking.
 
 from itertools import groupby, zip_longest
 
-from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo
+from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo, iter_diagrams
+from hilbstrata.incidence import cover_moves
 
 
 def distinct_part_partitions(n, largest=None):
@@ -324,6 +325,18 @@ def run_of_ones_by_zip(phi, psi):
     if u is None or u < 1:
         return None
     return u, v
+
+
+def last_readers(n):
+    """Each weight-n diagram's heights, in canonical order, mapped to the
+    heights of the last diagram in that order whose ``cover_moves`` reach
+    it, or None when none does: every diagram's covers are listed, and
+    each psi keeps the last phi seen."""
+    last = dict.fromkeys(iter_diagrams(n))
+    for s in last:
+        for pair in cover_moves(CastelnuovoDiagram._unchecked(s).hilbert_function()):
+            last[pair.psi_heights] = s
+    return last
 
 
 def first_nested_move(moves, u, v):

@@ -19,6 +19,7 @@ from hilbstrata.incidence import (
     find_intermediate,
     is_length_zero,
     is_type_zero,
+    last_cover_column,
     move_params,
     resolve_incidence,
     verdict_line,
@@ -30,6 +31,7 @@ from oracles import (
     cover_relations_triple_loop,
     first_nested_move,
     has_intermediate_by_patterns,
+    last_readers,
     move_image,
     type_zero_by_runs,
 )
@@ -186,6 +188,27 @@ class TestIsLengthZero:
                     )
                     expected = _heights_after_jump(phi.diagram.s, pair.u, pair.v)
                     assert dict(enumerate(pair.psi.diagram.s)) == expected
+
+
+class TestLastCoverColumn:
+    def test_small_cases(self):
+        assert last_cover_column(()) == last_cover_column((1, 1, 1)) == 0
+        assert last_cover_column((1, 2)) == 1  # column 1 drops by two
+        # Column 3 drops by one onto a plateau at height 1 that ends at 0.
+        assert last_cover_column((1, 2, 2, 2, 1)) == 3
+        # Column 2 drops by one onto a plateau at height 2 that ends two
+        # below, so the next drop, by two at column 3, is taken.
+        assert last_cover_column((1, 2, 3, 2)) == 3
+
+    def test_names_the_last_reader_of_every_diagram_to_weight_40(self):
+        for n in range(41):
+            readers = last_readers(n)
+            for s, reader in readers.items():
+                lowered = [i for i, (x, y) in enumerate(zip(s, reader or s)) if x > y]
+                assert last_cover_column(s) == (lowered[0] if reader else 0), s
+                for pair in cover_moves(CastelnuovoDiagram._unchecked(s).hilbert_function()):
+                    t = pair.psi_heights
+                    assert (pair.u == last_cover_column(t)) == (s == readers[t]), (s, t)
 
 
 class TestConditions:

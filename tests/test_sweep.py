@@ -334,6 +334,46 @@ def _dispatched(monkeypatch, weights, workers=2):
     return list(verify_range(weights, workers=workers)), tasks
 
 
+def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
+    # A stand-in pool that reads its tasks only as results are asked for:
+    # the first summary of a million-weight range comes after planning weight 1.
+    planned = []
+    plan = sweep._shard_tasks
+
+    def recording_plan(n, count):
+        planned.append((n, count))
+        return plan(n, count)
+
+    class LazyPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", LazyPool)
+    monkeypatch.setattr(sweep, "available_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_shard_tasks", recording_plan)
+    first = next(verify_range(range(1, 10**6), workers=2))
+    assert (first.n, first.diagrams, first.failures) == (1, 1, [])
+    assert planned == [(1, 2)]
+
+
+def test_shard_tasks_are_as_many_as_the_workers_or_the_diagrams():
+    for n in range(1, 12):
+        for count in range(1, 9):
+            tasks = sweep._shard_tasks(n, count)
+            assert len(tasks) == min(count, count_diagrams(n))
+            assert [lo for _, lo, _ in tasks] + [count_diagrams(n)] == [0] + [hi for _, _, hi in tasks]
+            assert all(lo < hi for _, lo, hi in tasks)
+
+
 def test_parallel_sweep_dispatches_last_first_and_merges_in_rank_order(monkeypatch):
     # Every cover fails once, by name, so the merged failure order shows.
     def named(pair, betti_phi, entry_phi, entry_psi):

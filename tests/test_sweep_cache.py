@@ -1,13 +1,15 @@
-"""The two-staircase rule behind the sweep's Betti cache, and the functions
-that the sweep and the graph build."""
+"""The last-reader rule behind the sweep's Betti cache: each entry is kept
+until the last diagram that reads it, named by ``last_cover_column``, and
+no longer; and the functions that the sweep and the graph build."""
 
 import pytest
 
 from hilbstrata import sweep
 from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
 from hilbstrata.graph import build_hilbert_graph
-from hilbstrata.incidence import cover_moves
+from hilbstrata.incidence import cover_moves, last_cover_column
 from hilbstrata.sweep import SweepSummary
+from oracles import last_readers
 
 
 def _staircase(s):
@@ -20,15 +22,77 @@ def _staircase(s):
 
 def test_psi_precedes_phi_and_lengthens_its_staircase_by_at_most_one():
     for n in range(1, 31):
-        rank = {s: r for r, s in enumerate(iter_diagrams(n))}
+        readers = last_readers(n)
+        rank = {s: r for r, s in enumerate(readers)}
         for s in rank:
             for pair in cover_moves(CastelnuovoDiagram._unchecked(s).hilbert_function()):
                 t = pair.psi.diagram.s
-                assert rank[t] < rank[s]
+                assert rank[t] < rank[s] <= rank[readers[t]]
+                # The last reader is lower than psi at the first column.
+                assert pair.u >= last_cover_column(t)
                 assert _staircase(t) - _staircase(s) in (0, 1)
-                # The cache picks psi's block from the move alone.
-                lengthens = pair.u == _staircase(s) and s[pair.u] == pair.u
-                assert _staircase(t) == _staircase(s) + lengthens
+
+
+def _minimal_live(n):
+    """The most entries a serial sweep of weight n must hold at once: while
+    phi is swept, phi's own and every earlier diagram's whose last reader
+    is phi or later."""
+    readers = last_readers(n)
+    rank = {s: r for r, s in enumerate(readers)}
+    opened = [0] * (len(rank) + 1)  # entries that start being held at each rank
+    for s, reader in readers.items():
+        if reader is not None:
+            opened[rank[s] + 1] += 1
+            opened[rank[reader] + 1] -= 1
+    held = peak = 0
+    for change in opened:
+        held += change
+        peak = max(peak, held)
+    return peak + 1
+
+
+@pytest.fixture
+def peak_entries(monkeypatch):
+    """Runs a sweep task and returns its summary and the most cache entries
+    alive at once, counted by a tuple subclass that ``cache_entry`` returns."""
+    live = [0, 0]  # entries alive now, and at most
+
+    class Counted(tuple):
+        def __del__(self):
+            live[0] -= 1
+
+    body = sweep.cache_entry
+
+    def counted(*args):
+        live[0] += 1
+        live[1] = max(live)
+        return Counted(body(*args))
+
+    monkeypatch.setattr(sweep, "cache_entry", counted)
+
+    def run(task):
+        live[1] = 0
+        summary = sweep._sweep_chunk(task)
+        assert summary.covers > 0 and summary.failures == [] and live[0] == 0
+        return summary, live[1]
+
+    return run
+
+
+@pytest.mark.parametrize("n", range(30, 41))
+def test_cache_holds_at_most_the_minimal_live_set_and_one(peak_entries, n):
+    _, peak = peak_entries((n, 0, None))
+    assert peak <= _minimal_live(n) + 1
+
+
+@pytest.mark.parametrize("n", range(30, 41))
+def test_a_task_holds_no_more_than_the_serial_sweep(peak_entries, n):
+    # At each rank a task holds a subset of what the serial sweep holds: a
+    # miss that phi itself reads last is not kept.
+    _, serial = peak_entries((n, 0, None))
+    for count in (2, 3):
+        for task in sweep._shard_tasks(n, count):
+            assert peak_entries(task)[1] <= serial
 
 
 @pytest.mark.parametrize("n", range(20, 31))
