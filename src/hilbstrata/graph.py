@@ -8,7 +8,9 @@ record.
 """
 
 import sys
-from itertools import compress, repeat
+from collections.abc import Sequence
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, index
 from typing import NamedTuple
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
@@ -87,45 +89,59 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
     return HilbertGraph(n=n, nodes=nodes, edges=edges)
 
 
-def detect_noncatenary(g: HilbertGraph):
+def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     """Intervals whose saturated chains disagree in length.
 
-    Returns (from_id, to_id, lengths) triples, sorted, with ``lengths`` the
-    ascending tuple of distinct cover-path lengths from the lower to the
-    upper node; a pentagon is an interval carrying both a length-2 and a
-    length-3 chain.  The edges are assumed to be exactly the covers, so the
+    Returns a ``Witnesses`` sequence of (from_id, to_id, lengths) triples,
+    sorted, with ``lengths`` the ascending tuple of distinct cover-path
+    lengths from the lower to the upper node; a pentagon is an interval
+    carrying both a length-2 and a length-3 chain.  The result is a
+    read-only sequence, not a ``list``: it has ``len``, indexing, ``in``
+    and ``==`` with any sequence of triples, and ``list(...)`` gives the
+    plain list.  The edges are assumed to be exactly the covers, so the
     saturated chains of [i, j] are the edge paths from i to j.
 
     After ``_layers`` has found the longest chain, a walk in reverse
-    topological order builds, for every node x, one integer ``rows[x]`` with
-    a field of W bits per node j: bit l of field j is set when some edge
-    path from x to j has length l.  So ``rows[x]`` is the OR of its upper
+    topological order builds, for every node x, one integer row with a
+    field of W bits per node j: bit l of field j is set when some edge
+    path from x to j has length l.  So x's row is the OR of its upper
     covers' rows shifted up by one, plus bit 0 of field x.  W is the
     smallest multiple of 64 that keeps the top bit of every field above the
     longest chain.  That top bit is a guard: with G every field's guard and
     ONES every field's bit 0, ``q = row | G`` and ``q & (q - ONES) & ~G``
     keep exactly the fields holding two or more lengths, and no borrow
-    crosses a field.  Each source's row is then read as 64-bit words, and
-    its witnesses are zipped from the kept fields.  The cost is E
-    big-integer ORs over N·W-bit rows plus one extraction per source; the
-    rows take N²·W/8 bytes.
+    crosses a field.  x's witnesses are read from its row, as 64-bit words,
+    as soon as it is built.  The row is kept only while a lower cover of x
+    has not yet ORed it in, and dropped after the last one has.  The cost
+    is E big-integer ORs over N·W-bit rows plus one extraction per source;
+    the memory is the rows of the walk's frontier, not the N²·W/8 bytes of
+    all rows, plus about 8 bytes per witness.
     Raises ValueError when the edges contain a cycle.
     """
+    from array import array  # here only: no other path needs it
+
     order, up = _topological_order(g)
     n = len(order)
     k = (max(_layers(order, up), default=0) + 65) // 64  # 64-bit words per field
     width = 64 * k
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     guards = ones << (width - 1)
+    readers = [0] * n  # lower covers that have not yet read each row
+    for e in g.edges:
+        readers[e.to_id] += 1
     rows = [0] * n
+    kinds = _LengthIndex()
+    found = [None] * n  # per source: its to-ids and length-set indices
     for x in reversed(order):
         above = 0
         for y in up[x]:
             above |= rows[y]
-        rows[x] = above << 1 | 1 << width * x
-    lengths = _Lengths()
-    witnesses = []
-    for i, row in enumerate(rows):
+            readers[y] -= 1
+            if not readers[y]:
+                rows[y] = 0  # its last lower cover has read it
+        row = above << 1 | 1 << width * x
+        if readers[x]:
+            rows[x] = row
         q = row | guards
         multiple = q & (q - ones) & ~guards
         if multiple:
@@ -136,21 +152,72 @@ def detect_noncatenary(g: HilbertGraph):
                 folded |= multiple >> 64 * t
             hits = _words(folded, n * k)[::k]
             masks = _split_fields(row, n, k, hits)
-            witnesses.extend(
-                zip(repeat(i), compress(range(n), hits), map(lengths.__getitem__, masks))
+            found[x] = (
+                x,
+                array("I", compress(range(n), hits)),
+                array("I", map(kinds.__getitem__, masks)),
             )
-    return witnesses
+    return Witnesses([chunk for chunk in found if chunk], tuple(kinds.lengths))
 
 
-class _Lengths(dict):
-    """A field's words, lowest first -> the ascending tuple of its set bits,
-    one tuple per distinct field."""
+class Witnesses(Sequence):
+    """The (from_id, to_id, lengths) triples of ``detect_noncatenary``, in
+    sorted order, held as one pair of ``array("I")`` chunks per source: its
+    to-ids and, for each, the index of its ``lengths`` tuple in one shared
+    table.  Compares equal to any sequence of the same triples."""
+
+    __slots__ = ("_chunks", "_lengths", "_starts")
+
+    def __init__(self, chunks, lengths):
+        # chunks: (from_id, to_ids, length indices) with ascending from_ids
+        self._chunks = chunks
+        self._lengths = lengths
+        self._starts = list(accumulate((len(c[1]) for c in chunks), initial=0))
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __iter__(self):
+        lengths = self._lengths.__getitem__
+        return chain.from_iterable(
+            zip(repeat(i), to_ids, map(lengths, kinds)) for i, to_ids, kinds in self._chunks
+        )
+
+    def __getitem__(self, position):
+        from bisect import bisect_right  # here only: indexing is rare
+
+        position = index(position)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("witness index out of range")
+        c = bisect_right(self._starts, position) - 1
+        i, to_ids, kinds = self._chunks[c]
+        at = position - self._starts[c]
+        return i, to_ids[at], self._lengths[kinds[at]]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"Witnesses({list(self)!r})"
+
+
+class _LengthIndex(dict):
+    """A field's words, lowest first -> the index in ``lengths`` of the
+    ascending tuple of its set bits, one tuple per distinct field."""
+
+    def __init__(self):
+        self.lengths = []
 
     def __missing__(self, words):
-        lengths = self[words] = tuple(
-            64 * t + l for t, w in enumerate(words) for l in range(w.bit_length()) if w >> l & 1
+        kind = self[words] = len(self.lengths)
+        self.lengths.append(
+            tuple(64 * t + l for t, w in enumerate(words) for l in range(w.bit_length()) if w >> l & 1)
         )
-        return lengths
+        return kind
 
 
 # The format of a native 64-bit unsigned word.
@@ -332,10 +399,12 @@ def _emit_dot(g: HilbertGraph) -> bytes:
     for node in g.nodes:
         label = f"{node.diagram.render()}\\ndim {node.dim}"
         lines.append(f'  n{node.id} [label="{label}"];')
-    for depth in range(max(layer, default=0) + 1):
-        members = [i for i in range(len(g.nodes)) if layer[i] == depth]
+    ranks = [[] for _ in range(max(layer, default=0) + 1)]
+    for i, depth in enumerate(layer):
+        ranks[depth].append(f"n{i};")
+    for members in ranks:
         if members:
-            lines.append("  { rank=same; " + " ".join(f"n{i};" for i in members) + " }")
+            lines.append("  { rank=same; " + " ".join(members) + " }")
     for e in g.edges:
         style = "solid" if e.verdict.incident else "dashed"
         attrs = [f"style={style}"]

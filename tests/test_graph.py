@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from hilbstrata.graph import (
     EdgeRecord,
     HilbertGraph,
     NodeRecord,
+    Witnesses,
     _layers,
     _split_fields,
     _topological_order,
@@ -201,6 +203,94 @@ class TestNoncatenary:
             detect_noncatenary(g)
         with pytest.raises(ValueError, match="cover graph has a cycle"):
             emit(g, "dot")
+
+
+class TestWitnesses:
+    def test_sequence_of_one_pentagon(self):
+        pentagon = [(5, 2), (2, 1), (5, 4), (4, 3), (3, 1)]
+        got = detect_noncatenary(hand_built(7, pentagon))
+        assert isinstance(got, Witnesses)
+        assert len(got) == 1 and got
+        assert list(got) == [(5, 1, (2, 3))]
+        assert got == [(5, 1, (2, 3))] and got == ((5, 1, (2, 3)),)
+        assert not got != [(5, 1, (2, 3))]
+        assert got != [] and got != [(5, 1, (2, 3))] * 2 and got != [(5, 1, (2, 4))]
+        assert got != [[5, 1, (2, 3)]] and got != {(5, 1, (2, 3))}
+        assert (5, 1, (2, 3)) in got and (5, 1, (2, 4)) not in got
+        assert got[0] == got[-1] == (5, 1, (2, 3))
+        for position in (1, -2):
+            with pytest.raises(IndexError):
+                got[position]
+        with pytest.raises(TypeError):
+            hash(got)
+        assert repr(got) == "Witnesses([(5, 1, (2, 3))])"
+
+    def test_empty_sequence(self):
+        got = detect_noncatenary(hand_built(4, []))
+        assert len(got) == 0 and not got
+        assert got == [] and got == () and not got != []
+        assert got != [(0, 1, (1, 2))]
+        assert list(got) == [] and (0, 1, (1, 2)) not in got
+        for position in (0, -1):
+            with pytest.raises(IndexError):
+                got[position]
+        assert repr(got) == "Witnesses([])"
+
+    def test_sequence_matches_the_list(self):
+        for n in range(1, 21):
+            g = build_hilbert_graph(n)
+            want = noncatenary_by_forward_passes(g)
+            got = detect_noncatenary(g)
+            assert len(got) == len(want) and bool(got) == bool(want)
+            assert list(got) == want and [*reversed(got)] == want[::-1]
+            assert got == want and want == got and not got != want
+            assert got == detect_noncatenary(g)
+            assert [got[p] for p in range(len(got))] == want
+            assert [got[p] for p in range(-len(got), 0)] == want
+            for position in (len(got), -len(got) - 1):
+                with pytest.raises(IndexError):
+                    got[position]
+            assert repr(got) == f"Witnesses({want!r})"
+            if want:
+                i, j, lengths = want[-1]
+                assert want[-1] in got and (i, j, lengths + (99,)) not in got
+                assert got != want[:-1] and got != want + want[-1:]
+                assert got != want[:-1] + [(i, j, lengths + (99,))]
+
+    def test_rows_released_before_lower_sources_read(self):
+        # The ids fall along the chain 6 -> ... -> 0, so the walk reads the
+        # sources 0, 1, 2, 7, 3, 4, 8, 5, 6: source 8 reads its witnesses
+        # before 5 and 6, after the row of 0, which has the three lower
+        # covers 1, 7 and 8, has been dropped by 8, its last reader.
+        chain = [(x + 1, x) for x in range(6)]
+        g = hand_built(9, chain + [(6, 3), (7, 0), (8, 0), (8, 7), (4, 7), (6, 8)])
+        got = detect_noncatenary(g)
+        assert got == noncatenary_by_forward_passes(g)
+        assert list(got) == [
+            (4, 0, (2, 4)),
+            (5, 0, (3, 5)),
+            (6, 0, (2, 3, 4, 6)),
+            (6, 1, (3, 5)),
+            (6, 2, (2, 4)),
+            (6, 3, (1, 3)),
+            (6, 7, (2, 3)),
+            (8, 0, (1, 2)),
+        ]
+
+    def test_memory_is_bounded_by_the_frontier(self):
+        # Weight 30 has 296 nodes and 24,132 witnesses.  Keeping every
+        # row and one tuple per witness retains 1.7 MB and peaks at 2.1 MB.
+        g = build_hilbert_graph(30)
+        detect_noncatenary(hand_built(2, [(1, 0)]))  # the lazy import
+        tracemalloc.start()
+        try:
+            got = detect_noncatenary(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 24_132
+        assert retained < 0.5 * 2**20
+        assert peak < 1.2 * 2**20
 
 
 class TestEmit:
