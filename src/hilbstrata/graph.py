@@ -107,15 +107,22 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     path from x to j has length l.  So x's row is the OR of its upper
     covers' rows shifted up by one, plus bit 0 of field x.  W is the
     smallest multiple of 64 that keeps the top bit of every field above the
-    longest chain.  That top bit is a guard: with G every field's guard and
-    ONES every field's bit 0, ``q = row | G`` and ``q & (q - ONES) & ~G``
-    keep exactly the fields holding two or more lengths, and no borrow
-    crosses a field.  x's witnesses are read from its row, as 64-bit words,
-    as soon as it is built.  The row is kept only while a lower cover of x
-    has not yet ORed it in, and dropped after the last one has.  The cost
-    is E big-integer ORs over N·W-bit rows plus one extraction per source;
-    the memory is the rows of the walk's frontier, not the N²·W/8 bytes of
-    all rows, plus about 8 bytes per witness.
+    longest chain.  That top bit is a guard.  x's witnesses are read from
+    its row as soon as it is built, and only from the f fields the row
+    reaches, f = ceil(bit_length / W) (ids need not be a topological order,
+    so that is not x + 1): with G every field's guard, ONES every field's
+    bit 0 and B every field's bits below its guard, all cut to f fields,
+    ``q = row | G`` and ``q & (q - ONES) & B`` keep exactly the fields
+    holding two or more lengths, and no borrow crosses a field.  Adding B
+    carries into the guard of each such field (``_field_flags``), so one
+    ``to_bytes`` gives one flag byte per field, and the flagged fields are
+    read from the row's 64-bit words (``_split_fields``).  The row is
+    kept only while a lower cover of x has not yet ORed it in, and dropped
+    after the last one has.  The cost is E big-integer ORs over N·W-bit
+    rows, plus, per source, a few big-integer steps and C-level passes over
+    the fields its row reaches and Python work per witness; the memory is
+    the rows of the walk's frontier, not the N²·W/8 bytes of all rows, plus
+    about 8 bytes per witness.
     Raises ValueError when the edges contain a cycle.
     """
     from array import array  # here only: no other path needs it
@@ -126,6 +133,7 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     width = 64 * k
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     guards = ones << (width - 1)
+    low = guards - ones  # every field's bits below its guard
     readers = [0] * n  # lower covers that have not yet read each row
     for e in g.edges:
         readers[e.to_id] += 1
@@ -142,21 +150,17 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
         row = above << 1 | 1 << width * x
         if readers[x]:
             rows[x] = row
-        q = row | guards
-        multiple = q & (q - ones) & ~guards
+        # The masks of the fields the row reaches; ids need not be a
+        # topological order, so that is not x + 1 fields.
+        f = -(-row.bit_length() // width)
+        cut = width * (n - f)
+        low_f = low >> cut
+        q = row | guards >> cut
+        multiple = q & (q - (ones >> cut)) & low_f
         if multiple:
-            # Word 0 of each field ORed with its other words: nonzero
-            # exactly for the fields with two or more lengths.
-            folded = multiple
-            for t in range(1, k):
-                folded |= multiple >> 64 * t
-            hits = _words(folded, n * k)[::k]
-            masks = _split_fields(row, n, k, hits)
-            found[x] = (
-                x,
-                array("I", compress(range(n), hits)),
-                array("I", map(kinds.__getitem__, masks)),
-            )
+            flags = _field_flags(multiple, low_f, f, k)
+            fields = _split_fields(row, f, k, flags)
+            found[x] = (x, array("I", compress(range(f), flags)), array("I", map(kinds.__getitem__, fields)))
     return Witnesses([chunk for chunk in found if chunk], tuple(kinds.lengths))
 
 
@@ -206,17 +210,17 @@ class Witnesses(Sequence):
 
 
 class _LengthIndex(dict):
-    """A field's words, lowest first -> the index in ``lengths`` of the
-    ascending tuple of its set bits, one tuple per distinct field."""
+    """A field -> the index in ``lengths`` of the ascending tuple of its set
+    bits, one tuple per distinct field.  A field is keyed as ``_split_fields``
+    gives it: its word when it has one, else the tuple of its words."""
 
     def __init__(self):
         self.lengths = []
 
     def __missing__(self, words):
+        field = words if type(words) is int else sum(w << 64 * t for t, w in enumerate(words))
         kind = self[words] = len(self.lengths)
-        self.lengths.append(
-            tuple(64 * t + l for t, w in enumerate(words) for l in range(w.bit_length()) if w >> l & 1)
-        )
+        self.lengths.append(tuple(l for l in range(field.bit_length()) if field >> l & 1))
         return kind
 
 
@@ -230,12 +234,24 @@ def _words(value: int, size: int) -> memoryview:
     return words[::-1] if sys.byteorder == "big" else words
 
 
+def _field_flags(value: int, low: int, size: int, k: int) -> bytes:
+    """One byte per field of ``value``, out of ``size`` fields of ``k``
+    words each, lowest first: nonzero exactly when the field is.  ``low``
+    holds every field's bits below its top (guard) bit, and ``value`` has no
+    guard bit set, so adding ``low`` carries into a field's guard exactly
+    when the field is nonzero and never past it; a flag is the byte that
+    holds its field's guard."""
+    return ((value + low) & ~low).to_bytes(8 * k * size, "little")[8 * k - 1 :: 8 * k]
+
+
 def _split_fields(value: int, n: int, k: int, keep):
     """The fields j of ``value`` whose ``keep[j]`` is true, out of ``n``
-    fields of ``k`` words each, lowest first.  Each is the tuple of its
-    words, lowest first: field j holds the bits of
-    ``(value >> 64*k*j) & ((1 << 64*k) - 1)``."""
+    fields of ``k`` words each, lowest first: field j holds the bits of
+    ``(value >> 64*k*j) & ((1 << 64*k) - 1)``.  For k = 1 a field is its
+    word, otherwise the tuple of its words, lowest first."""
     words = _words(value, n * k)
+    if k == 1:
+        return compress(words, keep)
     return zip(*[compress(words[t::k], keep) for t in range(k)])
 
 

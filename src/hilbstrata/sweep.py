@@ -304,8 +304,14 @@ def verify_range(n_values, workers: int = 1):
     yielded when its ranges are back, so the summaries, the failure order
     and the output do not depend on the worker count.
     """
-    ns = list(n_values)
-    workers = pool_size(workers, count_diagrams(min(max(ns), 100))) if ns else 1
+    # A range is iterated as it is, not listed: its largest weight is one
+    # of its ends.
+    ns = n_values if isinstance(n_values, range) else list(n_values)
+    if ns:
+        largest = max(ns[0], ns[-1]) if isinstance(ns, range) else max(ns)
+        workers = pool_size(workers, count_diagrams(min(largest, 100)))
+    else:
+        workers = 1
     if workers == 1:
         for n in ns:
             yield sweep_weight(n)

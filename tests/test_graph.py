@@ -12,6 +12,7 @@ from hilbstrata.graph import (
     HilbertGraph,
     NodeRecord,
     Witnesses,
+    _field_flags,
     _layers,
     _split_fields,
     _topological_order,
@@ -190,10 +191,45 @@ class TestNoncatenary:
                 keep = [rng.random() < 0.5 for _ in range(n)]
                 want = [(row >> width * j) & ((1 << width) - 1) for j in range(n) if keep[j]]
                 got = [
-                    sum(w << 64 * t for t, w in enumerate(words))
+                    words if k == 1 else sum(w << 64 * t for t, w in enumerate(words))
                     for words in _split_fields(row, n, k, keep)
                 ]
                 assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_field_flags_mark_the_nonzero_fields(self, k):
+        rng = random.Random(k)
+        width = 64 * k
+        for n in (1, 2, 7, 50):
+            ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+            low = (ones << width - 1) - ones
+            sparse = sum(rng.getrandbits(width) << width * j for j in range(n) if rng.random() < 0.3)
+            for value in (rng.getrandbits(width * n), sparse, 0, low, ones, ones << width - 2):
+                value &= low
+                flags = _field_flags(value, low, n, k)
+                assert len(flags) == n
+                assert [bool(b) for b in flags] == [
+                    bool(value >> width * j & (1 << width - 1) - 1) for j in range(n)
+                ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_oracle_on_shuffled_random_dags(self, seed):
+        # Random DAGs whose ids are shuffled, so a source's row reaches
+        # fields above its own id.  A long chain with random shortcuts
+        # forces one-, two- or three-word fields by its length.
+        rng = random.Random(seed)
+        length = (20, 70, 140)[seed % 3]
+        size = length + 1 + rng.randrange(15)
+        ids = list(range(size))
+        rng.shuffle(ids)  # ids[p] is the node at topological position p
+        pairs = {(ids[p + 1], ids[p]) for p in range(length)}
+        while len(pairs) < length + 3 * size // 2:
+            a, b = sorted(rng.sample(range(size), 2))
+            pairs.add((ids[b], ids[a]))
+        g = hand_built(size, sorted(pairs))
+        got = detect_noncatenary(g)
+        assert got == noncatenary_by_forward_passes(g)
+        assert got
 
     def test_rejects_a_cycle(self):
         g = parse_graph_json(emit(build_hilbert_graph(4), "json"))

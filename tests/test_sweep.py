@@ -5,6 +5,7 @@ import multiprocessing
 import pickle
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -279,6 +280,24 @@ class TestPoolSize:
         first = next(verify_range(range(1, 10**6), workers=1))
         assert (first.n, first.diagrams, first.failures) == (1, 1, [])
         assert counted and max(counted) <= 100
+
+    def test_a_range_is_not_listed(self):
+        # A list of a million weights would hold about 36 MB.
+        tracemalloc.start()
+        try:
+            first = next(verify_range(range(1, 10**6), workers=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (first.n, first.diagrams, first.failures) == (1, 1, [])
+        assert peak < 2**20
+
+    def test_ranges_and_other_iterables_give_the_same_summaries(self):
+        def seen(ns):
+            return [(s.n, s.diagrams, s.covers, s.failures) for s in verify_range(ns, workers=1)]
+
+        for ns in (range(1, 9), range(8, 0, -1), range(2, 9, 3), range(5, 5)):
+            assert seen(ns) == seen(list(ns)) == seen(iter(ns))
 
 
 def test_verify_workers_default_to_the_affinity_mask(monkeypatch):
