@@ -2,9 +2,9 @@
 
 Exit status: 0 on success (and on a clean verification sweep), 1 when the
 sweep finds a counterexample, 2 on usage or parse errors and on an output
-that cannot be written: an output file, or standard output whose reader has
-gone (``hilbstrata enumerate -n 60 | head -1``), which ends the command
-with no message.
+that cannot be written (a file, or a closed or full standard output); when
+the reader of standard output has gone (``hilbstrata enumerate -n 60 |
+head -1``), the command ends with no message.
 """
 
 import argparse
@@ -187,7 +187,7 @@ def _parse(argv):
 
 def _silence_stdout():
     """Point standard output at the null device, so the interpreter's last
-    flush of what is still buffered cannot fail on the closed pipe."""
+    flush of what is still buffered cannot fail as the last write did."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError):  # not a file: nothing flushes it at exit
@@ -209,12 +209,14 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # the process started without one (``>&-``)
+        return _usage_error("standard output is closed")
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         _silence_stdout()
-        return 2
+        return 2 if isinstance(exc, BrokenPipeError) else _usage_error(exc.strerror or str(exc))
     return code
 
 

@@ -43,6 +43,11 @@ class EdgeRecord(NamedTuple):
 
 
 class HilbertGraph(NamedTuple):
+    """The cover graph of weight ``n``.  A node's id is its canonical rank.
+    An edge runs from phi to a psi that covers it, and psi, with a column
+    raised left of the one lowered, comes first: every edge points to a
+    lower id, so the ids in ascending order are a topological order."""
+
     n: int
     nodes: list
     edges: list
@@ -101,35 +106,35 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     plain list.  The edges are assumed to be exactly the covers, so the
     saturated chains of [i, j] are the edge paths from i to j.
 
-    After ``_layers`` has found the longest chain, a walk in reverse
-    topological order builds, for every node x, one integer row with a
-    field of W bits per node j: bit l of field j is set when some edge
-    path from x to j has length l.  So x's row is the OR of its upper
+    After ``_layers`` has found the longest chain, a walk over the ids in
+    ascending order, top first, builds, for every node x, one integer row
+    with a field of W bits per node j: bit l of field j is set when some
+    edge path from x to j has length l.  So x's row is the OR of its upper
     covers' rows shifted up by one, plus bit 0 of field x.  W is the
     smallest multiple of 64 that keeps the top bit of every field above the
-    longest chain.  That top bit is a guard.  x's witnesses are read from
-    its row as soon as it is built, and only from the f fields the row
-    reaches, f = ceil(bit_length / W) (ids need not be a topological order,
-    so that is not x + 1): with G every field's guard, ONES every field's
-    bit 0 and B every field's bits below its guard, all cut to f fields,
-    ``q = row | G`` and ``q & (q - ONES) & B`` keep exactly the fields
-    holding two or more lengths, and no borrow crosses a field.  Adding B
-    carries into the guard of each such field (``_field_flags``), so one
-    ``to_bytes`` gives one flag byte per field, and the flagged fields are
-    read from the row's 64-bit words (``_split_fields``).  The row is
-    kept only while a lower cover of x has not yet ORed it in, and dropped
-    after the last one has.  The cost is E big-integer ORs over N·W-bit
-    rows, plus, per source, a few big-integer steps and C-level passes over
-    the fields its row reaches and Python work per witness; the memory is
-    the rows of the walk's frontier, not the N²·W/8 bytes of all rows, plus
-    about 8 bytes per witness.
-    Raises ValueError when the edges contain a cycle.
+    longest chain.  That top bit is a guard.  Every edge points to a lower
+    id, so x's row reaches exactly its first x + 1 fields, and x's
+    witnesses are read from them as soon as the row is built: with G every
+    field's guard, ONES every field's bit 0 and B every field's bits below
+    its guard, all cut to x + 1 fields, ``q = row | G`` and
+    ``q & (q - ONES) & B`` keep exactly the fields holding two or more
+    lengths, and no borrow crosses a field.  Adding B carries into the
+    guard of each such field (``_field_flags``), so one ``to_bytes`` gives
+    one flag byte per field, and the flagged fields are read from the
+    row's 64-bit words (``_split_fields``).  The row is kept only while a
+    lower cover of x has not yet ORed it in, and dropped after the last one
+    has.  The cost is E big-integer ORs over N·W-bit rows, plus, per
+    source, a few big-integer steps and C-level passes over the fields its
+    row reaches and Python work per witness; the memory is the rows of the
+    walk's frontier, not the N²·W/8 bytes of all rows, plus about 8 bytes
+    per witness.
+    Raises ValueError on an edge that does not point to a lower id.
     """
     from array import array  # here only: no other path needs it
 
-    order, up = _topological_order(g)
-    n = len(order)
-    k = (max(_layers(order, up), default=0) + 65) // 64  # 64-bit words per field
+    up = _upper_covers(g)
+    n = len(up)
+    k = (max(_layers(up), default=0) + 65) // 64  # 64-bit words per field
     width = 64 * k
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     guards = ones << (width - 1)
@@ -139,8 +144,8 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
         readers[e.to_id] += 1
     rows = [0] * n
     kinds = _LengthIndex()
-    found = [None] * n  # per source: its to-ids and length-set indices
-    for x in reversed(order):
+    chunks = []  # per source with witnesses: its to-ids and length-set indices
+    for x in range(n):
         above = 0
         for y in up[x]:
             above |= rows[y]
@@ -150,9 +155,7 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
         row = above << 1 | 1 << width * x
         if readers[x]:
             rows[x] = row
-        # The masks of the fields the row reaches; ids need not be a
-        # topological order, so that is not x + 1 fields.
-        f = -(-row.bit_length() // width)
+        f = x + 1  # the fields the row reaches
         cut = width * (n - f)
         low_f = low >> cut
         q = row | guards >> cut
@@ -160,8 +163,8 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
         if multiple:
             flags = _field_flags(multiple, low_f, f, k)
             fields = _split_fields(row, f, k, flags)
-            found[x] = (x, array("I", compress(range(f), flags)), array("I", map(kinds.__getitem__, fields)))
-    return Witnesses([chunk for chunk in found if chunk], tuple(kinds.lengths))
+            chunks.append((x, array("I", compress(range(f), flags)), array("I", map(kinds.__getitem__, fields))))
+    return Witnesses(chunks, tuple(kinds.lengths))
 
 
 class Witnesses(Sequence):
@@ -255,30 +258,25 @@ def _split_fields(value: int, n: int, k: int, keep):
     return zip(*[compress(words[t::k], keep) for t in range(k)])
 
 
-def _topological_order(g: HilbertGraph):
-    """Node ids in an order where every edge points forward, and the
-    out-neighbours of each node.  Raises ValueError on a cycle."""
-    up = [[] for _ in g.nodes]
-    indeg = [0] * len(g.nodes)
+def _upper_covers(g: HilbertGraph) -> list:
+    """The to-ids of each node's edges, its upper covers.  Raises ValueError
+    on an edge that does not point to a lower id of the graph's nodes."""
+    size = len(g.nodes)
+    up = [[] for _ in range(size)]
     for e in g.edges:
+        if not 0 <= e.to_id < e.from_id < size:
+            raise ValueError(
+                f"edge {e.from_id} -> {e.to_id} does not point to a lower id of the {size} nodes"
+            )
         up[e.from_id].append(e.to_id)
-        indeg[e.to_id] += 1
-    order = [i for i, d in enumerate(indeg) if d == 0]
-    for x in order:  # grows while it is walked (Kahn's algorithm)
-        for y in up[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                order.append(y)
-    if len(order) != len(g.nodes):
-        raise ValueError("cover graph has a cycle")
-    return order, up
+    return up
 
 
-def _layers(order, up):
+def _layers(up):
     """Longest-cover-path depth of each node above the minimal function,
-    from ``_topological_order``'s two lists."""
-    layer = [0] * len(order)
-    for x in order:
+    from ``_upper_covers``: the ids from the last down walk bottom up."""
+    layer = [0] * len(up)
+    for x in reversed(range(len(up))):
         for y in up[x]:
             layer[y] = max(layer[y], layer[x] + 1)
     return layer
@@ -410,17 +408,16 @@ def _show_keys(record: dict) -> str:
 
 
 def _emit_dot(g: HilbertGraph) -> bytes:
-    layer = _layers(*_topological_order(g))
+    layer = _layers(_upper_covers(g))
     lines = [f"digraph strata_{g.n} {{", "  node [shape=box];"]
     for node in g.nodes:
         label = f"{node.diagram.render()}\\ndim {node.dim}"
         lines.append(f'  n{node.id} [label="{label}"];')
-    ranks = [[] for _ in range(max(layer, default=0) + 1)]
+    ranks = [[] for _ in range(max(layer, default=-1) + 1)]
     for i, depth in enumerate(layer):
         ranks[depth].append(f"n{i};")
-    for members in ranks:
-        if members:
-            lines.append("  { rank=same; " + " ".join(members) + " }")
+    for members in ranks:  # none is empty: a node at depth d > 0 covers one at d - 1
+        lines.append("  { rank=same; " + " ".join(members) + " }")
     for e in g.edges:
         style = "solid" if e.verdict.incident else "dashed"
         attrs = [f"style={style}"]

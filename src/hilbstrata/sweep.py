@@ -288,33 +288,33 @@ def sweep_weight(n: int) -> SweepSummary:
 def verify_range(n_values, workers: int = 1):
     """Sweep each weight in turn, yielding one summary per weight.
 
-    The worker count is clamped by ``pool_size`` against the diagram count
-    of the largest weight, or of weight 100 if that is smaller (the count
-    never decreases with the weight, and weight 100 has 444,793 diagrams,
-    more than any CPU count), so no large weight is counted before the
-    first summary.  At one worker every weight runs through
-    ``sweep_weight``.  Otherwise each weight is cut into one contiguous
-    rank range per worker (``_shard_tasks``; the module docstring says why
-    no finer), and the ranges of every weight go through one ordered
-    ``imap`` of one pool, started with the platform's default method, so
-    no weight waits at a barrier.  The pool plans one weight at a time as
-    it reads the ranges (in a thread of its own, so each weight's range
-    count is computed again here).  Each weight's ranges go last first, the
-    costliest first.  A weight's summary is merged back in rank order and
-    yielded when its ranges are back, so the summaries, the failure order
-    and the output do not depend on the worker count.
+    At one worker every weight runs through ``sweep_weight`` as
+    ``n_values`` gives it, so any iterable streams, an unbounded one too.
+    More are clamped by ``pool_size`` against the diagram count of the
+    largest weight, or of weight 100 if that is smaller (the count never
+    decreases with the weight, and weight 100 has 444,793 diagrams, more
+    than any CPU count), so no large weight is counted before the first
+    summary; an iterable other than a ``range`` is listed for that, so it
+    must be finite.  When more than one remain, each weight is cut into
+    one contiguous rank range per worker (``_shard_tasks``; the module
+    docstring says why no finer), and the ranges of every weight go
+    through one ordered ``imap`` of one pool, started with the platform's
+    default method, so no weight waits at a barrier.  The pool plans one
+    weight at a time as it reads the ranges (in a thread of its own, so
+    each weight's range count is computed again here).  Each weight's
+    ranges go last first, the costliest first.  A weight's summary is
+    merged back in rank order and yielded when its ranges are back, so the
+    summaries, the failure order and the output do not depend on the
+    worker count.
     """
-    # A range is iterated as it is, not listed: its largest weight is one
-    # of its ends.
-    ns = n_values if isinstance(n_values, range) else list(n_values)
-    if ns:
-        largest = max(ns[0], ns[-1]) if isinstance(ns, range) else max(ns)
+    ns = n_values
+    if workers > 1:
+        # A range is not listed: its largest weight is one of its ends.
+        ns = n_values if isinstance(n_values, range) else list(n_values)
+        largest = max(ns[0], ns[-1]) if ns and isinstance(ns, range) else max(ns, default=1)
         workers = pool_size(workers, count_diagrams(min(largest, 100)))
-    else:
-        workers = 1
-    if workers == 1:
-        for n in ns:
-            yield sweep_weight(n)
+    if workers <= 1:
+        yield from map(sweep_weight, ns)
         return
     # Imported here: only a parallel sweep needs it, and it adds about
     # 12 ms to every import of the package.

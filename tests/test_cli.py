@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -341,6 +342,49 @@ def test_closed_pipe_in_process_exits_2(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", Gone())
     assert main(["enumerate", "-n", "5"]) == 2
+
+
+def test_full_stdout_in_process_exits_2_with_one_line(capsys, monkeypatch):
+    # A stream with no file behind it that has no room left.
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["enumerate", "-n", "5"]) == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["graph", "-n", "12"], ["enumerate", "-n", "30"], ["verify", "--n-max", "5", "--workers", "1"]]
+)
+def test_full_stdout_exits_2_with_one_line(argv):
+    # No traceback, and the interpreter's last flush adds nothing.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilbstrata.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (2, b"error: No space left on device\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before the command starts")
+def test_closed_stdout_exits_2_with_one_line(capsys, monkeypatch):
+    # A process started with standard output closed (``>&-``) has
+    # ``sys.stdout`` None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbstrata.cli", "dim", "--phi", "1,2"],
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, b"error: standard output is closed\n")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["dim", "--phi", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

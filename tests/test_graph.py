@@ -15,7 +15,7 @@ from hilbstrata.graph import (
     _field_flags,
     _layers,
     _split_fields,
-    _topological_order,
+    _upper_covers,
     build_hilbert_graph,
     detect_noncatenary,
     emit,
@@ -116,6 +116,14 @@ class TestBuild:
                     assert v.incident
                 assert v.dims == (g.nodes[e.from_id].dim, g.nodes[e.to_id].dim)
 
+    def test_every_edge_points_to_a_lower_id(self):
+        # A cover's psi comes before its phi in canonical order, so the
+        # enumeration order is a topological order; parsing keeps it.
+        for n in range(1, 41):
+            g = build_hilbert_graph(n)
+            for graph in (g, parse_graph_json(emit(g, "json"))):
+                assert all(e.to_id < e.from_id for e in graph.edges), n
+
     def test_deterministic(self):
         a, b = build_hilbert_graph(14), build_hilbert_graph(14)
         assert emit(a, "json") == emit(b, "json")
@@ -151,7 +159,7 @@ class TestNoncatenary:
         for n in [*range(1, 37), 40]:
             g = build_hilbert_graph(n)
             assert detect_noncatenary(g) == noncatenary_by_forward_passes(g), n
-        longest = [max(_layers(*_topological_order(build_hilbert_graph(n)))) for n in (34, 35, 36, 40)]
+        longest = [max(_layers(_upper_covers(build_hilbert_graph(n)))) for n in (34, 35, 36, 40)]
         assert longest == [61, 64, 67, 79]
 
     def test_hand_built_pentagon(self):
@@ -171,7 +179,7 @@ class TestNoncatenary:
     def test_long_chain_with_a_shortcut(self, length):
         # 62 covers leave the guard bit of a one-word field free, 63 need two
         # words per field, and at 70 the lengths (1, 70) span both words.
-        # The ids fall along the chain, so they are not a topological order.
+        # The chain falls from the top id to 0.
         chain = [(x + 1, x) for x in range(length)]
         g = hand_built(length + 1, chain + [(length, 0)])
         assert detect_noncatenary(g) == [(length, 0, (1, length))]
@@ -214,31 +222,48 @@ class TestNoncatenary:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_oracle_on_shuffled_random_dags(self, seed):
-        # Random DAGs whose ids are shuffled, so a source's row reaches
-        # fields above its own id.  A long chain with random shortcuts
-        # forces one-, two- or three-word fields by its length.
+        # Random DAGs whose edges point down: a long chain from its top id to
+        # 0 with random shortcuts forces one-, two- or three-word fields by
+        # its length.  The same DAG with shuffled ids has edges that point
+        # up, and is refused.
         rng = random.Random(seed)
         length = (20, 70, 140)[seed % 3]
         size = length + 1 + rng.randrange(15)
-        ids = list(range(size))
-        rng.shuffle(ids)  # ids[p] is the node at topological position p
-        pairs = {(ids[p + 1], ids[p]) for p in range(length)}
+        pairs = {(p + 1, p) for p in range(length)}
         while len(pairs) < length + 3 * size // 2:
             a, b = sorted(rng.sample(range(size), 2))
-            pairs.add((ids[b], ids[a]))
+            pairs.add((b, a))
         g = hand_built(size, sorted(pairs))
         got = detect_noncatenary(g)
         assert got == noncatenary_by_forward_passes(g)
         assert got
+        ids = list(range(size))
+        rng.shuffle(ids)
+        shuffled = hand_built(size, sorted((ids[a], ids[b]) for a, b in pairs))
+        for call in (detect_noncatenary, lambda g: emit(g, "dot")):
+            with pytest.raises(ValueError, match="does not point to a lower id"):
+                call(shuffled)
 
     def test_rejects_a_cycle(self):
         g = parse_graph_json(emit(build_hilbert_graph(4), "json"))
         e = g.edges[0]
         g.edges.append(EdgeRecord(e.to_id, e.from_id, e.u, e.v, e.verdict))
-        with pytest.raises(ValueError, match="cover graph has a cycle"):
-            detect_noncatenary(g)
-        with pytest.raises(ValueError, match="cover graph has a cycle"):
-            emit(g, "dot")
+        message = f"edge {e.to_id} -> {e.from_id} does not point to a lower id of the {len(g.nodes)} nodes"
+        for call in (detect_noncatenary, lambda g: emit(g, "dot")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(g)
+
+    def test_rejects_an_edge_that_does_not_point_to_a_lower_id(self):
+        # The pentagon 4 -> 1 -> 0, 4 -> 3 -> 2 -> 0 with its edge 4 -> 1
+        # written as -1 -> 1, which must not be read as leaving node 4; or
+        # with an edge from 5 or to -3, past its five ids; or one that points up.
+        pentagon = [(1, 0), (4, 3), (3, 2), (2, 0)]
+        for bad in [(-1, 1), (5, 1), (4, -3), (1, 4)]:
+            g = hand_built(5, pentagon + [bad])
+            message = f"edge {bad[0]} -> {bad[1]} does not point to a lower id of the 5 nodes"
+            for call in (detect_noncatenary, lambda g: emit(g, "dot")):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call(g)
 
 
 class TestWitnesses:
@@ -294,23 +319,22 @@ class TestWitnesses:
                 assert got != want[:-1] + [(i, j, lengths + (99,))]
 
     def test_rows_released_before_lower_sources_read(self):
-        # The ids fall along the chain 6 -> ... -> 0, so the walk reads the
-        # sources 0, 1, 2, 7, 3, 4, 8, 5, 6: source 8 reads its witnesses
-        # before 5 and 6, after the row of 0, which has the three lower
-        # covers 1, 7 and 8, has been dropped by 8, its last reader.
-        chain = [(x + 1, x) for x in range(6)]
-        g = hand_built(9, chain + [(6, 3), (7, 0), (8, 0), (8, 7), (4, 7), (6, 8)])
+        # The walk reads the sources in id order: source 6 reads its
+        # witnesses before 7 and 8, after the row of 0, which has the three
+        # lower covers 1, 3 and 6, has been dropped by 6, its last reader.
+        chain = [(1, 0), (2, 1), (4, 2), (5, 4), (7, 5), (8, 7)]
+        g = hand_built(9, chain + [(8, 4), (3, 0), (6, 0), (6, 3), (5, 3), (8, 6)])
         got = detect_noncatenary(g)
         assert got == noncatenary_by_forward_passes(g)
         assert list(got) == [
-            (4, 0, (2, 4)),
-            (5, 0, (3, 5)),
-            (6, 0, (2, 3, 4, 6)),
-            (6, 1, (3, 5)),
-            (6, 2, (2, 4)),
-            (6, 3, (1, 3)),
-            (6, 7, (2, 3)),
-            (8, 0, (1, 2)),
+            (5, 0, (2, 4)),
+            (6, 0, (1, 2)),
+            (7, 0, (3, 5)),
+            (8, 0, (2, 3, 4, 6)),
+            (8, 1, (3, 5)),
+            (8, 2, (2, 4)),
+            (8, 3, (2, 3)),
+            (8, 4, (1, 3)),
         ]
 
     def test_memory_is_bounded_by_the_frontier(self):

@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import multiprocessing
 import pickle
 import re
@@ -268,8 +269,8 @@ class TestPoolSize:
         assert sweep.available_cpus() == 1
 
     def test_clamp_counts_no_weight_above_100(self, monkeypatch):
-        # The first summary of an unbounded range comes without counting
-        # the diagrams of its largest weight.
+        # The first summary of an unbounded range at two workers comes
+        # without counting the diagrams of its largest weight.
         counted = []
 
         def recording_count(n):
@@ -277,7 +278,8 @@ class TestPoolSize:
             return count_diagrams(n)
 
         monkeypatch.setattr(sweep, "count_diagrams", recording_count)
-        first = next(verify_range(range(1, 10**6), workers=1))
+        _stand_in_pool(monkeypatch)
+        first = next(verify_range(range(1, 10**6), workers=2))
         assert (first.n, first.diagrams, first.failures) == (1, 1, [])
         assert counted and max(counted) <= 100
 
@@ -298,6 +300,24 @@ class TestPoolSize:
 
         for ns in (range(1, 9), range(8, 0, -1), range(2, 9, 3), range(5, 5)):
             assert seen(ns) == seen(list(ns)) == seen(iter(ns))
+
+    def test_a_serial_sweep_pulls_each_weight_as_it_sweeps_it(self):
+        # A generator that refuses to run ahead of the summaries read, and
+        # an unbounded count.
+        read = []
+
+        def guarded():
+            for n in itertools.count(1):
+                if n > len(read) + 1:
+                    raise AssertionError(f"weight {n} pulled before summary {n - 1} was read")
+                yield n
+
+        for summary in verify_range(guarded(), workers=1):
+            read.append(summary.n)
+            if len(read) == 6:
+                break
+        assert read == [1, 2, 3, 4, 5, 6]
+        assert next(verify_range(itertools.count(3), workers=1)).n == 3
 
 
 def test_verify_workers_default_to_the_affinity_mask(monkeypatch):
@@ -328,10 +348,10 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
 
 
-def _dispatched(monkeypatch, weights, workers=2):
-    """The summaries of a ``workers``-worker ``verify_range`` over
-    ``weights`` on a host with that many CPUs, and the tasks it dispatched,
-    recorded by an in-process stand-in for ``multiprocessing.Pool``."""
+def _stand_in_pool(monkeypatch, workers=2):
+    """Put an in-process stand-in for ``multiprocessing.Pool`` on a host
+    with ``workers`` CPUs; returns the list it records the tasks in, each
+    as its result is asked for."""
     tasks = []
 
     class RecordingPool:
@@ -345,11 +365,20 @@ def _dispatched(monkeypatch, weights, workers=2):
             return False
 
         def imap(self, func, iterable):
-            tasks.extend(iterable)
-            return map(func, tasks)
+            for task in iterable:
+                tasks.append(task)
+                yield func(task)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(sweep, "available_cpus", lambda: workers)
+    return tasks
+
+
+def _dispatched(monkeypatch, weights, workers=2):
+    """The summaries of a ``workers``-worker ``verify_range`` over
+    ``weights`` on a host with that many CPUs, and the tasks it dispatched,
+    recorded by ``_stand_in_pool``."""
+    tasks = _stand_in_pool(monkeypatch, workers)
     return list(verify_range(weights, workers=workers)), tasks
 
 
@@ -363,21 +392,7 @@ def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
         planned.append((n, count))
         return plan(n, count)
 
-    class LazyPool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, iterable):
-            return map(func, iterable)
-
-    monkeypatch.setattr(multiprocessing, "Pool", LazyPool)
-    monkeypatch.setattr(sweep, "available_cpus", lambda: 2)
+    _stand_in_pool(monkeypatch)
     monkeypatch.setattr(sweep, "_shard_tasks", recording_plan)
     first = next(verify_range(range(1, 10**6), workers=2))
     assert (first.n, first.diagrams, first.failures) == (1, 1, [])
