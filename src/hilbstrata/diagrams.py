@@ -11,30 +11,37 @@ Hilbert functions.
 """
 
 from itertools import accumulate, compress, count
+from math import inf, isqrt
 from operator import ge, sub
 
 
-def is_castelnuovo(seq) -> bool:
-    """True iff ``seq`` (implicitly zero-padded) is a valid height sequence.
+def _heights(seq):
+    """The heights of ``seq`` with trailing zeros trimmed, as a tuple, or
+    None when they are not a valid height sequence.
 
     Validity: for some k >= 0 the first k entries are exactly 1, 2, ..., k
     and from position k-1 on the entries never increase.  Equivalently the
     sequence climbs by exactly one per step while it is climbing, and once
     it stops climbing it never recovers.  After the staircase prefix is
     found, the tail is checked by one comparison of itself with its shift.
+    This is the one validity check: every constructor and parser that
+    validates calls it and words its own error.
     """
     s = list(seq)
     while s and s[-1] == 0:
         s.pop()
-    if not s:
-        return True
-    if s[0] != 1 or min(s) < 0:
-        return False
+    if s and (s[0] != 1 or min(s) < 0):
+        return None
     k = 1
     while k < len(s) and s[k] == k + 1:
         k += 1
     tail = s[k - 1 :]
-    return all(map(ge, tail, tail[1:]))
+    return tuple(s) if all(map(ge, tail, tail[1:])) else None
+
+
+def is_castelnuovo(seq) -> bool:
+    """True iff ``seq`` (implicitly zero-padded) is a valid height sequence."""
+    return _heights(seq) is not None
 
 
 class CastelnuovoDiagram:
@@ -43,19 +50,18 @@ class CastelnuovoDiagram:
     __slots__ = ("s",)
 
     def __init__(self, seq):
-        s = list(seq)
-        while s and s[-1] == 0:
-            s.pop()
-        if not is_castelnuovo(s):
-            raise ValueError(f"not a Castelnuovo sequence: {list(seq)}")
-        self.s = tuple(s)
+        values = list(seq)
+        s = _heights(values)
+        if s is None:
+            raise ValueError(f"not a Castelnuovo sequence: {values}")
+        self.s = s
 
     @classmethod
     def _unchecked(cls, s: tuple) -> "CastelnuovoDiagram":
         """The diagram of ``s`` without validation.
 
-        Only for tuples valid by construction: ``s`` must pass
-        ``is_castelnuovo`` and end in a nonzero height.
+        Only for tuples valid by construction: ``_heights(s)`` must equal
+        ``s``, so ``s`` is valid and ends in a nonzero height.
         """
         d = cls.__new__(cls)
         d.s = s
@@ -124,12 +130,10 @@ class HilbertFunction:
         the stable tail.  Raises ValueError when the differences are not a
         valid height sequence."""
         vals = list(values)
-        diffs = list(map(sub, vals, [0, *vals]))
-        while diffs and diffs[-1] == 0:
-            diffs.pop()
-        if not is_castelnuovo(diffs):
+        s = _heights(map(sub, vals, [0, *vals]))
+        if s is None:
             raise ValueError(f"values {vals} are not the sums of a Castelnuovo sequence")
-        return cls(CastelnuovoDiagram._unchecked(tuple(diffs)))
+        return cls(CastelnuovoDiagram._unchecked(s))
 
     def value(self, m) -> int:
         if m < 0:
@@ -160,27 +164,33 @@ def _staircase(k: int) -> int:
     return k * (k + 1) // 2
 
 
+def _longest_staircase(n: int) -> int:
+    """The largest k with a staircase of weight <= n."""
+    return (isqrt(8 * n + 1) - 1) // 2
+
+
 def _tail_counts(n: int):
-    """``ways[c][r]``: the tails of weight r <= n with parts <= c.
+    """Yield the rows c = 0, 1, ...: row c holds at r the number of tails
+    of weight r <= n with parts <= c.
 
     A tail is a non-increasing sequence of positive parts.  Rows run up to
     the largest staircase k with weight <= n, the largest part a weight-n
-    diagram's tail can have.  Row 0 holds only the empty tail.
+    diagram's tail can have.  Row 0 holds only the empty tail.  Each row is
+    a new list, so a reader that keeps no rows holds O(n) integers.
     """
-    ways = [[1] + [0] * n]
-    c = 1
-    while _staircase(c) <= n:
-        row = ways[-1][:]
+    row = [1] + [0] * n
+    yield row
+    for c in range(1, _longest_staircase(n) + 1):
+        row = row[:]
         for r in range(c, n + 1):
             row[r] += row[r - c]
-        ways.append(row)
-        c += 1
-    return ways
+        yield row
 
 
-def _total(n: int, ways) -> int:
-    """Number of weight-n diagrams: the tails summed over the staircases."""
-    return sum(ways[k][n - _staircase(k)] for k in range(len(ways)))
+def _total(n: int, rows) -> int:
+    """Number of weight-n diagrams: the tails summed over the staircases,
+    read from any iterable of the rows of ``_tail_counts``."""
+    return sum(row[n - _staircase(k)] for k, row in enumerate(rows))
 
 
 def _locate(n: int, rank: int, ways):
@@ -189,21 +199,22 @@ def _locate(n: int, rank: int, ways):
     Canonical order puts the longer staircase first and, within one
     staircase k, the tails in descending lexicographic order; so the walk
     skips whole staircases, then whole first parts, by their tail counts.
+    ``ways`` is the listed ``_tail_counts(n)``, about sqrt(2n) rows of
+    n + 1 integers, read at random; only a start past rank 0 needs it.
     """
     k = len(ways) - 1
     while k > 0 and rank >= ways[k][n - _staircase(k)]:
         rank -= ways[k][n - _staircase(k)]
         k -= 1
     tail = []
-    rest, cap = n - _staircase(k), k
+    rest, part = n - _staircase(k), k
     while rest:
-        part = min(rest, cap)
+        part = min(rest, part)
         while rank >= ways[part][rest - part]:
             rank -= ways[part][rest - part]
             part -= 1
         tail.append(part)
         rest -= part
-        cap = part
     return k, tail
 
 
@@ -221,40 +232,51 @@ def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     higher.  So the staircases run from the longest down to k = 1, and the
     tails of each come by the successor rule of descending order: lower the
     rightmost part above 1 by one, then refill the freed weight greedily
-    with parts no larger than it.  ``start`` is placed by ``_locate`` and
-    nothing before it is generated, so ``iter_diagrams(n, r, r + 1)`` yields
-    the diagram at rank r alone; a stop past the last diagram is clamped.
-    Every tuple is valid by construction.  Iterating raises ValueError for
-    n < 0 or start < 0.
+    with parts no larger than it.  The walk stops by itself after the
+    all-ones tail of staircase 1, the last diagram, so a stop past it is
+    clamped.  From rank 0 it needs no table: the first diagram is the
+    longest staircase k, the largest with weight <= n, and the n - k(k+1)/2
+    <= k squares left form one part; the walk holds only the current
+    diagram, O(n) integers at most.  Only a start past 0 lists the
+    tail-count table, O(n^1.5) integers, to check it against the total and
+    place it with ``_locate``; nothing before it is generated, so
+    ``iter_diagrams(n, r, r + 1)`` yields the diagram at rank r alone.
+    Every tuple is valid by construction.
+    Iterating raises ValueError for n < 0 or start < 0.
     """
     _check_weight(n)
     if start < 0:
         raise ValueError("rank must be non-negative")
-    ways = _tail_counts(n)
-    total = _total(n, ways)
-    left = (total if stop is None else min(stop, total)) - start
+    left = inf if stop is None else stop - start
     if left <= 0:
         return
-    k, tail = _locate(n, start, ways)
+    if start:
+        ways = list(_tail_counts(n))
+        if start >= _total(n, ways):
+            return
+        k, tail = _locate(n, start, ways)
+    else:
+        k = _longest_staircase(n)
+        rest = n - _staircase(k)
+        tail = [rest] if rest else []
     prefix = tuple(range(1, k + 1))
-    while True:
+    while left:
         yield prefix + tuple(tail)
         left -= 1
-        if not left:
-            return
-        freed = 0
+        freed = 1  # the square taken off the lowered part
         while tail and tail[-1] == 1:
             tail.pop()
             freed += 1
         if tail:
             part = tail[-1] - 1
             tail[-1] = part
-            freed += 1
-        else:
+        elif k > 1:
             k -= 1
             prefix = prefix[:-1]
             part = k
             freed = n - _staircase(k)
+        else:
+            return
         q, r = divmod(freed, part)
         tail.extend([part] * q)
         if r:
@@ -270,10 +292,11 @@ def count_diagrams(n: int) -> int:
     """Number of weight-n diagrams, without listing them.
 
     They are as many as the partitions of n into distinct parts.  The count
-    is the enumerator's own: the tails of every staircase summed from
-    ``_tail_counts``, the table that ``iter_diagrams`` places its start
-    with, in O(n^1.5) steps.  The distinct-part count is computed
-    independently only by the test oracles.
+    is the enumerator's own: the tails of every staircase summed from the
+    rows of ``_tail_counts``, the table that ``iter_diagrams`` places a
+    start past 0 with, in O(n^1.5) steps.  The rows are read one at a time
+    and none is kept, so memory is O(n) integers.  The distinct-part count
+    is computed independently only by the test oracles.
     """
     _check_weight(n)
     return _total(n, _tail_counts(n))
@@ -350,12 +373,10 @@ def parse_diagram(text: str) -> CastelnuovoDiagram:
     stripped = text.strip()
     if stripped == "":
         return CastelnuovoDiagram(())
-    values = _parse_int_list(stripped, "diagram")
-    while values and values[-1] == 0:
-        values.pop()
-    if not is_castelnuovo(values):
+    s = _heights(_parse_int_list(stripped, "diagram"))
+    if s is None:
         raise ValueError(f"diagram {stripped!r} violates the staircase shape")
-    return CastelnuovoDiagram._unchecked(tuple(values))
+    return CastelnuovoDiagram._unchecked(s)
 
 
 def parse_hilbert_function(text: str) -> HilbertFunction:

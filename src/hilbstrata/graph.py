@@ -68,7 +68,9 @@ def _check_size(n: int):
 def build_hilbert_graph(n: int) -> HilbertGraph:
     """Nodes from the deterministic enumeration, edges from cover detection.
 
-    Raises ValueError for n < 1 and for a weight with more than
+    The edges come in ascending (from_id, to_id) order with no sort: the
+    nodes are read in id order, and ``cover_moves`` gives each one's
+    covers in ascending psi id.  Raises ValueError for n < 1 and for a weight with more than
     ``MAX_NODES`` diagrams.
     """
     if n < 1:
@@ -90,7 +92,6 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
             excess = cover_excess(rows[i], rows[j], pair.u, pair.v)
             verdict = cover_verdict(pair, node.betti, (node.dim, nodes[j].dim), excess)
             edges.append(EdgeRecord(i, j, pair.u, pair.v, verdict))
-    edges.sort(key=lambda e: (e.from_id, e.to_id))
     return HilbertGraph(n=n, nodes=nodes, edges=edges)
 
 

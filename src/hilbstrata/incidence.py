@@ -106,7 +106,10 @@ def cover_moves(hf: HilbertFunction):
     with the last column before it that is addable or removable, when that
     one is addable; each column is read with its two neighbours, as
     ``move_params`` states the two tests.  The pair holds only psi's
-    heights, ``_jump``, valid by the scan and not validated again.
+    heights, ``_jump``, valid by the scan and not validated again.  The
+    psis come in canonical order too, so in ascending graph id: no u
+    repeats, and a smaller u raises an earlier column, where a later psi
+    still has phi's height.
     """
     s = hf.diagram.s
     out = []

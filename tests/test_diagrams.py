@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,11 @@ class TestConvert:
 def test_constructor_rejects_invalid_heights():
     with pytest.raises(ValueError):
         CastelnuovoDiagram([1, 3])
+    # The heights are read once, so an iterator is named, not its empty rest.
+    with pytest.raises(ValueError, match=r"^not a Castelnuovo sequence: \[1, 3\]$"):
+        CastelnuovoDiagram(iter([1, 3]))
+    with pytest.raises(ValueError, match=r"^not a Castelnuovo sequence: \[1, 3, 0\]$"):
+        CastelnuovoDiagram((1, 3, 0))
 
 
 def test_diagram_stats():
@@ -181,7 +187,7 @@ class TestIterDiagrams:
         # longest staircase, and together they are the distinct-part count.
         knapsack = distinct_partition_counts_by_knapsack(200)
         for n in range(0, 201):
-            ways = diagrams._tail_counts(n)
+            ways = list(diagrams._tail_counts(n))
             per_staircase = [ways[k][n - k * (k + 1) // 2] for k in range(len(ways))]
             assert sum(per_staircase) == knapsack[n]
             if n <= 30:
@@ -205,6 +211,10 @@ class TestIterDiagrams:
         assert list(iter_diagrams(12, total - 1, total + 10)) == [(1,) * 12]
         assert list(iter_diagrams(12, total, total + 10)) == []
         assert list(iter_diagrams(12, 3, 3)) == []
+        assert list(iter_diagrams(12, 5, 2)) == []
+        assert list(iter_diagrams(12, 0, 0)) == list(iter_diagrams(12, 0, -3)) == []
+        assert list(iter_diagrams(12, 4, -1)) == list(iter_diagrams(12, total + 5, -1)) == []
+        assert list(iter_diagrams(12, 0, total + 10)) == list(iter_diagrams(12))
 
     def test_large_weight_streams_without_recursion(self):
         assert sys.getrecursionlimit() < 1200
@@ -214,6 +224,27 @@ class TestIterDiagrams:
         assert all(a > b for a, b in zip(head, head[1:]))
         last = count_diagrams(1200) - 1
         assert list(iter_diagrams(1200, last, last + 1)) == [(1,) * 1200]
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_first_diagram_needs_no_table(self):
+        # The tail-count table of weight 2000 holds about 5.5 MiB.
+        first, peak = self._peak(lambda: next(iter_diagrams(2000)))
+        assert first == (*range(1, 63), 47)
+        assert peak < 2**20
+
+    def test_count_reads_one_row_at_a_time(self):
+        count, peak = self._peak(lambda: count_diagrams(2000))
+        assert count == distinct_partition_counts_by_knapsack(2000)[2000]
+        assert peak < 2**20
 
 
 @settings(deadline=None)

@@ -118,11 +118,15 @@ class TestBuild:
 
     def test_every_edge_points_to_a_lower_id(self):
         # A cover's psi comes before its phi in canonical order, so the
-        # enumeration order is a topological order; parsing keeps it.
+        # enumeration order is a topological order; parsing keeps it.  The
+        # edges come in (from_id, to_id) order, unsorted: each phi's covers
+        # arrive in ascending psi id.
         for n in range(1, 41):
             g = build_hilbert_graph(n)
             for graph in (g, parse_graph_json(emit(g, "json"))):
                 assert all(e.to_id < e.from_id for e in graph.edges), n
+            pairs = [(e.from_id, e.to_id) for e in g.edges]
+            assert all(a < b for a, b in zip(pairs, pairs[1:])), n
 
     def test_deterministic(self):
         a, b = build_hilbert_graph(14), build_hilbert_graph(14)
