@@ -4,7 +4,9 @@ Nodes are the Hilbert functions of the weight, in enumeration order; edges
 are the covers of the partial order, each annotated with its incidence
 verdict.  Emission targets are DOT (solid edge = incident, dashed = not,
 label "0" = type zero, minimal function on top) and a round-trippable JSON
-record.
+record.  Both are written with format strings; the JSON emitter is the one
+definition of its format, and the parser checks a record against that
+emitter's bytes decoded, so only ``parse_graph_json`` loads ``json``.
 """
 
 import sys
@@ -284,62 +286,62 @@ def _layers(up):
 
 
 def emit(g: HilbertGraph, fmt: str) -> bytes:
-    """Serialize the graph; ``fmt`` is ``dot`` or ``json``."""
+    """Serialize the graph; ``fmt`` is ``dot`` or ``json``.  Both are written
+    by format strings, so neither loads the ``json`` module."""
     if fmt == "json":
-        import json  # here and in parse_graph_json: no other path needs it
-
-        return (json.dumps(_record(g), separators=(",", ":")) + "\n").encode("utf-8")
+        return _emit_json(g)
     if fmt == "dot":
         return _emit_dot(g)
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _node_json(node: NodeRecord) -> dict:
-    return {
-        "id": node.id,
-        "s": list(node.diagram.s),
-        "h": list(node.hf.transient),
-        "dim": node.dim,
-        "a": {str(d): c for d, c in sorted(node.betti.a.items())},
-        "b": {str(d): c for d, c in sorted(node.betti.b.items())},
-    }
+_BOOL = ("false", "true")
+_COUNT = '"%d":%d'.__mod__  # one (degree, count) item, the degree as a string key
 
 
-def _edge_json(e: EdgeRecord) -> dict:
-    return {
-        "from": e.from_id,
-        "to": e.to_id,
-        "u": e.u,
-        "v": e.v,
-        "incident": e.verdict.incident,
-        "dim_ok": e.verdict.dim_ok,
-        "tangent_ok": e.verdict.tangent_ok,
-        "condition_c": e.verdict.betti_ok,
-        "type_zero": e.verdict.type_zero,
-    }
+def _emit_json(g: HilbertGraph) -> bytes:
+    """The JSON record of the graph, the one definition of the format.
 
-
-def _record(g: HilbertGraph) -> dict:
-    """The JSON record of the graph, the one definition of the format."""
-    return {
-        "n": g.n,
-        "nodes": [_node_json(node) for node in g.nodes],
-        "edges": [_edge_json(e) for e in g.edges],
-    }
+    One object ``{"n", "nodes", "edges"}``, then a newline, with no spaces:
+    the bytes ``json.dumps`` writes with ``separators=(",", ":")``.  A node
+    is ``{"id", "s", "h", "dim", "a", "b"}`` with ``a`` and ``b`` the Betti
+    counts keyed by degree, in the table's own ascending order; an edge is
+    ``{"from", "to", "u", "v", "incident", "dim_ok", "tangent_ok",
+    "condition_c", "type_zero"}``.  Each node and each edge is one format
+    string, and the record is joined once.  The heights and values of a
+    weight-n Hilbert function are at most n, so they are written from one
+    table of the decimals 0 .. n.
+    """
+    decimal = list(map(str, range(g.n + 1))).__getitem__
+    nodes = ",".join(
+        f'{{"id":{i},"s":[{",".join(map(decimal, hf.diagram.s))}],'
+        f'"h":[{",".join(map(decimal, hf.transient))}],"dim":{dim},'
+        f'"a":{{{",".join(map(_COUNT, betti.a.items()))}}},'
+        f'"b":{{{",".join(map(_COUNT, betti.b.items()))}}}}}'
+        for i, hf, dim, betti in g.nodes
+    )
+    edges = ",".join(
+        f'{{"from":{i},"to":{j},"u":{u},"v":{v},"incident":{_BOOL[verdict.incident]},'
+        f'"dim_ok":{_BOOL[verdict.dim_ok]},"tangent_ok":{_BOOL[verdict.tangent_ok]},'
+        f'"condition_c":{_BOOL[verdict.betti_ok]},"type_zero":{_BOOL[verdict.type_zero]}}}'
+        for i, j, u, v, verdict in g.edges
+    )
+    return f'{{"n":{g.n},"nodes":[{nodes}],"edges":[{edges}]}}\n'.encode("utf-8")
 
 
 def parse_graph_json(data) -> HilbertGraph:
     """Inverse of the JSON emitter (emit -> parse -> emit is byte-identical).
 
     Builds the graph of the record's weight n and returns it when the
-    record equals that graph's record, key order aside.  Values must have
-    the emitter's JSON types: no float or boolean stands in for an integer,
-    nor an integer for a boolean.  Otherwise raises ValueError naming the
-    first difference as ``not the graph of weight N: <path>: <got> !=
-    <want>``, with a JSON path such as ``nodes[3].b``.  A weight with more
-    than ``MAX_NODES`` diagrams is refused before any graph is built.
+    record equals that graph's emitted bytes decoded by ``json.loads``, key
+    order aside.  Values must have the emitter's JSON types: no float or
+    boolean stands in for an integer, nor an integer for a boolean.
+    Otherwise raises ValueError naming the first difference as ``not the
+    graph of weight N: <path>: <got> != <want>``, with a JSON path such as
+    ``nodes[3].b``.  A weight with more than ``MAX_NODES`` diagrams is
+    refused before any graph is built.
     """
-    import json
+    import json  # here only: the emitters write their bytes by hand
 
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -351,7 +353,7 @@ def parse_graph_json(data) -> HilbertGraph:
     if type(n) is not int:
         raise ValueError(f"weight {n!r} is not an integer")
     g = build_hilbert_graph(n)
-    difference = _first_difference(record, _record(g), "")
+    difference = _first_difference(record, json.loads(_emit_json(g)), "")
     if difference:
         raise ValueError(f"not the graph of weight {n}: {difference}")
     return g

@@ -47,7 +47,11 @@ def series_numerator(hf: HilbertFunction) -> list:
 
 class BettiTable:
     """Sparse generator counts ``a`` and relation counts ``b`` by degree, and
-    the dense row ``q`` of a_l - b_l over degrees 0 .. its last nonzero entry."""
+    the dense row ``q`` of a_l - b_l over degrees 0 .. its last nonzero entry.
+
+    ``a`` and ``b`` are keyed in ascending degree: ``generic_betti`` fills
+    them in degree order and ``__init__`` sorts.  The graph's JSON emitter
+    writes the counts in this order."""
 
     __slots__ = ("a", "b", "q")
 

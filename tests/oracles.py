@@ -385,3 +385,36 @@ def noncatenary_by_forward_passes(g):
                     lengths_of[mask] = lengths
                 witnesses.append((i, j, lengths))
     return witnesses
+
+
+def graph_record_by_dicts(g):
+    """The graph's JSON record as plain dicts and lists, one dict per node
+    and per edge, counts keyed by ``str`` degree in sorted order: the
+    reference whose ``json.dumps`` the emitter's hand-written bytes must
+    equal."""
+    nodes = [
+        {
+            "id": node.id,
+            "s": list(node.diagram.s),
+            "h": list(node.hf.transient),
+            "dim": node.dim,
+            "a": {str(d): c for d, c in sorted(node.betti.a.items())},
+            "b": {str(d): c for d, c in sorted(node.betti.b.items())},
+        }
+        for node in g.nodes
+    ]
+    edges = [
+        {
+            "from": e.from_id,
+            "to": e.to_id,
+            "u": e.u,
+            "v": e.v,
+            "incident": e.verdict.incident,
+            "dim_ok": e.verdict.dim_ok,
+            "tangent_ok": e.verdict.tangent_ok,
+            "condition_c": e.verdict.betti_ok,
+            "type_zero": e.verdict.type_zero,
+        }
+        for e in g.edges
+    ]
+    return {"n": g.n, "nodes": nodes, "edges": edges}

@@ -182,19 +182,21 @@ def test_console_entry_point():
 
 
 def test_import_loads_no_module_that_only_one_command_needs():
-    # dataclasses would bring inspect with it; json serves only the graph's
-    # JSON paths and multiprocessing only the parallel sweep, which import
-    # them when called.
+    # dataclasses would bring inspect with it; json serves only the graph
+    # parser and multiprocessing only the parallel sweep, which import them
+    # when called.  The emitters write their bytes without json.
     code = (
         "import sys, hilbstrata, hilbstrata.cli\n"
         "loaded = sorted({'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules))\n"
         "from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json\n"
         "data = emit(build_hilbert_graph(5), 'json')\n"
-        "print(loaded, emit(parse_graph_json(data), 'json') == data)\n"
+        "emitted = 'json' in sys.modules\n"
+        "same = emit(parse_graph_json(data), 'json') == data\n"
+        "print(loaded, emitted, 'json' in sys.modules, same)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] True\n"
+    assert proc.stdout == "[] False True True\n"
 
 
 # One process, one parser: each call must answer as a fresh interpreter

@@ -23,6 +23,7 @@ from hilbstrata.graph import (
 )
 from oracles import (
     cover_relations_triple_loop,
+    graph_record_by_dicts,
     noncatenary_by_chains,
     noncatenary_by_forward_passes,
 )
@@ -396,6 +397,14 @@ class TestEmit:
             data = emit(build_hilbert_graph(n), "json")
             assert emit(parse_graph_json(data), "json") == data
             assert data.endswith(b"\n")
+
+    def test_json_equals_the_encoder_on_the_dict_record(self):
+        # The emitter writes its bytes by hand; they must be exactly what
+        # the C encoder writes for the same record built as dicts.
+        graphs = [build_hilbert_graph(n) for n in (*range(1, 21), 26)]
+        for g in graphs + [HilbertGraph(n=5, nodes=[], edges=[])]:
+            want = json.dumps(graph_record_by_dicts(g), separators=(",", ":")) + "\n"
+            assert emit(g, "json") == want.encode(), g.n
 
     def test_dot_layering_starts_at_the_minimum(self):
         text = emit(build_hilbert_graph(6), "dot").decode()

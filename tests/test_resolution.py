@@ -163,6 +163,15 @@ class TestBettiTable:
         assert t.q == (0, 2, 0, 1, -1)
         assert BettiTable({}, {}).q == ()
 
+    def test_counts_are_keyed_in_ascending_degree(self):
+        # The graph's JSON emitter writes each count dict in its own order.
+        for n in range(0, 26):
+            for d in enumerate_diagrams(n):
+                t = generic_betti(d.hilbert_function())
+                assert list(t.a) == sorted(t.a) and list(t.b) == sorted(t.b)
+        t = BettiTable({7: 1, 2: 3, 5: 2}, {9: 4, 3: 1, 6: 2})
+        assert list(t.a) == [2, 5, 7] and list(t.b) == [3, 6, 9]
+
     def test_generic_row_matches_counts_and_truncation_oracle(self):
         # The row generic_betti keeps from the closed form, the row a table
         # derives from its own counts, and the numerator found from the
