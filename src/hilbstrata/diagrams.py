@@ -19,8 +19,9 @@ def _heights(seq):
     """The heights of ``seq`` with trailing zeros trimmed, as a tuple, or
     None when they are not a valid height sequence.
 
-    Validity: for some k >= 0 the first k entries are exactly 1, 2, ..., k
-    and from position k-1 on the entries never increase.  Equivalently the
+    Validity: every entry is an ``int`` (a ``bool`` or a float is not),
+    for some k >= 0 the first k entries are exactly 1, 2, ..., k and from
+    position k-1 on the entries never increase.  Equivalently the
     sequence climbs by exactly one per step while it is climbing, and once
     it stops climbing it never recovers.  After the staircase prefix is
     found, the tail is checked by one comparison of itself with its shift.
@@ -28,6 +29,8 @@ def _heights(seq):
     validates calls it and words its own error.
     """
     s = list(seq)
+    if not {int}.issuperset(map(type, s)):
+        return None
     while s and s[-1] == 0:
         s.pop()
     if s and (s[0] != 1 or min(s) < 0):
@@ -218,9 +221,19 @@ def _locate(n: int, rank: int, ways):
     return k, tail
 
 
+# The largest weight that ``iter_diagrams`` and ``count_diagrams`` accept.
+# Far past it a weight cannot be enumerated or counted in memory; at weight
+# 50,000 the count already takes about a minute, with a 10 MiB peak
+# (CPython 3.11 on a shared 2-CPU machine).
+MAX_WEIGHT = 100_000
+
+
 def _check_weight(n: int):
+    """Raise ValueError unless 0 <= n <= ``MAX_WEIGHT``."""
     if n < 0:
         raise ValueError("weight must be non-negative")
+    if n > MAX_WEIGHT:
+        raise ValueError(f"weight {n} exceeds {MAX_WEIGHT}, the largest weight enumerated or counted")
 
 
 def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
@@ -242,7 +255,7 @@ def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     place it with ``_locate``; nothing before it is generated, so
     ``iter_diagrams(n, r, r + 1)`` yields the diagram at rank r alone.
     Every tuple is valid by construction.
-    Iterating raises ValueError for n < 0 or start < 0.
+    Iterating raises ValueError for n < 0, n > ``MAX_WEIGHT`` or start < 0.
     """
     _check_weight(n)
     if start < 0:
@@ -296,7 +309,8 @@ def count_diagrams(n: int) -> int:
     rows of ``_tail_counts``, the table that ``iter_diagrams`` places a
     start past 0 with, in O(n^1.5) steps.  The rows are read one at a time
     and none is kept, so memory is O(n) integers.  The distinct-part count
-    is computed independently only by the test oracles.
+    is computed independently only by the test oracles.  Raises ValueError
+    for n < 0 or n > ``MAX_WEIGHT``.
     """
     _check_weight(n)
     return _total(n, _tail_counts(n))

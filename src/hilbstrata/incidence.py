@@ -228,13 +228,14 @@ def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
     return HilbertFunction(CastelnuovoDiagram._unchecked(_jump(s, *move)))
 
 
-def betti_criterion(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
-    """Criterion on the Betti numbers of phi equivalent to the dimension and
-    tangent comparisons of ``resolve_incidence``: a_u and b_{v+3} must be
-    nonzero, with extra equalities tied to the width v - u of the move."""
-    t = betti_phi if betti_phi is not None else generic_betti(pair.phi)
+def betti_criterion(pair: CoverPair, betti_phi: BettiTable) -> bool:
+    """Criterion on the Betti numbers of phi, read from its generic table
+    ``betti_phi``, equivalent to the dimension and tangent comparisons of
+    ``resolve_incidence``: a_u and b_{v+3} must be nonzero, with extra
+    equalities tied to the width v - u of the move."""
+    a, b = betti_phi.a, betti_phi.b
     u, v = pair.u, pair.v
-    return _betti_rule(u, v, t.a_at(u), t.b_at(u + 1), t.a_at(v + 2), t.b_at(v + 3))
+    return _betti_rule(u, v, a.get(u, 0), b.get(u + 1, 0), a.get(v + 2, 0), b.get(v + 3, 0))
 
 
 def _betti_rule(u: int, v: int, a_u: int, b_u1: int, a_v2: int, b_v3: int) -> bool:
@@ -292,7 +293,7 @@ def resolve_incidence(pair: CoverPair) -> IncidenceVerdict:
     if phi.degree != psi.degree:
         raise ValueError(f"tangent comparison needs equal degrees, got {phi.degree} and {psi.degree}")
     betti_phi = generic_betti(phi)
-    excess = cover_excess(cover_row(phi, betti_phi), cover_row(psi), pair.u, pair.v)
+    excess = cover_excess(cover_row(phi, betti_phi), cover_row(psi, generic_betti(psi)), pair.u, pair.v)
     return cover_verdict(pair, betti_phi, (stratum_dim(phi), stratum_dim(psi)), excess)
 
 
@@ -349,8 +350,9 @@ def chow_product(caps, factors) -> dict:
     return acc
 
 
-def verify_intersections(pair: CoverPair, betti_phi: BettiTable | None = None) -> bool:
-    """Non-vanishing of the intersection product certifying a wider move.
+def verify_intersections(pair: CoverPair, betti_phi: BettiTable) -> bool:
+    """Non-vanishing of the intersection product certifying a wider move,
+    read from phi's generic Betti table ``betti_phi``.
 
     Only defined for covers satisfying the Betti criterion with v >= u+1;
     raises ValueError for any other cover.
@@ -360,21 +362,20 @@ def verify_intersections(pair: CoverPair, betti_phi: BettiTable | None = None) -
     r+s+t must survive and carry the monomial r^{b_{u+1}} s^2 t^{a_{v+2}-1}
     with positive coefficient.
     """
-    t = betti_phi if betti_phi is not None else generic_betti(pair.phi)
     if pair.v < pair.u + 1:
         raise ValueError("intersection check applies to moves wider than one column")
-    if not betti_criterion(pair, t):
+    if not betti_criterion(pair, betti_phi):
         raise ValueError("intersection check requires the Betti criterion")
-    return _certificate(pair, t)
+    return _certificate(pair, betti_phi)
 
 
 def _certificate(pair: CoverPair, t: BettiTable) -> bool:
     """The product test of ``verify_intersections``, for a caller that has
     already established v >= u+1 and the Betti criterion on ``t``."""
     u, v = pair.u, pair.v
-    caps = (t.a_at(u), 3, t.b_at(v + 3))
-    a_v2 = t.a_at(v + 2)
-    b_u1 = t.b_at(u + 1)
+    caps = (t.a.get(u, 0), 3, t.b.get(v + 3, 0))
+    a_v2 = t.a.get(v + 2, 0)
+    b_u1 = t.b.get(u + 1, 0)
     if v == u + 1:
         return bool(chow_product(caps, [((0, 1, 1), a_v2), ((1, 1, 0), b_u1)]))
     product = chow_product(caps, [((1, 1, 1), 1), ((0, 1, 1), a_v2), ((1, 1, 0), b_u1)])

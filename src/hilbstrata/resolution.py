@@ -19,10 +19,10 @@ Its support lies in degrees 0 .. len(s) + 1 and q(1) = 1.
 Dense row.  Besides the sparse counts, a ``BettiTable`` keeps the row
 ``q = (q_0, ..., q_top)`` with q_l = a_l - b_l, trimmed after its last
 nonzero entry, so a reader of a_l - b_l at any degree, or of a whole
-numerator, indexes one tuple.  ``generic_betti`` keeps the list
-``series_numerator`` computes as that row; a table built from counts
-derives its row from them.  Degrees are non-negative: a dense row has no
-place for a negative one.
+numerator, indexes one tuple.  ``generic_betti`` is the one place a table
+is built: it keeps the list ``series_numerator`` computes as that row and
+splits the same list into the counts.  Every reader takes the table it is
+given and reads a count at degree d as ``t.a.get(d, 0)``.
 """
 
 from itertools import compress, count
@@ -49,31 +49,14 @@ class BettiTable:
     """Sparse generator counts ``a`` and relation counts ``b`` by degree, and
     the dense row ``q`` of a_l - b_l over degrees 0 .. its last nonzero entry.
 
-    ``a`` and ``b`` are keyed in ascending degree: ``generic_betti`` fills
-    them in degree order and ``__init__`` sorts.  The graph's JSON emitter
-    writes the counts in this order."""
+    Built by ``generic_betti``, which fills ``a`` and ``b`` in ascending
+    degree with positive counts only; the graph's JSON emitter writes the
+    counts in this order.  ``__init__`` only stores the three values."""
 
     __slots__ = ("a", "b", "q")
 
-    def __init__(self, a, b):
-        if any(d < 0 for d in (*a, *b)):
-            raise ValueError("Betti table degrees must be non-negative")
-        self.a = {d: c for d, c in sorted(a.items()) if c}
-        self.b = {d: c for d, c in sorted(b.items()) if c}
-        q = [0] * (max((*self.a, *self.b), default=-1) + 1)
-        for d, c in self.a.items():
-            q[d] += c
-        for d, c in self.b.items():
-            q[d] -= c
-        while q and not q[-1]:
-            q.pop()
-        self.q = tuple(q)
-
-    def a_at(self, d) -> int:
-        return self.a.get(d, 0)
-
-    def b_at(self, d) -> int:
-        return self.b.get(d, 0)
+    def __init__(self, a, b, q):
+        self.a, self.b, self.q = a, b, q
 
     def render(self) -> str:
         return f"a: {self.a}, b: {self.b}"
@@ -91,10 +74,9 @@ def generic_betti(hf: HilbertFunction) -> BettiTable:
     """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0).
 
     Only the nonzero degrees are visited, found by one ``compress`` pass
-    (second differences of long flat tails are mostly zero).  The
-    coefficient list, trimmed after its last nonzero degree, becomes the
-    table's row, and the table skips the sort-and-filter pass of
-    ``BettiTable.__init__``.
+    (second differences of long flat tails are mostly zero), in ascending
+    order.  The coefficient list, trimmed after its last nonzero degree,
+    becomes the table's row.
     """
     q = series_numerator(hf)
     a = {}
@@ -107,6 +89,4 @@ def generic_betti(hf: HilbertFunction) -> BettiTable:
         else:
             b[d] = -c
     del q[d + 1 :]
-    table = BettiTable.__new__(BettiTable)
-    table.a, table.b, table.q = a, b, tuple(q)
-    return table
+    return BettiTable(a, b, tuple(q))

@@ -41,7 +41,7 @@ from itertools import compress, count
 from operator import gt, mul, sub
 
 from .diagrams import HilbertFunction
-from .resolution import BettiTable, generic_betti
+from .resolution import BettiTable
 
 
 def stratum_dim(hf: HilbertFunction) -> int:
@@ -65,20 +65,19 @@ def tangent_bundle_sections(m: int) -> int:
     return (m + 2) * (m + 4) if m >= -2 else 0
 
 
-def cover_row(hf: HilbertFunction, betti: BettiTable | None = None) -> list:
+def cover_row(hf: HilbertFunction, betti: BettiTable) -> list:
     """h(m) - 3*h(m+1) + b(m+3) + 2*degree for m in -3 .. L+4 (L the last
     column of ``hf``), degree m at index m + 3.
 
-    ``b`` holds the relation counts of the generic Betti table of ``hf``
-    (``betti`` when given).  The degrees are every degree that the window
-    of a cover reads, with ``hf`` on either side of the cover.
+    ``b`` holds the relation counts of ``betti``, the generic Betti table
+    of ``hf``.  The degrees are every degree that the window of a cover
+    reads, with ``hf`` on either side of the cover.
     """
-    b = (betti if betti is not None else generic_betti(hf)).b
     d = hf.degree
     h = [0, 0, 0, *hf.transient, d, d, d, d, d]  # h(m) at index m + 3
     twice = 2 * d
     row = [x - 3 * y + twice for x, y in zip(h, h[1:])]
-    for m, c in b.items():
+    for m, c in betti.b.items():
         row[m] += c  # b(m) enters the row at degree m - 3, index m
     return row
 
@@ -98,13 +97,13 @@ def cover_excess(row_phi: list, row_psi: list, u: int, v: int) -> list:
     return list(compress(count(u - 3), map(gt, row_psi[u : v + 8], row_phi[u : v + 8])))
 
 
-def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable | None = None):
+def tangent_function(hf: HilbertFunction, lo: int, hi: int, betti: BettiTable):
     """Exact tangent-function values on the degree window [lo, hi].
 
     Value at m:  sections(m) - 3*h(m+1) + h(m) + b(m+3), with b the
-    relation counts of the generic Betti table of ``hf``: the sections
-    term added back to ``cover_row``, which is 2*degree below its first
-    degree and 0 past its last.
+    relation counts of ``betti``, the generic Betti table of ``hf``: the
+    sections term added back to ``cover_row``, which is 2*degree below its
+    first degree and 0 past its last.
     """
     if lo > hi:
         raise ValueError("empty window")

@@ -12,10 +12,15 @@ cover criteria agree on the whole range.
 
 The Betti checks read each table's dense row q (q_l = a_l - b_l, see
 ``resolution``).  The numerator-shift check adds the move's predicted
-shift to phi's row and compares the trimmed result with psi's row.  The
-Betti dimension delta, e + sum over i in u..v of (q_i - q_{i+3}),
-telescopes to e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}),
-six reads whatever the width of the move.
+shift to phi's row and compares the trimmed result with psi's row, which
+psi's own table computed from psi's heights.  A move (u, v) adds
+t^u - t^{v+1} to the height series s(t), so it adds
+-(1-t)^2 (t^u - t^{v+1}) to q = 1 - (1-t)^2 s(t): (-1, 2, -1) at degrees
+u..u+2 and (1, -2, 1) at v+1..v+3, six updates whatever the width (at
+widths 0 and 1 the two triples overlap and add up).  The Betti dimension
+delta, e + sum over i in u..v of (q_i - q_{i+3}), telescopes to
+e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}), six reads
+whatever the width of the move.
 
 The cache of a task holds one lean entry per diagram, ``cache_entry``:
 its numerator row q, its dimension and its tangent row over every degree
@@ -84,15 +89,6 @@ class SweepSummary:
         self.incident += other.incident
         self.type_zero += other.type_zero
         self.failures.extend(other.failures)
-
-
-# The change of a_l - b_l that a move (u, v) makes, per width v - u of 0, 1
-# and at least 2: (l - u, change) pairs, then (l - v, change) pairs.
-_NUMERATOR_SHIFTS = (
-    (((0, -1), (1, 3), (2, -3), (3, 1)), ()),
-    (((0, -1), (1, 2)), ((2, -2), (3, 1))),
-    (((0, -1), (1, 2), (2, -1)), ((1, 1), (2, -2), (3, 1))),
-)
 
 
 def cache_entry(hf: HilbertFunction, betti: BettiTable, dim: int) -> tuple:
@@ -169,13 +165,14 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
 
     # Numerator shift between the two Betti tables: phi's row plus the
     # shift the move predicts, trimmed, must be psi's row; every degree
-    # where they differ is a failure.
+    # where they differ is a failure.  The shift is -(1-t)^2 (t^u - t^{v+1}).
     expected = list(q)
-    after_u, after_v = _NUMERATOR_SHIFTS[min(v - u, 2)]
-    for d, c in after_u:
-        expected[u + d] += c
-    for d, c in after_v:
-        expected[v + d] += c
+    expected[u] -= 1
+    expected[u + 1] += 2
+    expected[u + 2] -= 1
+    expected[v + 1] += 1
+    expected[v + 2] -= 2
+    expected[v + 3] += 1
     while expected and not expected[-1]:
         expected.pop()
     if tuple(expected) != q_psi:
@@ -269,15 +266,13 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(requested: int, tasks: int, cpus: int | None = None) -> int:
+def pool_size(requested: int, tasks: int) -> int:
     """Worker processes worth starting for ``tasks`` separable pieces of work.
 
-    At least one, and no more than requested, than the CPUs (``cpus``,
-    default ``available_cpus()``) or than the tasks.
+    At least one, and no more than requested, than ``available_cpus()``
+    or than the tasks.
     """
-    if cpus is None:
-        cpus = available_cpus()
-    return max(1, min(requested, cpus, tasks))
+    return max(1, min(requested, available_cpus(), tasks))
 
 
 def sweep_weight(n: int) -> SweepSummary:

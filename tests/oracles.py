@@ -9,6 +9,7 @@ from itertools import groupby, zip_longest
 
 from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo, iter_diagrams
 from hilbstrata.incidence import cover_moves
+from hilbstrata.resolution import BettiTable
 
 
 def distinct_part_partitions(n, largest=None):
@@ -203,6 +204,24 @@ def numerator_by_truncation(hf):
         if c:
             coeffs[d] = c
     return coeffs
+
+
+def betti_table_from_counts(a, b):
+    """A ``BettiTable`` from hand-given generator counts ``a`` and relation
+    counts ``b`` by degree: each keyed in ascending degree with its zero
+    counts dropped, and the row a_l - b_l derived from them and trimmed
+    after its last nonzero entry.  Degrees must be non-negative.  A degree
+    may carry both counts, which no generic table does."""
+    a = {d: c for d, c in sorted(a.items()) if c}
+    b = {d: c for d, c in sorted(b.items()) if c}
+    q = [0] * (max((*a, *b), default=-1) + 1)
+    for d, c in a.items():
+        q[d] += c
+    for d, c in b.items():
+        q[d] -= c
+    while q and not q[-1]:
+        q.pop()
+    return BettiTable(a, b, tuple(q))
 
 
 def dim_constant_by_product(diagram):

@@ -69,10 +69,10 @@ def test_criterion_3_identity_suite_to_25():
                 t = generic_betti(d.hilbert_function())
                 acc = 0
                 for l in range(0, len(d.s) + 4):
-                    acc += t.a_at(l) - t.b_at(l)
+                    acc += t.a.get(l, 0) - t.b.get(l, 0)
                     assert acc == 1 + d.height(l - 1) - d.height(l)
                     if l > 0:
-                        assert t.a_at(l) - t.b_at(l) == (
+                        assert t.a.get(l, 0) - t.b.get(l, 0) == (
                             -d.height(l) + 2 * d.height(l - 1) - d.height(l - 2)
                         )
             # per-cover identities: numerator shifts, zero pattern, both
@@ -92,7 +92,7 @@ def test_criterion_4_known_instances():
         verdict = resolve_incidence(pair)
         assert not verdict.incident
         assert not verdict.tangent_ok
-        assert generic_betti(pair.phi).a_at(pair.u) == 0
+        assert generic_betti(pair.phi).a.get(pair.u, 0) == 0
 
         pair = is_length_zero(
             parse_hilbert_function("1,3,6,10,14,15,16,17,.."),
@@ -139,16 +139,16 @@ def test_criterion_7_intersection_products():
                     seen += 1
                     assert verify_intersections(pair, table)
                     if v >= u + 2:
-                        caps = (table.a_at(u), 3, table.b_at(v + 3))
+                        caps = (table.a.get(u, 0), 3, table.b.get(v + 3, 0))
                         product = chow_product(
                             caps,
                             [
                                 ((1, 1, 1), 1),
-                                ((0, 1, 1), table.a_at(v + 2)),
-                                ((1, 1, 0), table.b_at(u + 1)),
+                                ((0, 1, 1), table.a.get(v + 2, 0)),
+                                ((1, 1, 0), table.b.get(u + 1, 0)),
                             ],
                         )
-                        monomial = (table.b_at(u + 1), 2, table.a_at(v + 2) - 1)
+                        monomial = (table.b.get(u + 1, 0), 2, table.a.get(v + 2, 0) - 1)
                         assert product.get(monomial, 0) > 0
         assert seen > 200
 

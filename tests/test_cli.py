@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,32 @@ def test_graph_past_the_node_bound_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "graph", "-n", "66")
     assert code == 2 and out == ""
     assert err == "error: weight 66 has more than 20000 diagrams, the most a graph may have\n"
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-n", HUGE],
+        ["verify", "--n-min", HUGE, "--n-max", HUGE, "--workers", "1"],
+        ["verify", "--n-min", HUGE, "--n-max", HUGE, "--workers", "2"],
+    ],
+    ids=["enumerate", "verify-1-worker", "verify-2-workers"],
+)
+def test_a_weight_past_the_bound_is_usage_error(capsys, argv):
+    # Refused with one line before anything of the weight's size is built.
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: weight {HUGE} exceeds 100000, the largest weight enumerated or counted\n"
+    assert peak < 2**20
 
 
 def test_verify_clean(capsys):

@@ -54,6 +54,11 @@ class TestIsCastelnuovo:
         assert not is_castelnuovo([1, 2, 1, 2])
         assert not is_castelnuovo([1, -1])
 
+    def test_only_int_heights(self):
+        # A float or a bool is no height, even where it equals a valid one.
+        for seq in ([1, 0.5], [1.0], [1, 2.0], [1, 0.0], [True, 2], [1, True], [1, 2, False]):
+            assert not is_castelnuovo(seq), seq
+
     @settings(deadline=None, derandomize=True)
     @given(st.lists(st.integers(-2, 8), max_size=14))
     def test_matches_the_stepwise_rule(self, s):
@@ -101,6 +106,12 @@ class TestConvert:
         with pytest.raises(ValueError):
             HilbertFunction.from_values([1, 4, 4])
 
+    def test_rejects_values_that_are_not_ints(self):
+        # [1, 1.5] differs by 0.5; [1.0, 2.0] by float ones.
+        for values in ([1, 1.5], [1.0, 2.0], [1, 3, 6.0]):
+            with pytest.raises(ValueError, match="are not the sums of a Castelnuovo sequence"):
+                HilbertFunction.from_values(values)
+
 
 def test_constructor_rejects_invalid_heights():
     with pytest.raises(ValueError):
@@ -110,6 +121,15 @@ def test_constructor_rejects_invalid_heights():
         CastelnuovoDiagram(iter([1, 3]))
     with pytest.raises(ValueError, match=r"^not a Castelnuovo sequence: \[1, 3, 0\]$"):
         CastelnuovoDiagram((1, 3, 0))
+
+
+def test_constructor_rejects_heights_that_are_not_ints():
+    with pytest.raises(ValueError, match=r"^not a Castelnuovo sequence: \[1, 0\.5\]$"):
+        CastelnuovoDiagram([1, 0.5])
+    with pytest.raises(ValueError, match=r"^not a Castelnuovo sequence: \[True, 2\]$"):
+        CastelnuovoDiagram([True, 2])
+    with pytest.raises(ValueError):
+        CastelnuovoDiagram([1.0, 2.0, 3.0])
 
 
 def test_diagram_stats():
@@ -205,6 +225,18 @@ class TestIterDiagrams:
             list(iter_diagrams(-1))
         with pytest.raises(ValueError):
             list(iter_diagrams(5, -1))
+
+    def test_weight_bound(self):
+        # A weight past the bound is refused before anything of its size is
+        # listed; the first diagram of the largest weight comes at once.
+        top = diagrams.MAX_WEIGHT
+        for n in (top + 1, 10**20):
+            with pytest.raises(ValueError, match=f"^weight {n} exceeds {top}"):
+                next(iter_diagrams(n))
+            with pytest.raises(ValueError, match=f"^weight {n} exceeds {top}"):
+                count_diagrams(n)
+        first = next(iter_diagrams(top))
+        assert sum(first) == top and is_castelnuovo(first)
 
     def test_range_past_the_end_is_clamped(self):
         total = count_diagrams(12)

@@ -216,27 +216,27 @@ class TestConditions:
         pair = is_length_zero(hf("1,1,1"), hf("1,2"))
         verdict = resolve_incidence(pair)
         assert (verdict.dim_ok, verdict.tangent_ok) == (True, True)
-        assert betti_criterion(pair)
+        assert betti_criterion(pair, generic_betti(pair.phi))
 
     def test_weight14_pair(self):
         pair = is_length_zero(hf("1,2,3,4,2,1,1"), hf("1,2,3,4,2,2"))
         assert not resolve_incidence(pair).tangent_ok
-        assert not betti_criterion(pair)
-        assert generic_betti(pair.phi).a_at(pair.u) == 0
+        assert not betti_criterion(pair, generic_betti(pair.phi))
+        assert generic_betti(pair.phi).a.get(pair.u, 0) == 0
 
     def test_previously_open_pair(self):
         pair = is_length_zero(parse_hilbert_function(A42_PHI), parse_hilbert_function(A42_PSI))
         assert (pair.u, pair.v) == (5, 6)
         verdict = resolve_incidence(pair)
         assert (verdict.dim_ok, verdict.tangent_ok) == (True, True)
-        assert betti_criterion(pair)
+        assert betti_criterion(pair, generic_betti(pair.phi))
 
     def test_five_collinear_wide_move(self):
         pair = is_length_zero(hf("1,1,1,1,1"), hf("1,2,1,1"))
         assert (pair.u, pair.v) == (1, 3)
         table = generic_betti(pair.phi)
         assert table.a == {1: 1, 5: 1} and table.b == {6: 1}
-        assert betti_criterion(pair)
+        assert betti_criterion(pair, table)
 
 
 class TestTypeZero:
@@ -433,22 +433,22 @@ class TestChow:
 class TestVerifyIntersections:
     def test_five_collinear(self):
         pair = is_length_zero(hf("1,1,1,1,1"), hf("1,2,1,1"))
-        assert verify_intersections(pair)
+        assert verify_intersections(pair, generic_betti(pair.phi))
 
     def test_previously_open_pair(self):
         pair = is_length_zero(parse_hilbert_function(A42_PHI), parse_hilbert_function(A42_PSI))
-        assert verify_intersections(pair)
+        assert verify_intersections(pair, generic_betti(pair.phi))
 
     def test_requires_wide_move(self):
         pair = is_length_zero(hf("1,1,1"), hf("1,2"))
         with pytest.raises(ValueError):
-            verify_intersections(pair)
+            verify_intersections(pair, generic_betti(pair.phi))
 
     def test_requires_betti_criterion(self):
         pair = is_length_zero(hf("1,2,3,3,1,1,1,1"), hf("1,2,3,3,2,1,1"))
-        assert not betti_criterion(pair)
+        assert not betti_criterion(pair, generic_betti(pair.phi))
         with pytest.raises(ValueError):
-            verify_intersections(pair)
+            verify_intersections(pair, generic_betti(pair.phi))
 
     def test_public_check_guards_the_body_on_every_cover(self):
         # The sweep calls the body directly; the public check must still
@@ -465,8 +465,6 @@ class TestVerifyIntersections:
                     refused += 1
                     with pytest.raises(ValueError):
                         verify_intersections(pair, table)
-                    with pytest.raises(ValueError):
-                        verify_intersections(pair)
         assert refused > 100
 
     def test_holds_for_every_qualifying_pair(self):

@@ -14,9 +14,10 @@ from conftest import hf
 from hilbstrata import cli, incidence, sweep
 from hilbstrata.diagrams import count_diagrams
 from hilbstrata.incidence import is_length_zero
-from hilbstrata.resolution import BettiTable, generic_betti
+from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import stratum_dim
 from hilbstrata.sweep import SweepSummary, cache_entry, check_cover, pool_size, verify_range
+from oracles import betti_table_from_counts
 
 # Real covers, named by the width of their move; all four are incident.
 COVERS = {
@@ -65,7 +66,7 @@ def _bump(table, which, degree, by):
     """A copy of ``table`` with one generator (``a``) or relation (``b``) count moved by ``by``."""
     counts = {"a": dict(table.a), "b": dict(table.b)}
     counts[which][degree] = counts[which].get(degree, 0) + by
-    return BettiTable(counts["a"], counts["b"])
+    return betti_table_from_counts(counts["a"], counts["b"])
 
 
 @pytest.mark.parametrize("cover", [*COVERS.values(), FAILS_AT_V, FAILS_AT_U])
@@ -238,19 +239,29 @@ def test_summary_pickles_to_an_equal_summary():
     assert copy == summary and copy.failures is not summary.failures
 
 
+def _cpus(monkeypatch, cpus):
+    """Make ``sweep.available_cpus`` report ``cpus``."""
+    monkeypatch.setattr(sweep, "available_cpus", lambda: cpus)
+
+
 class TestPoolSize:
-    def test_clamped_by_cpus(self):
-        assert pool_size(8, tasks=100, cpus=2) == 2
+    def test_clamped_by_cpus(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert pool_size(8, tasks=100) == 2
 
-    def test_clamped_by_tasks(self):
-        assert pool_size(8, tasks=3, cpus=16) == 3
+    def test_clamped_by_tasks(self, monkeypatch):
+        _cpus(monkeypatch, 16)
+        assert pool_size(8, tasks=3) == 3
 
-    def test_request_below_both_limits(self):
-        assert pool_size(3, tasks=100, cpus=16) == 3
+    def test_request_below_both_limits(self, monkeypatch):
+        _cpus(monkeypatch, 16)
+        assert pool_size(3, tasks=100) == 3
 
-    def test_at_least_one(self):
-        assert pool_size(1, tasks=0, cpus=4) == 1
-        assert pool_size(4, tasks=5, cpus=0) == 1
+    def test_at_least_one(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        assert pool_size(1, tasks=0) == 1
+        _cpus(monkeypatch, 0)
+        assert pool_size(4, tasks=5) == 1
 
     def test_default_cpus_is_the_machine(self):
         assert 1 <= pool_size(2, tasks=2) <= 2
