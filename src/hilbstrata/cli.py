@@ -14,6 +14,7 @@ import sys
 
 from .diagrams import (
     CastelnuovoDiagram,
+    HilbertFunction,
     iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
@@ -35,7 +36,8 @@ def _positive(text):
 @functools.cache
 def _build_parser():
     """The top-level argument parser and its subcommand parsers by name,
-    built once per process on the first ``main`` call.
+    built once per process on the first ``main`` call.  Each subcommand
+    parser names its handler as the default ``run``.
 
     They depend on no input, and parsing leaves them unchanged, so every
     call shares them.
@@ -45,25 +47,31 @@ def _build_parser():
         description="Strata of point configurations in the plane: enumeration, "
         "invariants and adjacent-incidence resolution.",
     )
+    # The dest only names the missing command in the usage error.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all diagrams of one weight")
     p.add_argument("-n", type=_positive, required=True, help="weight (number of points)")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("betti", help="generator/relation table of a stratum")
     p.add_argument("--phi", required=True, help="diagram or Hilbert function (use trailing '..')")
+    p.set_defaults(run=_cmd_betti)
 
     p = sub.add_parser("dim", help="dimension of a stratum")
     p.add_argument("--phi", required=True, help="diagram or Hilbert function")
+    p.set_defaults(run=_cmd_dim)
 
     p = sub.add_parser("resolve", help="resolve the incidence of an adjacent pair")
     p.add_argument("--phi", required=True, help="smaller Hilbert function or diagram")
     p.add_argument("--psi", required=True, help="larger Hilbert function or diagram")
+    p.set_defaults(run=_cmd_resolve)
 
     p = sub.add_parser("graph", help="emit the cover graph of one weight")
     p.add_argument("-n", type=_positive, required=True)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
+    p.set_defaults(run=_cmd_graph)
 
     p = sub.add_parser("verify", help="sweep all covers of a weight range")
     p.add_argument("--n-min", type=_positive, default=1)
@@ -71,6 +79,7 @@ def _build_parser():
     p.add_argument(
         "--workers", type=_positive, help="worker processes (default: every CPU available)"
     )
+    p.set_defaults(run=_cmd_verify)
     return parser, sub.choices
 
 
@@ -78,7 +87,7 @@ def _function_arg(text):
     """Accept a Hilbert function ('..' suffix) or a diagram; return the function."""
     if text.strip().endswith(".."):
         return parse_hilbert_function(text)
-    return parse_diagram(text).hilbert_function()
+    return HilbertFunction(parse_diagram(text))
 
 
 def _usage_error(message):
@@ -160,29 +169,18 @@ def _cmd_verify(args, out):
     return 0
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "betti": _cmd_betti,
-    "dim": _cmd_dim,
-    "resolve": _cmd_resolve,
-    "graph": _cmd_graph,
-    "verify": _cmd_verify,
-}
-
-
 def _parse(argv):
-    """(command, arguments) of ``argv``, parsed once; raises SystemExit as
-    argparse does.  The subcommand named first parses the rest.  Anything
-    else (no or an unknown command, an option first, arguments left over)
-    goes through the top-level parser, so every usage text and error is
-    the one a full parse prints."""
+    """The arguments of ``argv``, parsed once, with the command's handler
+    as ``run``; raises SystemExit as argparse does.  The subcommand named
+    first parses the rest.  Anything else (no or an unknown command, an
+    option first, arguments left over) goes through the top-level parser,
+    so every usage text and error is the one a full parse prints."""
     parser, commands = _build_parser()
     if argv and argv[0] in commands:
         args, extra = commands[argv[0]].parse_known_args(argv[1:])
         if not extra:
-            return argv[0], args
-    args = parser.parse_args(argv)
-    return args.command, args
+            return args
+    return parser.parse_args(argv)
 
 
 def _silence_stdout():
@@ -199,11 +197,11 @@ def _silence_stdout():
 
 def _run(argv) -> int:
     try:
-        command, args = _parse(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[command](args, sys.stdout)
+        return args.run(args, sys.stdout)
     except ValueError as exc:
         return _usage_error(str(exc))
 

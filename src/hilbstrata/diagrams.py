@@ -93,9 +93,6 @@ class CastelnuovoDiagram:
     def __len__(self):
         return len(self.s)
 
-    def hilbert_function(self) -> "HilbertFunction":
-        return HilbertFunction(self)
-
     def render(self) -> str:
         return ",".join(map(str, self.s))
 
@@ -130,10 +127,11 @@ class HilbertFunction:
     @classmethod
     def from_values(cls, values) -> "HilbertFunction":
         """Build from explicit values h(0), h(1), ...; the values may repeat
-        the stable tail.  Raises ValueError when the differences are not a
-        valid height sequence."""
+        the stable tail.  Raises ValueError when a value is not an ``int``
+        (a ``bool``, whose differences are ints, is not) or the differences
+        are not a valid height sequence."""
         vals = list(values)
-        s = _heights(map(sub, vals, [0, *vals]))
+        s = _heights(map(sub, vals, [0, *vals])) if {int}.issuperset(map(type, vals)) else None
         if s is None:
             raise ValueError(f"values {vals} are not the sums of a Castelnuovo sequence")
         return cls(CastelnuovoDiagram._unchecked(s))

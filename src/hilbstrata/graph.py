@@ -31,10 +31,6 @@ class NodeRecord(NamedTuple):
     dim: int
     betti: BettiTable
 
-    @property
-    def diagram(self) -> CastelnuovoDiagram:
-        return self.hf.diagram
-
 
 class EdgeRecord(NamedTuple):
     from_id: int
@@ -414,7 +410,7 @@ def _emit_dot(g: HilbertGraph) -> bytes:
     layer = _layers(_upper_covers(g))
     lines = [f"digraph strata_{g.n} {{", "  node [shape=box];"]
     for node in g.nodes:
-        label = f"{node.diagram.render()}\\ndim {node.dim}"
+        label = f"{node.hf.diagram.render()}\\ndim {node.dim}"
         lines.append(f'  n{node.id} [label="{label}"];')
     ranks = [[] for _ in range(max(layer, default=-1) + 1)]
     for i, depth in enumerate(layer):

@@ -48,10 +48,6 @@ class CoverPair(NamedTuple):
     def psi(self) -> HilbertFunction:
         return HilbertFunction(CastelnuovoDiagram._unchecked(self.psi_heights))
 
-    @property
-    def degree(self) -> int:
-        return self.phi.degree
-
     def __repr__(self):
         return f"CoverPair(phi={self.phi!r}, psi={self.psi!r}, u={self.u!r}, v={self.v!r})"
 

@@ -57,7 +57,7 @@ first, and their summaries are merged back in rank order.
 import os
 from itertools import zip_longest
 
-from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
+from .diagrams import CastelnuovoDiagram, HilbertFunction, _check_weight, count_diagrams, iter_diagrams
 from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero, last_cover_column
 from .resolution import BettiTable, generic_betti
 from .strata import cover_excess, cover_row, stratum_dim
@@ -290,11 +290,14 @@ def verify_range(n_values, workers: int = 1):
     decreases with the weight, and weight 100 has 444,793 diagrams, more
     than any CPU count), so no large weight is counted before the first
     summary; an iterable other than a ``range`` is listed for that, so it
-    must be finite.  When more than one remain, each weight is cut into
-    one contiguous rank range per worker (``_shard_tasks``; the module
-    docstring says why no finer), and the ranges of every weight go
-    through one ordered ``imap`` of one pool, started with the platform's
-    default method, so no weight waits at a barrier.  The pool plans one
+    must be finite.  That largest weight is checked against ``MAX_WEIGHT``
+    first, so a weight past it is refused before any worker starts (one
+    worker refuses it on reaching it).  When more than one remain, each
+    weight is cut into one contiguous rank range per worker
+    (``_shard_tasks``; the module docstring says why no finer), and the
+    ranges of every weight go through one ordered ``imap`` of one pool,
+    started with the platform's default method, so no weight waits at a
+    barrier.  The pool plans one
     weight at a time as it reads the ranges (in a thread of its own, so
     each weight's range count is computed again here).  Each weight's
     ranges go last first, the costliest first.  A weight's summary is
@@ -307,6 +310,7 @@ def verify_range(n_values, workers: int = 1):
         # A range is not listed: its largest weight is one of its ends.
         ns = n_values if isinstance(n_values, range) else list(n_values)
         largest = max(ns[0], ns[-1]) if ns and isinstance(ns, range) else max(ns, default=1)
+        _check_weight(largest)
         workers = pool_size(workers, count_diagrams(min(largest, 100)))
     if workers <= 1:
         yield from map(sweep_weight, ns)

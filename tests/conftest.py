@@ -1,13 +1,13 @@
 import random
 
-from hilbstrata.diagrams import CastelnuovoDiagram
+from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction
 
 
 def hf(seq):
     """Hilbert function of a height sequence given as list or '1,2,1' text."""
     if isinstance(seq, str):
         seq = [int(x) for x in seq.split(",")] if seq else []
-    return CastelnuovoDiagram(seq).hilbert_function()
+    return HilbertFunction(CastelnuovoDiagram(seq))
 
 
 def long_diagrams(seed, count, tail=150):

@@ -7,7 +7,7 @@ is checking.
 
 from itertools import groupby, zip_longest
 
-from hilbstrata.diagrams import CastelnuovoDiagram, hf_leq, is_castelnuovo, iter_diagrams
+from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, hf_leq, is_castelnuovo, iter_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.resolution import BettiTable
 
@@ -353,7 +353,7 @@ def last_readers(n):
     each psi keeps the last phi seen."""
     last = dict.fromkeys(iter_diagrams(n))
     for s in last:
-        for pair in cover_moves(CastelnuovoDiagram._unchecked(s).hilbert_function()):
+        for pair in cover_moves(HilbertFunction(CastelnuovoDiagram._unchecked(s))):
             last[pair.psi_heights] = s
     return last
 
@@ -414,7 +414,7 @@ def graph_record_by_dicts(g):
     nodes = [
         {
             "id": node.id,
-            "s": list(node.diagram.s),
+            "s": list(node.hf.diagram.s),
             "h": list(node.hf.transient),
             "dim": node.dim,
             "a": {str(d): c for d, c in sorted(node.betti.a.items())},

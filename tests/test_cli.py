@@ -256,16 +256,6 @@ def test_shared_parser_answers_as_a_fresh_interpreter(capsys, monkeypatch):
     assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 2, 0]
 
 
-def test_import_leaves_multiprocessing_out():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hilbstrata, hilbstrata.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
-
-
 def main_by_full_parse(argv):
     """``main`` by one top-level parse of the whole of ``argv``: the
     reference the once-only parse must answer as."""
@@ -275,7 +265,7 @@ def main_by_full_parse(argv):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return cli._COMMANDS[args.command](args, sys.stdout)
+        return args.run(args, sys.stdout)
     except ValueError as exc:
         return cli._usage_error(str(exc))
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from hilbstrata.diagrams import count_diagrams, enumerate_diagrams, hf_leq
+from hilbstrata.diagrams import HilbertFunction, count_diagrams, enumerate_diagrams, hf_leq
 from hilbstrata.graph import (
     MAX_NODES,
     EdgeRecord,
@@ -46,11 +46,10 @@ class TestBuild:
         assert len(g.edges) == 1
         edge = g.edges[0]
         assert edge.verdict.incident
-        assert g.nodes[edge.from_id].diagram.s == (1, 1, 1)
-        assert g.nodes[edge.to_id].diagram.s == (1, 2)
+        assert g.nodes[edge.from_id].hf.diagram.s == (1, 1, 1)
+        assert g.nodes[edge.to_id].hf.diagram.s == (1, 2)
         # Each record is built alike by position and by keyword.
         node = g.nodes[1]
-        assert node.diagram is node.hf.diagram
         assert NodeRecord(1, node.hf, node.dim, node.betti) == node
         assert NodeRecord(id=1, hf=node.hf, dim=node.dim, betti=node.betti) == node
         assert EdgeRecord(1, 0, 1, 1, edge.verdict) == edge
@@ -79,10 +78,10 @@ class TestBuild:
         for n in range(1, 11):
             g = build_hilbert_graph(n)
             got = {
-                (g.nodes[e.from_id].diagram.s, g.nodes[e.to_id].diagram.s)
+                (g.nodes[e.from_id].hf.diagram.s, g.nodes[e.to_id].hf.diagram.s)
                 for e in g.edges
             }
-            fns = [d.hilbert_function() for d in enumerate_diagrams(n)]
+            fns = [HilbertFunction(d) for d in enumerate_diagrams(n)]
             assert got == cover_relations_triple_loop(fns)
 
     def test_transitive_closure_is_the_order(self):
@@ -151,7 +150,7 @@ class TestNoncatenary:
 
     def test_matches_chain_enumeration_oracle(self):
         for n in range(1, 21):
-            fns = [d.hilbert_function() for d in enumerate_diagrams(n)]
+            fns = [HilbertFunction(d) for d in enumerate_diagrams(n)]
             assert detect_noncatenary(build_hilbert_graph(n)) == noncatenary_by_chains(fns)
 
     def test_witness_counts(self):

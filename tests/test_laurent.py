@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hilbstrata.diagrams import enumerate_diagrams
+from hilbstrata.diagrams import HilbertFunction, enumerate_diagrams
 from hilbstrata.laurent import IntLaurentPoly
 
 P = IntLaurentPoly
@@ -74,7 +74,7 @@ def test_distributive(a, b, c):
 def test_difference_of_running_sums_is_the_height_sequence(n):
     one_minus_t = P({0: 1, 1: -1})
     for d in enumerate_diagrams(n):
-        h = d.hilbert_function()
+        h = HilbertFunction(d)
         # (1 - t) applied to the values gives back the heights, in every degree
         for m in range(-2, len(d.s) + 3):
             assert h.value(m) - h.value(m - 1) == d.height(m)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hilbstrata.cli import main
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
+    HilbertFunction,
     _parse_int_list,
     count_diagrams,
     is_castelnuovo,
@@ -54,13 +55,13 @@ texts = st.one_of(
     st.text(alphabet=NEAR_GRAMMAR),
     st.text(alphabet=NEAR_GRAMMAR).map(lambda t: t + ".."),
     diagrams().map(lambda d: d.render()),
-    diagrams().map(lambda d: d.hilbert_function().render()),
+    diagrams().map(lambda d: HilbertFunction(d).render()),
 )
 
 
 def _cover_params(d):
     """The (u, v) of the covers above the diagram ``d``."""
-    return [(p.u, p.v) for p in cover_moves(d.hilbert_function())]
+    return [(p.u, p.v) for p in cover_moves(HilbertFunction(d))]
 
 
 @st.composite
@@ -74,7 +75,7 @@ def pairs(draw):
     moves = _cover_params(phi) if draw(st.booleans()) else move_params(phi)
     psi = move_image(phi, *draw(st.sampled_from(moves))) if moves else phi
     if draw(st.booleans()):
-        return phi.hilbert_function().render(), psi.hilbert_function().render()
+        return HilbertFunction(phi).render(), HilbertFunction(psi).render()
     return phi.render(), psi.render()
 
 
@@ -147,7 +148,7 @@ def test_int_lists_read_as_the_token_loop_reads_them(text):
 @given(diagrams())
 def test_rendered_text_round_trips(d):
     assert parse_diagram(d.render()) == d
-    h = d.hilbert_function()
+    h = HilbertFunction(d)
     assert parse_hilbert_function(h.render()) == h
 
 
@@ -213,7 +214,7 @@ def same_weight_pairs(draw):
 @example((CastelnuovoDiagram((1, 2, 3, 3, 3, 1, 1)), CastelnuovoDiagram((1, 2, 3, 4, 2, 2))))
 def test_run_of_ones_matches_the_degreewise_oracle(pair):
     # The example differs by 1 at degrees 3 and 5 only: two runs, no answer.
-    phi, psi = (d.hilbert_function() for d in pair)
+    phi, psi = (HilbertFunction(d) for d in pair)
     assert run_of_ones(phi, psi) == run_of_ones_by_degree(phi, psi)
     assert run_of_ones(psi, phi) == run_of_ones_by_degree(psi, phi)
 
@@ -223,7 +224,7 @@ def test_run_of_ones_matches_the_degreewise_oracle(pair):
 def test_run_of_ones_rejects_a_degree_mismatch(a, b):
     if a.weight != b.weight:
         with pytest.raises(ValueError, match="degree mismatch"):
-            run_of_ones(a.hilbert_function(), b.hilbert_function())
+            run_of_ones(HilbertFunction(a), HilbertFunction(b))
 
 
 # JSON values of the kinds a graph record holds, nested a little.

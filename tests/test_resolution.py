@@ -1,5 +1,5 @@
 from conftest import hf, long_diagrams
-from hilbstrata.diagrams import enumerate_diagrams
+from hilbstrata.diagrams import HilbertFunction, enumerate_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.resolution import generic_betti, series_numerator
 from hilbstrata.strata import stratum_dim
@@ -34,13 +34,13 @@ class TestNumerator:
     def test_value_at_one_is_always_one(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
-                q = series_numerator(d.hilbert_function())
+                q = series_numerator(HilbertFunction(d))
                 assert sum(q) == 1
 
     def test_matches_truncated_series_oracle(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
-                h = d.hilbert_function()
+                h = HilbertFunction(d)
                 assert _nonzero(series_numerator(h)) == numerator_by_truncation(h)
 
 
@@ -63,7 +63,7 @@ class TestGenericBetti:
     def test_no_degree_carries_both(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
-                t = generic_betti(d.hilbert_function())
+                t = generic_betti(HilbertFunction(d))
                 assert not set(t.a) & set(t.b)
                 assert all(c > 0 for c in t.a.values())
                 assert all(c > 0 for c in t.b.values())
@@ -73,7 +73,7 @@ class TestGenericBetti:
         # coefficients of the numerator found from the ideal's value table.
         for n in range(0, 26):
             for d in enumerate_diagrams(n):
-                h = d.hilbert_function()
+                h = HilbertFunction(d)
                 q = numerator_by_truncation(h)
                 t = generic_betti(h)
                 assert t.a == {l: c for l, c in q.items() if c > 0}
@@ -83,7 +83,7 @@ class TestGenericBetti:
         # 150-column tails, where most second differences are zero: the
         # counts, their degree order (which ``render`` prints) and the row.
         for d in long_diagrams(150, 40):
-            h = d.hilbert_function()
+            h = HilbertFunction(d)
             q = numerator_by_truncation(h)
             t = generic_betti(h)
             assert t.a == {l: c for l, c in q.items() if c > 0}
@@ -94,7 +94,7 @@ class TestGenericBetti:
     def test_rank_one_total(self):
         for n in range(1, 21):
             for d in enumerate_diagrams(n):
-                t = generic_betti(d.hilbert_function())
+                t = generic_betti(HilbertFunction(d))
                 assert sum(t.a.values()) - sum(t.b.values()) == 1
 
 
@@ -103,7 +103,7 @@ def test_cumulative_and_pointwise_height_identities():
     # individual difference is the second difference of the heights.
     for n in range(1, 26):
         for d in enumerate_diagrams(n):
-            t = generic_betti(d.hilbert_function())
+            t = generic_betti(HilbertFunction(d))
             top = len(d.s) + 4
             acc = 0
             for l in range(0, top):
@@ -118,7 +118,7 @@ def test_numerator_shift_between_cover_tables():
     move_factor = {0: 1, 1: -2, 2: 1}
     for n in range(1, 26):
         for d in enumerate_diagrams(n):
-            phi = d.hilbert_function()
+            phi = HilbertFunction(d)
             q_phi = _nonzero(series_numerator(phi))
             for pair in cover_moves(phi):
                 q_psi = _nonzero(series_numerator(pair.psi))
@@ -133,7 +133,7 @@ def test_zero_pattern_for_wide_covers():
     seen_wide = 0
     for n in range(1, 26):
         for d in enumerate_diagrams(n):
-            phi = d.hilbert_function()
+            phi = HilbertFunction(d)
             t = generic_betti(phi)
             for pair in cover_moves(phi):
                 u, v = pair.u, pair.v
@@ -154,7 +154,7 @@ class TestBettiTable:
         # and the row ends at its last nonzero degree.
         for n in range(0, 26):
             for d in enumerate_diagrams(n):
-                t = generic_betti(d.hilbert_function())
+                t = generic_betti(HilbertFunction(d))
                 assert list(t.a) == sorted(t.a) and list(t.b) == sorted(t.b)
                 assert 0 not in t.a.values() and 0 not in t.b.values()
                 assert t.q[-1] != 0
@@ -165,7 +165,7 @@ class TestBettiTable:
         # ideal's value table are one row.
         for n in range(0, 26):
             for d in enumerate_diagrams(n):
-                h = d.hilbert_function()
+                h = HilbertFunction(d)
                 t = generic_betti(h)
                 from_counts = betti_table_from_counts(t.a, t.b)
                 assert (t.a, t.b, t.q) == (from_counts.a, from_counts.b, from_counts.q)

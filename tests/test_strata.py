@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import hf
-from hilbstrata.diagrams import CastelnuovoDiagram, enumerate_diagrams, iter_diagrams
+from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, enumerate_diagrams, iter_diagrams
 from hilbstrata.incidence import CoverPair, cover_moves, is_length_zero, resolve_incidence
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import (
@@ -40,29 +40,29 @@ class TestStratumDim:
 
     def test_maximal_stratum_has_dimension_two_n(self):
         for n in range(1, 31):
-            assert stratum_dim(greedy_maximal_diagram(n).hilbert_function()) == 2 * n
+            assert stratum_dim(HilbertFunction(greedy_maximal_diagram(n))) == 2 * n
 
     def test_collinear_stratum_is_n_plus_two(self):
         for n in range(3, 31):
-            bottom = CastelnuovoDiagram((1,) * n).hilbert_function()
+            bottom = HilbertFunction(CastelnuovoDiagram((1,) * n))
             assert stratum_dim(bottom) == n + 2
 
     def test_only_the_maximal_stratum_is_dense(self):
         for n in range(2, 16):
             top = greedy_maximal_diagram(n)
             for d in enumerate_diagrams(n):
-                dim = stratum_dim(d.hilbert_function())
+                dim = stratum_dim(HilbertFunction(d))
                 assert dim <= 2 * n
                 assert (dim == 2 * n) == (d == top)
 
     def test_matches_direct_expansion(self):
         for n in range(1, 26):
             for d in enumerate_diagrams(n):
-                assert stratum_dim(d.hilbert_function()) == 1 + n + dim_constant_by_product(d)
+                assert stratum_dim(HilbertFunction(d)) == 1 + n + dim_constant_by_product(d)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
-            stratum_dim(CastelnuovoDiagram(()).hilbert_function())
+            stratum_dim(HilbertFunction(CastelnuovoDiagram(())))
 
 
 def test_tangent_bundle_section_counts():
@@ -92,13 +92,13 @@ class TestTangentFunction:
         # dimensions of section spaces are never negative
         for n in range(1, 13):
             for d in enumerate_diagrams(n):
-                window = _tangent(d.hilbert_function(), -5, len(d.s) + 5)
+                window = _tangent(HilbertFunction(d), -5, len(d.s) + 5)
                 assert all(v >= 0 for v in window.values())
 
     def test_agreement_outside_move_window(self):
         for n in range(1, 16):
             for d in enumerate_diagrams(n):
-                phi = d.hilbert_function()
+                phi = HilbertFunction(d)
                 for pair in cover_moves(phi):
                     lo, hi = pair.u - 8, pair.v + 8
                     t_phi = _tangent(phi, lo, hi)
@@ -113,7 +113,7 @@ class TestTangentFunction:
         # the Euler-sequence section counts evaluated degree by degree.
         for n in range(1, 16):
             for d in enumerate_diagrams(n):
-                phi = d.hilbert_function()
+                phi = HilbertFunction(d)
                 q = numerator_by_truncation(phi)
                 top = len(d.s)
                 for lo, hi in ((-9, -6), (-7, top + 6), (top, top + 3), (2, 2)):
@@ -131,7 +131,7 @@ class TestTangentFunction:
         # degree past either end, lie wholly past either end, or reach far
         # past both, against the degree-by-degree formula.
         shapes = [(1,) * 12, (1, 2, 3, 3, 2) + (1,) * 8, (1, 2, 3, 2, 1, 1), (1, 2), (1,)]
-        for phi in [CastelnuovoDiagram(s).hilbert_function() for s in shapes]:
+        for phi in [HilbertFunction(CastelnuovoDiagram(s)) for s in shapes]:
             q = numerator_by_truncation(phi)
             top = len(phi.transient) + 3  # the row's last degree, L+4
             windows = ((-3, top), (-4, top), (-3, top + 1), (-4, -4), (-6, -4), (top + 1, top + 1), (top, top + 3))
@@ -193,7 +193,7 @@ class TestTangentExcess:
         swapped = 0
         for n in range(1, 26):
             for d in enumerate_diagrams(n):
-                phi = d.hilbert_function()
+                phi = HilbertFunction(d)
                 b_phi = generic_betti(phi)
                 for pair in cover_moves(phi):
                     psi = pair.psi
@@ -227,7 +227,7 @@ class TestCoverRows:
         for n in range(1, n_max + 1):
             entries = {}
             for s in iter_diagrams(n):
-                h = CastelnuovoDiagram._unchecked(s).hilbert_function()
+                h = HilbertFunction(CastelnuovoDiagram._unchecked(s))
                 entries[s] = (h, cache_entry(h, generic_betti(h), stratum_dim(h))[2])
             for phi, row_phi in entries.values():
                 for pair in cover_moves(phi):
@@ -260,7 +260,7 @@ class TestCoverRows:
         # Euler-sequence section counts, degree by degree.
         for n in range(1, 31):
             for d in enumerate_diagrams(n):
-                h = d.hilbert_function()
+                h = HilbertFunction(d)
                 table = generic_betti(h)
                 q = numerator_by_truncation(h)
                 row = cover_row(h, table)
@@ -281,7 +281,7 @@ def test_dimension_delta_formulas_agree():
     # Both closed forms for dim(psi) - dim(phi) hold on every cover.
     for n in range(1, 21):
         for d in enumerate_diagrams(n):
-            phi = d.hilbert_function()
+            phi = HilbertFunction(d)
             dim_phi = stratum_dim(phi)
             table = generic_betti(phi)
             for pair in cover_moves(phi):
@@ -306,7 +306,7 @@ def test_pointwise_tangent_bound_and_shortcut():
     # windowed comparison equals the two-entry test on the Betti table.
     for n in range(1, 21):
         for d in enumerate_diagrams(n):
-            phi = d.hilbert_function()
+            phi = HilbertFunction(d)
             table = generic_betti(phi)
             for pair in cover_moves(phi):
                 u, v = pair.u, pair.v
@@ -326,7 +326,7 @@ def test_wide_move_dimension_law():
     seen = 0
     for n in range(1, 21):
         for d in enumerate_diagrams(n):
-            phi = d.hilbert_function()
+            phi = HilbertFunction(d)
             table = generic_betti(phi)
             dim_phi = stratum_dim(phi)
             for pair in cover_moves(phi):

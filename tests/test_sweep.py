@@ -12,7 +12,7 @@ import pytest
 
 from conftest import hf
 from hilbstrata import cli, incidence, sweep
-from hilbstrata.diagrams import count_diagrams
+from hilbstrata.diagrams import MAX_WEIGHT, count_diagrams
 from hilbstrata.incidence import is_length_zero
 from hilbstrata.resolution import generic_betti
 from hilbstrata.strata import stratum_dim
@@ -280,7 +280,7 @@ class TestPoolSize:
         assert sweep.available_cpus() == 1
 
     def test_clamp_counts_no_weight_above_100(self, monkeypatch):
-        # The first summary of an unbounded range at two workers comes
+        # The first summary of the longest range two workers accept comes
         # without counting the diagrams of its largest weight.
         counted = []
 
@@ -290,7 +290,7 @@ class TestPoolSize:
 
         monkeypatch.setattr(sweep, "count_diagrams", recording_count)
         _stand_in_pool(monkeypatch)
-        first = next(verify_range(range(1, 10**6), workers=2))
+        first = next(verify_range(range(1, MAX_WEIGHT + 1), workers=2))
         assert (first.n, first.diagrams, first.failures) == (1, 1, [])
         assert counted and max(counted) <= 100
 
@@ -359,6 +359,17 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
 
 
+def test_a_weight_past_the_bound_starts_no_pool(monkeypatch):
+    # Two workers would be worth starting; the weight is refused first.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker process should start")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(ValueError, match=r"^weight 100001 exceeds 100000, the largest weight"):
+        list(verify_range(range(100_001, 100_002), workers=2))
+
+
 def _stand_in_pool(monkeypatch, workers=2):
     """Put an in-process stand-in for ``multiprocessing.Pool`` on a host
     with ``workers`` CPUs; returns the list it records the tasks in, each
@@ -395,7 +406,8 @@ def _dispatched(monkeypatch, weights, workers=2):
 
 def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
     # A stand-in pool that reads its tasks only as results are asked for:
-    # the first summary of a million-weight range comes after planning weight 1.
+    # the first summary of the longest range two workers accept, 100,000
+    # weights, comes after planning weight 1.
     planned = []
     plan = sweep._shard_tasks
 
@@ -405,7 +417,7 @@ def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
 
     _stand_in_pool(monkeypatch)
     monkeypatch.setattr(sweep, "_shard_tasks", recording_plan)
-    first = next(verify_range(range(1, 10**6), workers=2))
+    first = next(verify_range(range(1, MAX_WEIGHT + 1), workers=2))
     assert (first.n, first.diagrams, first.failures) == (1, 1, [])
     assert planned == [(1, 2)]
 

@@ -25,7 +25,7 @@ def test_psi_precedes_phi_and_lengthens_its_staircase_by_at_most_one():
         readers = last_readers(n)
         rank = {s: r for r, s in enumerate(readers)}
         for s in rank:
-            for pair in cover_moves(CastelnuovoDiagram._unchecked(s).hilbert_function()):
+            for pair in cover_moves(HilbertFunction(CastelnuovoDiagram._unchecked(s))):
                 t = pair.psi.diagram.s
                 assert rank[t] < rank[s] <= rank[readers[t]]
                 # The last reader is lower than psi at the first column.
