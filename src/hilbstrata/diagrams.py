@@ -328,27 +328,23 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
     Returns None when the difference is anything else (zero, negative
     somewhere, higher than 1, or not contiguous).  Such a run is exactly
     what a single square jumping left does to the running sums.  Raises on
-    degree mismatch.  The difference is one ``map`` over the two transient
-    tuples, the shorter one padded with the common degree; the degrees
-    where it is nonzero are its run exactly when they are contiguous and
-    each holds a 1.
+    degree mismatch.  A Hilbert function is the running sum of its
+    heights, so psi - phi is 1 on [u, v] and 0 elsewhere exactly when the
+    difference of the two height tuples, its first difference, is +1 at
+    column u, -1 at column v+1 and 0 at every other column.  So the two
+    tuples are compared once, the shorter one padded with zeros, the
+    height of every column past a diagram, and the move is read from the
+    two columns that change.  Column 0 holds 1 in every diagram of a
+    positive degree, so it never changes and u >= 1.
     """
-    d = phi.degree
-    if d != psi.degree:
-        raise ValueError(f"degree mismatch: {d} != {psi.degree}")
-    x, y = phi.transient, psi.transient
-    if len(x) < len(y):
-        x += (d,) * (len(y) - len(x))
-    else:
-        y += (d,) * (len(x) - len(y))
-    diff = list(map(sub, y, x))
+    if phi.degree != psi.degree:
+        raise ValueError(f"degree mismatch: {phi.degree} != {psi.degree}")
+    x, y = phi.diagram.s, psi.diagram.s
+    diff = list(map(sub, y + (0,) * (len(x) - len(y)), x + (0,) * (len(y) - len(x))))
     moved = list(compress(count(), diff))
-    if not moved or moved[0] < 1:
+    if len(moved) != 2 or (diff[moved[0]], diff[moved[1]]) != (1, -1):
         return None
-    u, v = moved[0], moved[-1]
-    if v - u + 1 != len(moved) or diff.count(1) != len(moved):
-        return None
-    return u, v
+    return moved[0], moved[1] - 1
 
 
 def _parse_int_list(text: str, what: str):

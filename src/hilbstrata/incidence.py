@@ -224,14 +224,21 @@ def find_intermediate(phi: HilbertFunction, psi: HilbertFunction):
     return HilbertFunction(CastelnuovoDiagram._unchecked(_jump(s, *move)))
 
 
+def _cover_counts(t: BettiTable, u: int, v: int) -> tuple:
+    """The four counts of the table ``t`` that the cover (u, v) reads:
+    a_u, b_{u+1}, a_{v+2} and b_{v+3}, zero where the table has none.
+    The Betti rule, the certificate and the sweep's checks read them only
+    here."""
+    return t.a.get(u, 0), t.b.get(u + 1, 0), t.a.get(v + 2, 0), t.b.get(v + 3, 0)
+
+
 def betti_criterion(pair: CoverPair, betti_phi: BettiTable) -> bool:
     """Criterion on the Betti numbers of phi, read from its generic table
     ``betti_phi``, equivalent to the dimension and tangent comparisons of
     ``resolve_incidence``: a_u and b_{v+3} must be nonzero, with extra
     equalities tied to the width v - u of the move."""
-    a, b = betti_phi.a, betti_phi.b
     u, v = pair.u, pair.v
-    return _betti_rule(u, v, a.get(u, 0), b.get(u + 1, 0), a.get(v + 2, 0), b.get(v + 3, 0))
+    return _betti_rule(u, v, *_cover_counts(betti_phi, u, v))
 
 
 def _betti_rule(u: int, v: int, a_u: int, b_u1: int, a_v2: int, b_v3: int) -> bool:
@@ -358,20 +365,20 @@ def verify_intersections(pair: CoverPair, betti_phi: BettiTable) -> bool:
     r+s+t must survive and carry the monomial r^{b_{u+1}} s^2 t^{a_{v+2}-1}
     with positive coefficient.
     """
-    if pair.v < pair.u + 1:
-        raise ValueError("intersection check applies to moves wider than one column")
-    if not betti_criterion(pair, betti_phi):
-        raise ValueError("intersection check requires the Betti criterion")
-    return _certificate(pair, betti_phi)
-
-
-def _certificate(pair: CoverPair, t: BettiTable) -> bool:
-    """The product test of ``verify_intersections``, for a caller that has
-    already established v >= u+1 and the Betti criterion on ``t``."""
     u, v = pair.u, pair.v
-    caps = (t.a.get(u, 0), 3, t.b.get(v + 3, 0))
-    a_v2 = t.a.get(v + 2, 0)
-    b_u1 = t.b.get(u + 1, 0)
+    if v < u + 1:
+        raise ValueError("intersection check applies to moves wider than one column")
+    cover = u, v, *_cover_counts(betti_phi, u, v)
+    if not _betti_rule(*cover):
+        raise ValueError("intersection check requires the Betti criterion")
+    return _certificate(*cover)
+
+
+def _certificate(u: int, v: int, a_u: int, b_u1: int, a_v2: int, b_v3: int) -> bool:
+    """The product test of ``verify_intersections`` on the four counts of
+    phi that it reads, for a caller that has already established v >= u+1
+    and the Betti criterion on them."""
+    caps = (a_u, 3, b_v3)
     if v == u + 1:
         return bool(chow_product(caps, [((0, 1, 1), a_v2), ((1, 1, 0), b_u1)]))
     product = chow_product(caps, [((1, 1, 1), 1), ((0, 1, 1), a_v2), ((1, 1, 0), b_u1)])

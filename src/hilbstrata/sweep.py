@@ -23,13 +23,15 @@ e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}), six reads
 whatever the width of the move.
 
 The cache of a task holds one lean entry per diagram, ``cache_entry``:
-its numerator row q, its dimension and its tangent row over every degree
-a cover's window reads (``strata.cover_row``).  That is all that psi's
-side of ``check_cover`` reads; phi's full Betti table, whose sparse counts
-the zero-pattern, shortcut, wide-move and certificate checks read, is
-computed once when phi is enumerated and is not kept.  So a cover costs
-two row slices and one C-level comparison on the tangent side, and the
-pair never builds psi's ``HilbertFunction`` unless psi misses the cache
+its numerator row q, its dimension, its tangent row over every degree a
+cover's window reads (``strata.cover_row``) and the column that names its
+last reader.  The first three are all that psi's side of ``check_cover``
+reads; phi's full Betti table, whose sparse counts the zero-pattern,
+shortcut, wide-move and certificate checks read, is computed once when
+phi is enumerated and is not kept; its four counts at a cover
+(``incidence._cover_counts``) are read once and passed on.  So a cover
+costs two row slices and one C-level comparison on the tangent side, and
+the pair never builds psi's ``HilbertFunction`` unless psi misses the cache
 or a failure is rendered.  The entry holds no verdict: each cover's
 checks run on it afresh, and each row was read from its own diagram's h
 and b.
@@ -39,15 +41,15 @@ column u raised and column v+1 > u lowered, so psi comes before phi in
 canonical (descending lexicographic) order, and its readers are the
 diagrams psi covers.  The last of them is psi lowered at the column
 ``last_cover_column(psi)``, and no other reader lowers psi there, so each
-entry, phi's own or one built on a miss, is kept with that column and
-dropped when a cover (u, v) with that u reads it.  In a serial sweep
-every psi was an earlier phi and every lookup hits; a task that starts
-inside a weight misses on the psi it never enumerated, and keeps an
-entry whose reader lies past its stop to its end.
+entry, phi's own or one built on a miss, carries that column as its
+last field and is dropped when a cover (u, v) with that u reads it.  In a
+serial sweep every psi was an earlier phi and every lookup hits; a task
+that starts inside a weight misses on the psi it never enumerated, and
+keeps an entry whose reader lies past its stop to its end.
 
 A parallel sweep therefore cuts each weight into as few rank ranges as
-it can: one per worker.  A tenth of the covers reach a psi more than
-500 ranks back (at n = 56), so every cut costs a few hundred entries
+it can: one per worker.  A tenth of the covers reach a psi 587 or more
+ranks back (at n = 56), so every cut costs a few hundred entries
 computed twice, whatever the ranges' sizes; on 50..56 at two workers
 that is 40,214 Betti tables against 36,661 serially.  Later ranks have
 longer tails and cost more, so each weight's ranges are dispatched last
@@ -58,7 +60,8 @@ import os
 from itertools import zip_longest
 
 from .diagrams import CastelnuovoDiagram, HilbertFunction, _check_weight, count_diagrams, iter_diagrams
-from .incidence import CoverPair, _betti_rule, _certificate, cover_moves, is_type_zero, last_cover_column
+from .incidence import CoverPair, _betti_rule, _certificate, _cover_counts, cover_moves, is_type_zero
+from .incidence import last_cover_column
 from .resolution import BettiTable, generic_betti
 from .strata import cover_excess, cover_row, stratum_dim
 
@@ -94,8 +97,9 @@ class SweepSummary:
 def cache_entry(hf: HilbertFunction, betti: BettiTable, dim: int) -> tuple:
     """The data of ``hf`` that the sweep keeps: its numerator row ``q``, its
     dimension ``dim`` and its ``cover_row``, read from ``hf`` and its own
-    Betti table ``betti``."""
-    return betti.q, dim, cover_row(hf, betti)
+    Betti table ``betti``, and the column ``last_cover_column`` at which its
+    last reader is lower, which says when the cache drops the entry."""
+    return betti.q, dim, cover_row(hf, betti), last_cover_column(hf.diagram.s)
 
 
 def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
@@ -106,8 +110,8 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     """
     u, v = pair.u, pair.v
     a, b = betti_phi.a, betti_phi.b
-    q, dim_phi, row_phi = entry_phi
-    q_psi, dim_psi, row_psi = entry_psi
+    q, dim_phi, row_phi, _ = entry_phi
+    q_psi, dim_psi, row_psi, _ = entry_psi
     failures = []
 
     def fail(kind, detail=""):
@@ -126,8 +130,8 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     incident = dim_ok and tangent_ok
 
     # The four counts of phi that the Betti criterion, the zero pattern, the
-    # shortcut and the wide-move law share, each read once.
-    a_u, b_u1, a_v2, b_v3 = a.get(u, 0), b.get(u + 1, 0), a.get(v + 2, 0), b.get(v + 3, 0)
+    # shortcut, the wide-move law and the certificate share, read once.
+    a_u, b_u1, a_v2, b_v3 = _cover_counts(betti_phi, u, v)
     betti_ok = _betti_rule(u, v, a_u, b_u1, a_v2, b_v3)
 
     if incident != betti_ok:
@@ -204,7 +208,7 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
 
     # betti_ok and the width are the preconditions of the certificate, so
     # its body is called without checking them again.
-    if betti_ok and v >= u + 1 and not _certificate(pair, betti_phi):
+    if betti_ok and v >= u + 1 and not _certificate(u, v, a_u, b_u1, a_v2, b_v3):
         fail("intersection-certificate")
 
     return incident, betti_ok, type_zero, failures
@@ -214,33 +218,29 @@ def _sweep_chunk(task):
     """Worker: run all covers whose lower diagram has a rank in the task's range.
 
     A task is three integers (n, start, stop); the worker enumerates its
-    own range.  The cache maps a diagram's heights to its entry and the
-    column at which its last reader is lower, and a cover (u, v) with that
-    u drops it on reading it (see the module docstring); a miss that phi
-    itself reads last is not kept.
+    own range.  The cache maps a diagram's heights to its ``cache_entry``,
+    whose last field is the column at which its last reader is lower, and
+    a cover (u, v) with that u drops it on reading it (see the module
+    docstring); a miss that phi itself reads last is not kept.
     """
     n, start, stop = task
     summary = SweepSummary(n=n)
-    cache = {}  # heights -> (entry, last_cover_column of the heights)
+    cache = {}  # heights -> cache_entry
     for s in iter_diagrams(n, start, stop):
         summary.diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         betti_phi = generic_betti(phi)
-        entry_phi = cache_entry(phi, betti_phi, stratum_dim(phi))
-        cache[s] = entry_phi, last_cover_column(s)
+        entry_phi = cache[s] = cache_entry(phi, betti_phi, stratum_dim(phi))
         for pair in cover_moves(phi):
             t = pair.psi_heights
-            kept = cache.get(t)
-            if kept is None:
+            entry_psi = cache.get(t)
+            if entry_psi is None:
                 psi = pair.psi
                 entry_psi = cache_entry(psi, generic_betti(psi), stratum_dim(psi))
-                u = last_cover_column(t)
-                if u != pair.u:
-                    cache[t] = entry_psi, u
-            else:
-                entry_psi, u = kept
-                if u == pair.u:
-                    del cache[t]
+                if entry_psi[3] != pair.u:
+                    cache[t] = entry_psi
+            elif entry_psi[3] == pair.u:
+                del cache[t]
             incident, _, type_zero, failures = check_cover(pair, betti_phi, entry_phi, entry_psi)
             summary.covers += 1
             summary.incident += 1 if incident else 0

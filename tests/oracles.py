@@ -437,3 +437,60 @@ def graph_record_by_dicts(g):
         for e in g.edges
     ]
     return {"n": g.n, "nodes": nodes, "edges": edges}
+
+
+def cover_series(n_max):
+    """The weight-n cover counts for n = 0..n_max from closed-form
+    generating functions, as four lists indexed by n: all covers, and the
+    covers (u, v) of width v - u = 0, = 1 and >= 2.
+
+    With D(x) = prod_{k >= 1} (1 + x^k), whose coefficients count the
+    diagrams (distinct-part partitions), the series are
+
+        all:     D x^3 (1 - x^5) / ((1 - x^2)(1 - x^6)),
+        width 0: D x^3 / ((1 + x)(1 - x^4)),
+        width 1: D x^4 (1 + x + 2x^2 + x^3 + ... + x^9)
+                 / ((1 - x)(1 + x)^3 (1 + x^2)^2 (1 + x^4)(1 - x + x^2)(1 + x + x^2)),
+        wider:   D x^5 (1 + x^2 + x^5)(1 + x + x^2 + x^3 + x^4)
+                 / ((1 - x)(1 + x)^3 (1 + x^2)^2 (1 + x^4)(1 - x + x^2)).
+
+    Everything is integer power-series arithmetic truncated after x^n_max:
+    every denominator factor has constant term 1, so dividing by it is
+    exact.  Nothing here reads a diagram or a cover.
+    """
+    size = n_max + 1
+
+    def times(f, poly):
+        out = [0] * size
+        for e, c in enumerate(poly):
+            for i in range(size - e):
+                out[i + e] += c * f[i]
+        return out
+
+    def over(f, poly):
+        out = list(f)
+        for i in range(size):
+            for e in range(1, min(len(poly), i + 1)):
+                out[i] -= poly[e] * out[i - e]
+        return out
+
+    def series(numerator, denominator):
+        f = diagrams
+        for poly in numerator:
+            f = times(f, poly)
+        for poly in denominator:
+            f = over(f, poly)
+        return f
+
+    diagrams = [1] + [0] * n_max
+    for k in range(1, size):
+        for i in range(n_max, k - 1, -1):
+            diagrams[i] += diagrams[i - k]
+    x3, x4, x5 = [0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]
+    common = [[1, -1], [1, 1], [1, 1], [1, 1], [1, 0, 1], [1, 0, 1], [1, 0, 0, 0, 1], [1, -1, 1]]
+    return (
+        series([x3, [1, 0, 0, 0, 0, -1]], [[1, 0, -1], [1, 0, 0, 0, 0, 0, -1]]),
+        series([x3], [[1, 1], [1, 0, 0, 0, -1]]),
+        series([x4, [1, 1, 2, 1, 1, 1, 1, 1, 1, 1]], common + [[1, 1, 1]]),
+        series([x5, [1, 0, 1, 0, 0, 1], [1, 1, 1, 1, 1]], common),
+    )

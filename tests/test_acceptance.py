@@ -29,6 +29,7 @@ from hilbstrata.sweep import available_cpus, sweep_weight, verify_range
 from oracles import (
     count_distinct_partitions,
     cover_relations_triple_loop,
+    cover_series,
     greedy_maximal_diagram,
 )
 
@@ -55,9 +56,11 @@ def test_criterion_1_enumeration_counts():
 def test_criterion_2_criteria_equivalence_sweep_to_70():
     with criterion(2, "dimension+tangent verdict equals Betti criterion on every cover, n <= 70"):
         workers = available_cpus()
+        series = cover_series(70)[0]
         covers = 0
         for summary in verify_range(range(1, 71), workers=workers):
             assert summary.failures == [], summary.failures[:5]
+            assert summary.covers == series[summary.n], summary.n
             covers += summary.covers
         assert covers > 900_000
 

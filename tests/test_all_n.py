@@ -3,6 +3,10 @@
 Each check reads only the counts a cover's window holds, so it holds for
 every n whose covers carry counts inside the box or the shapes checked.
 Write A = a_{v+2} and B = b_{u+1} for the counts of phi's generic table.
+L1, the tangent shortcut, is a finite check over clamped numerator rows;
+L2, the width algebra, is derived in its test's docstring and checked on
+every cover up to a weight; L4 is checked over a box of counts, and L5's
+counts on every type-zero cover up to a weight.
 """
 
 from itertools import product
@@ -15,9 +19,11 @@ from hilbstrata.incidence import (
     chow_product,
     cover_moves,
     is_type_zero,
+    resolve_incidence,
     verify_intersections,
 )
 from hilbstrata.resolution import generic_betti
+from hilbstrata.strata import cover_excess, cover_row, stratum_dim
 from oracles import betti_table_from_counts
 
 # Every count 0..12.  The box reaches past every count the sweep has seen:
@@ -97,3 +103,164 @@ def test_l5_type_zero_counts():
                 assert betti_criterion(pair, table), s
                 seen += 1
     assert seen == 1_011
+
+
+Q = range(-4, 5)
+
+
+def _shift(u, v):
+    """The numerator shift delta of the move (u, v), by degree, nonzero
+    entries only."""
+    delta = {}
+    for d, c in ((u, -1), (u + 1, 2), (u + 2, -1), (v + 1, 1), (v + 2, -2), (v + 3, 1)):
+        delta[d] = delta.get(d, 0) + c
+    return {d: c for d, c in delta.items() if c}
+
+
+def _model_excess(u, v, q, delta):
+    """The degrees m of the window [u-3, v+4] where the modelled tangent
+    difference is positive, for numerator values ``q`` by degree (a degree
+    missing from ``q`` has q = 0) and the shift ``delta``."""
+    dh = lambda m: 1 if u <= m <= v else 0
+    out = []
+    for m in range(u - 3, v + 5):
+        d = m + 3
+        x, c = q.get(d, 0), delta.get(d, 0)
+        db = max(-x - c, 0) - max(-x, 0)
+        if -3 * dh(m + 1) + dh(m) + db > 0:
+            out.append(m)
+    return out
+
+
+def test_l1_shortcut_over_every_clamped_row():
+    """L1, the tangent shortcut as a finite check: the window [u-3, v+4]
+    of a cover (u, v) has no excess exactly when q_u > 0 and q_{v+3} < 0.
+
+    The cover raises the Hilbert function by Delta h = 1 on [u, v] and
+    shifts the numerator row by delta, (-1, 2, -1) at u..u+2 plus
+    (1, -2, 1) at v+1..v+3, summed where the two triples overlap.  The
+    relation counts are b_d = max(-q_d, 0), so
+    Delta b(d) = max(-q_d - delta_d, 0) - max(-q_d, 0), and the tangent
+    difference at m is -3 Delta h(m+1) + Delta h(m) + Delta b(m+3).
+
+    The clamp: every |delta_d| <= 3, so Delta b(d) is 0 for q_d >= 3 and
+    -delta_d for q_d <= -3.  It is constant outside [-3, 3], and so are
+    the signs of q_u and q_{v+3}; where delta_d = 0, Delta b(d) = 0 for
+    every q_d.  So q in [-4, 4] at the degrees where delta is nonzero
+    stands for every integer row, and the claim needs no cover condition.
+    """
+    # Widths 0 and 1 shift 4 degrees (6,561 rows), width 2 shifts 6
+    # (531,441 rows).  The window degrees whose q is not shifted add a
+    # difference that no row changes; each shifted degree's difference is
+    # tabulated once over Q, so a row is read as one look-up per degree.
+    u = 3
+    for width, rows in ((0, 6_561), (1, 6_561), (2, 531_441)):
+        v = u + width
+        delta = _shift(u, v)
+        degrees = sorted(delta)
+        fixed = _model_excess(u, v, {}, {})
+        fixed = [m for m in fixed if m + 3 not in delta]
+        calm = [tuple(d - 3 not in _model_excess(u, v, {d: x}, delta) for x in Q) for d in degrees]
+        at_u, at_v3 = degrees.index(u), degrees.index(v + 3)
+        seen = 0
+        for values in product(range(len(Q)), repeat=len(degrees)):
+            tangent_ok = not fixed and all(map(tuple.__getitem__, calm, values))
+            assert tangent_ok == (Q[values[at_u]] > 0 and Q[values[at_v3]] < 0), (width, values)
+            seen += 1
+        assert seen == rows
+
+
+def test_l1_shortcut_degree_by_degree():
+    # Window degree m reads q only at m+3, so the rows with no excess are a
+    # product over the degrees, and so are the rows the shortcut accepts:
+    # the two sets are equal when each degree admits the same values.
+    # From width 2 on the shift's two triples are apart, so widths past 4
+    # add only plateau degrees that read q = 0.
+    u = 3
+    for width in range(5):
+        v = u + width
+        delta = _shift(u, v)
+        for m in range(u - 3, v + 5):
+            d = m + 3
+            for x in Q:
+                ok = m not in _model_excess(u, v, {d: x}, delta)
+                want = x > 0 if d == u else x < 0 if d == v + 3 else True
+                assert ok == want, (width, m, x)
+
+
+def test_l1_model_is_the_sweeps_tangent_comparison():
+    # The model, fed phi's own numerator row, names the same degrees as
+    # the cached rows that the sweep compares.
+    seen = 0
+    for n in range(1, 41):
+        for s in iter_diagrams(n):
+            phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
+            table = generic_betti(phi)
+            row_phi = cover_row(phi, table)
+            for pair in cover_moves(phi):
+                psi = pair.psi
+                u, v = pair.u, pair.v
+                want = cover_excess(row_phi, cover_row(psi, generic_betti(psi)), u, v)
+                assert _model_excess(u, v, dict(enumerate(table.q)), _shift(u, v)) == want, (s, u, v)
+                seen += 1
+    assert seen == 19_144
+
+
+def _drops(s, u, v):
+    """(H, d1, e2) of the cover (u, v) of the heights ``s``."""
+    p = (0,) + s + (0, 0, 0, 0)  # p[i + 1] is s_i, zero outside the diagram
+    return p[u + 1], p[u - 1] - p[u], p[v + 3] - p[v + 4]
+
+
+def test_l2_plateau_and_dimension_delta():
+    """L2, the width algebra: on a cover (u, v) of width >= 1 the heights
+    are level on u..v+1, and the dimension delta is 1 - d1 - e2 at width 1
+    and -d1 - e2 from width 2 on.
+
+    Write s for phi's heights, s_i = 0 outside the diagram.  Column u is
+    addable, so the heights never rise from u-1 on, and columns u+1..v
+    are neither addable nor removable, so s_u = ... = s_{v+1} = H.  Three
+    drops fix everything the cover reads:
+      d1 = s_{u-2} - s_{u-1}: -1 when column u-1 is still on the climbing
+           staircase (s_{-1} = 0 at u = 1), and >= 0 otherwise;
+      e1 = H - s_{v+2} >= 1, because column v+1 is removable;
+      e2 = s_{v+2} - s_{v+3} >= 0.
+    With d0 = s_{u-1} - H >= 0, the row q_l = [l = 0] - (s_l - 2 s_{l-1}
+    + s_{l-2}) gives q_u = d0 - d1, q_{u+1} = -d0, q_{v+2} = e1,
+    q_{v+3} = e2 - e1, and q = 0 on u+2..v+1.  So the dimension delta
+    e + (q_u + q_{u+1} + q_{u+2}) - (q_{v+1} + q_{v+2} + q_{v+3}), with
+    e = 1 at width 1 and 0 beyond, is e - d1 - e2.
+
+    A wide cover is incident only if the dimension grows, -d1 - e2 > 0,
+    so only if d1 = -1 and e2 = 0.  Then q_u = d0 + 1 > 0 and
+    q_{v+3} = -e1 < 0, so L1's shortcut holds by itself, and it is
+    incident.
+    """
+    seen = 0
+    for n in range(1, 46):
+        for s in iter_diagrams(n):
+            phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
+            dim_phi = stratum_dim(phi)
+            for pair in cover_moves(phi):
+                u, v = pair.u, pair.v
+                if v == u:
+                    continue
+                big_h, d1, e2 = _drops(s, u, v)
+                assert s[u : v + 2] == (big_h,) * (v - u + 2), (s, u, v)
+                e = 1 if v == u + 1 else 0
+                assert stratum_dim(pair.psi) - dim_phi == e - d1 - e2, (s, u, v)
+                seen += 1
+    assert seen == 26_231
+
+
+def test_l2_wide_cover_is_incident_exactly_when_both_drops_vanish():
+    seen = 0
+    for n in range(1, 41):
+        for s in iter_diagrams(n):
+            for pair in cover_moves(HilbertFunction(CastelnuovoDiagram._unchecked(s))):
+                if pair.v < pair.u + 2:
+                    continue
+                _, d1, e2 = _drops(s, pair.u, pair.v)
+                assert resolve_incidence(pair).incident == (d1 == -1 and e2 == 0), (s, pair.u, pair.v)
+                seen += 1
+    assert seen == 9_331

@@ -14,6 +14,7 @@ from hilbstrata.graph import build_hilbert_graph
 from hilbstrata.incidence import (
     CoverPair,
     _certificate,
+    _cover_counts,
     betti_criterion,
     chow_product,
     cover_moves,
@@ -461,7 +462,8 @@ class TestVerifyIntersections:
                 table = generic_betti(HilbertFunction(d))
                 for pair in cover_moves(HilbertFunction(d)):
                     if pair.v >= pair.u + 1 and betti_criterion(pair, table):
-                        assert verify_intersections(pair, table) == _certificate(pair, table)
+                        counts = _cover_counts(table, pair.u, pair.v)
+                        assert verify_intersections(pair, table) == _certificate(pair.u, pair.v, *counts)
                         continue
                     refused += 1
                     with pytest.raises(ValueError):

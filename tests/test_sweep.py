@@ -172,12 +172,12 @@ def test_numerator_shift_names_exactly_the_corrupted_degree(cover):
 
 @pytest.mark.parametrize("name", ["v=u+1", "v>=u+2", "type-zero"])
 def test_failed_certificate_is_reported(monkeypatch, name):
-    monkeypatch.setattr(sweep, "_certificate", lambda pair, table: False)
+    monkeypatch.setattr(sweep, "_certificate", lambda u, v, *counts: False)
     assert _kinds(*_inputs(*COVERS[name])) == {"intersection-certificate"}
 
 
 def test_certificate_is_not_asked_of_one_column_moves(monkeypatch):
-    monkeypatch.setattr(sweep, "_certificate", lambda pair, table: False)
+    monkeypatch.setattr(sweep, "_certificate", lambda u, v, *counts: False)
     assert _kinds(*_inputs(*COVERS["v=u"])) == set()
 
 
@@ -197,14 +197,14 @@ def test_sweep_evaluates_each_certificate_once(monkeypatch):
     calls = []
     body = sweep._certificate
 
-    def counted(pair, table):
-        calls.append(pair)
-        return body(pair, table)
+    def counted(u, v, *counts):
+        calls.append((u, v))
+        return body(u, v, *counts)
 
     monkeypatch.setattr(sweep, "_certificate", counted)
     summary = sweep.sweep_weight(20)
     assert summary.failures == [] and summary.covers > 0
-    assert calls and all(pair.v >= pair.u + 1 for pair in calls)
+    assert calls and all(v >= u + 1 for u, v in calls)
 
 
 def test_every_failure_kind_is_exercised():
