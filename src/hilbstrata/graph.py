@@ -4,9 +4,10 @@ Nodes are the Hilbert functions of the weight, in enumeration order; edges
 are the covers of the partial order, each annotated with its incidence
 verdict.  Emission targets are DOT (solid edge = incident, dashed = not,
 label "0" = type zero, minimal function on top) and a round-trippable JSON
-record.  Both are written with format strings; the JSON emitter is the one
-definition of its format, and the parser checks a record against that
-emitter's bytes decoded, so only ``parse_graph_json`` loads ``json``.
+record.  Both emitters write each node and each edge with one format
+string; the JSON emitter is the one definition of its format, and the
+parser checks a record against that emitter's bytes decoded, so only
+``parse_graph_json`` loads ``json``.
 """
 
 import sys
@@ -51,18 +52,6 @@ class HilbertGraph(NamedTuple):
     edges: list
 
 
-def _check_size(n: int):
-    """Raise ValueError when weight ``n`` has more than ``MAX_NODES`` diagrams.
-
-    The count never decreases with the weight and weight 100 already has
-    444,793 diagrams, so no weight past 100 is counted.
-    """
-    if count_diagrams(min(n, 100)) > MAX_NODES:
-        raise ValueError(
-            f"weight {n} has more than {MAX_NODES} diagrams, the most a graph may have"
-        )
-
-
 def build_hilbert_graph(n: int) -> HilbertGraph:
     """Nodes from the deterministic enumeration, edges from cover detection.
 
@@ -73,7 +62,10 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
     """
     if n < 1:
         raise ValueError("graph construction needs weight >= 1")
-    _check_size(n)
+    # The count never decreases with the weight and weight 100 already has
+    # 444,793 diagrams, so no weight past 100 is counted.
+    if count_diagrams(min(n, 100)) > MAX_NODES:
+        raise ValueError(f"weight {n} has more than {MAX_NODES} diagrams, the most a graph may have")
     ids = {}
     nodes = []
     rows = []  # each node's cover_row, read by the tangent comparisons of its covers
@@ -226,16 +218,6 @@ class _LengthIndex(dict):
         return kind
 
 
-# The format of a native 64-bit unsigned word.
-_WORD = next(code for code in "LQ" if memoryview(bytes(8)).cast(code).itemsize == 8)
-
-
-def _words(value: int, size: int) -> memoryview:
-    """``value`` as ``size`` 64-bit words, lowest first."""
-    words = memoryview(value.to_bytes(8 * size, sys.byteorder)).cast(_WORD)
-    return words[::-1] if sys.byteorder == "big" else words
-
-
 def _field_flags(value: int, low: int, size: int, k: int) -> bytes:
     """One byte per field of ``value``, out of ``size`` fields of ``k``
     words each, lowest first: nonzero exactly when the field is.  ``low``
@@ -249,9 +231,12 @@ def _field_flags(value: int, low: int, size: int, k: int) -> bytes:
 def _split_fields(value: int, n: int, k: int, keep):
     """The fields j of ``value`` whose ``keep[j]`` is true, out of ``n``
     fields of ``k`` words each, lowest first: field j holds the bits of
-    ``(value >> 64*k*j) & ((1 << 64*k) - 1)``.  For k = 1 a field is its
-    word, otherwise the tuple of its words, lowest first."""
-    words = _words(value, n * k)
+    ``(value >> 64*k*j) & ((1 << 64*k) - 1)``.  The value is read as native
+    64-bit ``"Q"`` words, lowest first on either byte order.  For k = 1 a
+    field is its word, otherwise the tuple of its words, lowest first."""
+    words = memoryview(value.to_bytes(8 * n * k, sys.byteorder)).cast("Q")
+    if sys.byteorder == "big":
+        words = words[::-1]
     if k == 1:
         return compress(words, keep)
     return zip(*[compress(words[t::k], keep) for t in range(k)])
@@ -409,19 +394,15 @@ def _show_keys(record: dict) -> str:
 def _emit_dot(g: HilbertGraph) -> bytes:
     layer = _layers(_upper_covers(g))
     lines = [f"digraph strata_{g.n} {{", "  node [shape=box];"]
-    for node in g.nodes:
-        label = f"{node.hf.diagram.render()}\\ndim {node.dim}"
-        lines.append(f'  n{node.id} [label="{label}"];')
+    lines.extend(f'  n{i} [label="{hf.diagram.render()}\\ndim {dim}"];' for i, hf, dim, _ in g.nodes)
     ranks = [[] for _ in range(max(layer, default=-1) + 1)]
     for i, depth in enumerate(layer):
         ranks[depth].append(f"n{i};")
     for members in ranks:  # none is empty: a node at depth d > 0 covers one at d - 1
         lines.append("  { rank=same; " + " ".join(members) + " }")
-    for e in g.edges:
-        style = "solid" if e.verdict.incident else "dashed"
-        attrs = [f"style={style}"]
-        if e.verdict.type_zero:
-            attrs.append('label="0"')
-        lines.append(f"  n{e.from_id} -> n{e.to_id} [{', '.join(attrs)}];")
+    lines.extend(
+        f'''  n{i} -> n{j} [style={"solid" if verdict.incident else "dashed"}{', label="0"' if verdict.type_zero else ""}];'''
+        for i, j, _, _, verdict in g.edges
+    )
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

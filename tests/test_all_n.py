@@ -5,8 +5,10 @@ every n whose covers carry counts inside the box or the shapes checked.
 Write A = a_{v+2} and B = b_{u+1} for the counts of phi's generic table.
 L1, the tangent shortcut, is a finite check over clamped numerator rows;
 L2, the width algebra, is derived in its test's docstring and checked on
-every cover up to a weight; L4 is checked over a box of counts, and L5's
-counts on every type-zero cover up to a weight.
+every cover up to a weight; L3, the telescoped dimension delta and the
+numerator shift, is checked on a basis of height vectors, so for every
+weight; the width-0 case follows from L1 and L3; L4 is checked over a box
+of counts, and L5's counts on every type-zero cover up to a weight.
 """
 
 from itertools import product
@@ -204,6 +206,95 @@ def test_l1_model_is_the_sweeps_tangent_comparison():
                 assert _model_excess(u, v, dict(enumerate(table.q)), _shift(u, v)) == want, (s, u, v)
                 seen += 1
     assert seen == 19_144
+
+
+def _f(s):
+    """f(s) = sum_i s_i (s_{i+1} - s_{i+2}), with s_i = 0 past the list."""
+    p = list(s) + [0, 0]
+    return sum(p[i] * (p[i + 1] - p[i + 2]) for i in range(len(s)))
+
+
+def _q(s, l):
+    """q(s)_l = [l = 0] - (s_l - 2 s_{l-1} + s_{l-2}), with s_i = 0 outside
+    the list: the numerator row of q(t) = 1 - (1-t)^2 s(t)."""
+    at = lambda i: s[i] if 0 <= i < len(s) else 0
+    return (l == 0) - (at(l) - 2 * at(l - 1) + at(l - 2))
+
+
+def test_l3_telescoped_delta_and_numerator_shift():
+    """L3: the move (u, v) adds delta = e_u - e_{v+1} to the heights s, and
+    with e = -1, 1 or 0 at v = u, v = u + 1 or wider, and q = q(s),
+      f(s + delta) - f(s) = e + sum_{i=u..v} (q_i - q_{i+3})
+                          = e + (q_u + q_{u+1} + q_{u+2})
+                              - (q_{v+1} + q_{v+2} + q_{v+3}),
+    while q(s + delta) - q(s) is (-1, 2, -1) at u..u+2 plus (1, -2, 1) at
+    v+1..v+3.  The term e is delta_i (delta_{i+1} - delta_{i+2}) summed,
+    which is nonzero only when the two ends are one or two columns apart.
+
+    f is quadratic in s, so f(s + delta) - f(s) is affine in s, and so is
+    q.  An affine function is fixed by its values at s = 0 and at the unit
+    vectors e_j, and no side reads s past degree v + 3, so j = 0..v+8
+    covers every degree read.  For u >= 3 no side reads degree 0 or below,
+    so moving u, v and s one column right changes nothing; from width 4 on
+    the two ends read disjoint degrees.  So the moves 1 <= u <= v <= 15
+    stand for every move, and the identities hold for every weight.
+    """
+    seen = 0
+    for u in range(1, 16):
+        for v in range(u, 16):
+            size = v + 9
+            move = [0] * size
+            move[u], move[v + 1] = 1, -1
+            e = -1 if v == u else 1 if v == u + 1 else 0
+            shift = _shift(u, v)
+            for s in [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)]:
+                t = [a + b for a, b in zip(s, move)]
+                q = [_q(s, l) for l in range(size + 3)]
+                telescoped = e + sum(q[i] - q[i + 3] for i in range(u, v + 1))
+                six_reads = e + (q[u] + q[u + 1] + q[u + 2]) - (q[v + 1] + q[v + 2] + q[v + 3])
+                assert _f(t) - _f(s) == telescoped == six_reads, (u, v, s)
+                assert [_q(t, l) - q[l] for l in range(size + 3)] == [
+                    shift.get(l, 0) for l in range(size + 3)
+                ], (u, v, s)
+                seen += 1
+    assert seen == 2_440
+
+
+def test_l3_f_is_the_stratum_dimension():
+    # Ties L3's f to the library: the stratum of the heights s of weight n
+    # has dimension 1 + n + f(s), so f's delta is the dimension delta.
+    seen = 0
+    for n in range(1, 31):
+        for s in iter_diagrams(n):
+            assert stratum_dim(HilbertFunction(CastelnuovoDiagram._unchecked(s))) == 1 + n + _f(s), s
+            seen += 1
+    assert seen == 2_034
+
+
+def test_width_zero_needs_no_plateau():
+    """At width 0, v = u, L3's six reads leave the dimension delta
+    -1 + q_u - q_{u+3}, read from phi's numerator row.  Under L1's
+    shortcut q_u >= 1 and q_{u+3} <= -1, so the delta is at least 1 and
+    the dimension comparison holds.  So at width 0 L1 alone decides
+    incidence: a cover is incident exactly when q_u > 0 and q_{u+3} < 0.
+    """
+    seen = incident = 0
+    for n in range(1, 41):
+        for s in iter_diagrams(n):
+            phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
+            row = generic_betti(phi).q
+            q = lambda l: row[l] if l < len(row) else 0
+            dim_phi = stratum_dim(phi)
+            for pair in cover_moves(phi):
+                u = pair.u
+                if pair.v != u:
+                    continue
+                assert stratum_dim(pair.psi) - dim_phi == -1 + q(u) - q(u + 3), (s, u)
+                verdict = resolve_incidence(pair).incident
+                assert verdict == (q(u) > 0 and q(u + 3) < 0), (s, u)
+                seen += 1
+                incident += verdict
+    assert (seen, incident) == (6_658, 4_866)
 
 
 def _drops(s, u, v):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -194,6 +195,10 @@ class TestNoncatenary:
         assert got == noncatenary_by_forward_passes(g)
         assert len(got) == 3 * (length - 39) and (length, 0, (1, length - 37, length)) in got
 
+    def test_field_words_are_native_q(self):
+        # _split_fields casts a row's bytes to native "Q" words of 8 bytes.
+        assert memoryview(bytes(8)).cast("Q").itemsize == 8
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_field_split_matches_shifts(self, k):
         rng = random.Random(k)
@@ -369,6 +374,13 @@ class TestEmit:
         text = emit(build_hilbert_graph(17), "dot").decode()
         assert "style=dashed" in text
         assert text.count('label="0"') == 4
+
+    def test_dot_bytes_of_the_small_weights(self):
+        # Pins the DOT bytes of weights 1..20, concatenated in order.
+        data = b"".join(emit(build_hilbert_graph(n), "dot") for n in range(1, 21))
+        assert hashlib.sha256(data).hexdigest() == (
+            "f963139bdfb35cca88ebedf5400dff0c51567eeac1464109c35e84c75911414e"
+        )
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
