@@ -12,7 +12,7 @@ Hilbert functions.
 
 from itertools import accumulate, compress, count
 from math import inf, isqrt
-from operator import ge, sub
+from operator import ne, sub
 
 
 def _heights(seq):
@@ -23,23 +23,26 @@ def _heights(seq):
     for some k >= 0 the first k entries are exactly 1, 2, ..., k and from
     position k-1 on the entries never increase.  Equivalently the
     sequence climbs by exactly one per step while it is climbing, and once
-    it stops climbing it never recovers.  After the staircase prefix is
-    found, the tail is checked by one comparison of itself with its shift.
-    This is the one validity check: every constructor and parser that
-    validates calls it and words its own error.
+    it stops climbing it never recovers.  After the staircase prefix, the
+    tail is non-increasing exactly when a descending sort leaves it
+    unchanged: one C sort of a sorted run and one comparison.  Only the
+    last height is tested for sign: in a valid sequence it is the
+    smallest, and a negative height before it is followed by a rise, which
+    the tail test refuses.  This is the one validity check: every
+    constructor and parser that validates calls it and words its own error.
     """
     s = list(seq)
     if not {int}.issuperset(map(type, s)):
         return None
     while s and s[-1] == 0:
         s.pop()
-    if s and (s[0] != 1 or min(s) < 0):
+    if s and (s[0] != 1 or s[-1] < 0):
         return None
     k = 1
     while k < len(s) and s[k] == k + 1:
         k += 1
     tail = s[k - 1 :]
-    return tuple(s) if all(map(ge, tail, tail[1:])) else None
+    return tuple(s) if sorted(tail, reverse=True) == tail else None
 
 
 def is_castelnuovo(seq) -> bool:
@@ -117,24 +120,32 @@ class HilbertFunction:
 
     __slots__ = ("diagram", "transient", "degree")
 
-    def __init__(self, diagram: CastelnuovoDiagram):
+    def __init__(self, diagram: CastelnuovoDiagram, transient: tuple = None):
+        """``transient``, when given, must be the running sums of the
+        heights, as ``from_values`` has them; otherwise they are summed
+        here.  The degree is the last sum, or 0 when there is none."""
         self.diagram = diagram
-        # Through a list: a tuple built straight from the iterator is
-        # over-allocated, which read 2.5 MB more peak RSS over a sweep.
-        self.transient = tuple([*accumulate(diagram.s)])
-        self.degree = self.transient[-1] if self.transient else 0
+        if transient is None:
+            # Through a list, which the display copies: a tuple built
+            # straight from the iterator is over-allocated (2.5 MB more
+            # peak RSS over a sweep).
+            transient = (*accumulate(diagram.s),)
+        self.transient = transient
+        self.degree = transient[-1] if transient else 0
 
     @classmethod
     def from_values(cls, values) -> "HilbertFunction":
         """Build from explicit values h(0), h(1), ...; the values may repeat
         the stable tail.  Raises ValueError when a value is not an ``int``
         (a ``bool``, whose differences are ints, is not) or the differences
-        are not a valid height sequence."""
+        are not a valid height sequence.  The validated values are the
+        running sums, so their first ``len(s)`` are the transient, and the
+        heights are not summed again."""
         vals = list(values)
         s = _heights(map(sub, vals, [0, *vals])) if {int}.issuperset(map(type, vals)) else None
         if s is None:
             raise ValueError(f"values {vals} are not the sums of a Castelnuovo sequence")
-        return cls(CastelnuovoDiagram._unchecked(s))
+        return cls(CastelnuovoDiagram._unchecked(s), tuple(vals[: len(s)]))
 
     def value(self, m) -> int:
         if m < 0:
@@ -331,20 +342,23 @@ def run_of_ones(phi: HilbertFunction, psi: HilbertFunction):
     degree mismatch.  A Hilbert function is the running sum of its
     heights, so psi - phi is 1 on [u, v] and 0 elsewhere exactly when the
     difference of the two height tuples, its first difference, is +1 at
-    column u, -1 at column v+1 and 0 at every other column.  So the two
-    tuples are compared once, the shorter one padded with zeros, the
-    height of every column past a diagram, and the move is read from the
-    two columns that change.  Column 0 holds 1 in every diagram of a
-    positive degree, so it never changes and u >= 1.
+    column u, -1 at column v+1 and 0 at every other column.  So one C-level
+    pass over the two tuples, the shorter one padded with zeros, lists the
+    columns that change, and only their two differences are read.  Column
+    0 holds 1 in every diagram of a positive degree, so it never changes
+    and u >= 1.
     """
     if phi.degree != psi.degree:
         raise ValueError(f"degree mismatch: {phi.degree} != {psi.degree}")
     x, y = phi.diagram.s, psi.diagram.s
-    diff = list(map(sub, y + (0,) * (len(x) - len(y)), x + (0,) * (len(y) - len(x))))
-    moved = list(compress(count(), diff))
-    if len(moved) != 2 or (diff[moved[0]], diff[moved[1]]) != (1, -1):
+    x, y = x + (0,) * (len(y) - len(x)), y + (0,) * (len(x) - len(y))
+    moved = list(compress(count(), map(ne, x, y)))
+    if len(moved) != 2:
         return None
-    return moved[0], moved[1] - 1
+    u, w = moved
+    if y[u] - x[u] != 1 or x[w] - y[w] != 1:
+        return None
+    return u, w - 1
 
 
 def _parse_int_list(text: str, what: str):

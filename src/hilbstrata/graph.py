@@ -112,11 +112,11 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     lengths, and no borrow crosses a field.  Adding B carries into the
     guard of each such field (``_field_flags``), so one ``to_bytes`` gives
     one flag byte per field, and the flagged fields are read from the
-    row's 64-bit words (``_split_fields``).  The row is kept only while a
-    lower cover of x has not yet ORed it in, and dropped after the last one
-    has.  The cost is E big-integer ORs over N·W-bit rows, plus, per
-    source, a few big-integer steps and C-level passes over the fields its
-    row reaches and Python work per witness; the memory is the rows of the
+    row's 64-bit words (``_split_fields``).  x's row is kept only until
+    its last reader, the largest from-id of the edges to x, has ORed it
+    in.  The cost is E big-integer ORs over N·W-bit rows, plus, per source,
+    a few big-integer steps and C-level passes over the fields its row
+    reaches and Python work per witness; the memory is the rows of the
     walk's frontier, not the N²·W/8 bytes of all rows, plus about 8 bytes
     per witness.
     Raises ValueError on an edge that does not point to a lower id.
@@ -130,9 +130,9 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     guards = ones << (width - 1)
     low = guards - ones  # every field's bits below its guard
-    readers = [0] * n  # lower covers that have not yet read each row
+    last = list(range(n))  # each row's last reader, or its own id
     for e in g.edges:
-        readers[e.to_id] += 1
+        last[e.to_id] = max(last[e.to_id], e.from_id)
     rows = [0] * n
     kinds = _LengthIndex()
     chunks = []  # per source with witnesses: its to-ids and length-set indices
@@ -140,11 +140,10 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
         above = 0
         for y in up[x]:
             above |= rows[y]
-            readers[y] -= 1
-            if not readers[y]:
+            if last[y] == x:
                 rows[y] = 0  # its last lower cover has read it
         row = above << 1 | 1 << width * x
-        if readers[x]:
+        if last[x] != x:
             rows[x] = row
         f = x + 1  # the fields the row reaches
         cut = width * (n - f)

@@ -1,6 +1,14 @@
+import os
 import random
+from pathlib import Path
 
 from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction
+
+# pyproject.toml puts src on this process's path; the interpreters that the
+# CLI tests start find the package there through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def hf(seq):

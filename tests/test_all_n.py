@@ -8,10 +8,12 @@ L2, the width algebra, is derived in its test's docstring and checked on
 every cover up to a weight; L3, the telescoped dimension delta and the
 numerator shift, is checked on a basis of height vectors, so for every
 weight; the width-0 case follows from L1 and L3; L4 is checked over a box
-of counts, and L5's counts on every type-zero cover up to a weight.
+of counts; L5's counts are derived from the type-zero shape in its test's
+docstring and checked over a box of shapes, and on every type-zero cover
+up to a weight.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
 from hilbstrata.incidence import (
@@ -89,8 +91,9 @@ def test_l4_wide_product_carries_the_closed_form_coefficient():
 
 
 def test_l5_type_zero_counts():
-    # On the type-zero shape a_u = b_{u+1} and a_{v+2} = b_{v+3} = 1, so
-    # the first one-column branch of the Betti rule accepts.
+    # The sweep's side of L5: the counts derived over the shape in
+    # test_l5_counts_over_the_type_zero_shape, read on every type-zero
+    # cover that cover_moves finds.
     seen = 0
     for n in range(1, 41):
         for s in iter_diagrams(n):
@@ -105,6 +108,62 @@ def test_l5_type_zero_counts():
                 assert betti_criterion(pair, table), s
                 seen += 1
     assert seen == 1_011
+
+
+def _type_zero_shapes():
+    """(s, u, wall, h) for every type-zero shape in a box: a staircase
+    1..k with k from wall-1 to wall+2, then 0..2 columns at heights from
+    the wall up to k, non-increasing (the prefix), then the wall of two
+    columns at height wall, the plateau h on u..u+2 and the tail of
+    ``length`` columns at h-1, for 1 <= h <= 5, h < wall <= h + 4 and a
+    tail of 2..5 columns when h >= 2 (none at h = 1)."""
+    for h in range(1, 6):
+        for wall in range(h + 1, h + 5):
+            for length in (0,) if h == 1 else range(2, 6):
+                for k in range(wall - 1, wall + 3):
+                    for extra in range(3):
+                        for run in combinations_with_replacement(range(k, wall - 1, -1), extra):
+                            prefix = (*range(1, k + 1), *run)
+                            s = (*prefix, wall, wall, h, h, h) + (h - 1,) * length
+                            yield s, len(prefix) + 2, wall, h
+
+
+def test_l5_counts_over_the_type_zero_shape():
+    """L5 over the shape: on a type-zero cover (u, v = u + 1) of phi,
+    a_u = b_{u+1} and a_{v+2} = b_{v+3} = 1.
+
+    The shape fixes the heights the four counts read.  With u >= 2, the
+    wall s_{u-2} = s_{u-1} = W > h, the plateau s_u = s_{u+1} = s_{u+2} = h
+    and s_{u+3} = s_{u+4} = h - 1 (at h = 1 these are the zero heights past
+    the diagram; at h >= 2 the tail holds at least two columns), the row
+    q_l = [l = 0] - (s_l - 2 s_{l-1} + s_{l-2}) gives, away from l = 0,
+      q_u     = -(h - 2W + W)             = W - h > 0,
+      q_{u+1} = -(h - 2h + W)             = h - W < 0,
+      q_{u+2} = -(h - 2h + h)             = 0,
+      q_{u+3} = -((h - 1) - 2h + h)       = 1,
+      q_{u+4} = -((h - 1) - 2(h - 1) + h) = -1.
+    The generic table splits q by sign, a_l = max(q_l, 0) and
+    b_l = max(-q_l, 0), so a_u = b_{u+1} = W - h and, with v + 2 = u + 3,
+    a_{v+2} = b_{v+3} = 1.  These lie in the first one-column branch of
+    the Betti rule, b_{u+1} <= a_u <= b_{u+1} + 1 and b_{v+3} = a_{v+2},
+    with a_u and b_{v+3} nonzero, so it accepts.  Nothing else in the table
+    is read, so the prefix left of the wall and the tail past u + 4 do not
+    matter.
+    """
+    seen = 0
+    for s, u, wall, h in _type_zero_shapes():
+        psi = list(s)
+        psi[u] += 1
+        psi[u + 2] -= 1
+        pair = CoverPair(HilbertFunction(CastelnuovoDiagram(s)), tuple(psi), u, u + 1)
+        assert is_type_zero(pair), s
+        table = generic_betti(pair.phi)
+        assert table.q[u : u + 5] == (wall - h, h - wall, 0, 1, -1), s
+        assert table.a.get(u, 0) == table.b.get(u + 1, 0) == wall - h, s
+        assert table.a.get(u + 3, 0) == table.b.get(u + 4, 0) == 1, s
+        assert betti_criterion(pair, table), s
+        seen += 1
+    assert seen == 1_360
 
 
 Q = range(-4, 5)

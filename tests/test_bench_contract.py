@@ -1,10 +1,12 @@
 """The benchmark's output contract: its last stdout line is a strict-JSON result.
 
-Runs the graph workload once untraced and once traced, and the serial
-sweep workload once traced, where the tracer wraps the library's functions
-and reads their arguments and results, and checks that each run exits 0
-and ends with a result that ``json.loads`` reads without the non-standard
-constants NaN, Infinity and -Infinity.  A
+Runs the graph workload once untraced and once traced, the serial sweep
+workload once traced, where the tracer wraps the library's functions and
+reads their arguments and results, and the query workload once untraced,
+and checks that each run exits 0 and ends with a result that
+``json.loads`` reads without the non-standard constants NaN, Infinity and
+-Infinity, with every operation correct.  The query run checks the answers
+to the 8,000 seed-1 queries against ``perfbench/golden/cli_queries.json``.  A
 traced result must be complete: it holds every per-layer metric that
 ``BENCHMARK.json`` names, each a finite number.  The tracer leaves out a
 metric whose function it cannot find, so a deleted or renamed function
@@ -86,3 +88,9 @@ def test_traced_sweep_result_is_complete():
         "incidence.cover_moves.calls": 36_661,
     }
     assert {name: metrics[name]["value"] for name in counts} == counts
+
+
+def test_query_answers_match_the_golden_digest():
+    # One untraced repetition of the 8,000 seed-1 CLI queries, each answer
+    # checked against the golden digest.
+    assert _run("cli-queries", 0)["attempted"] == 8_000

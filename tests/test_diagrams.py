@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import sys
 import tracemalloc
@@ -77,6 +78,17 @@ class TestIsCastelnuovo:
                     checked += 1
         assert checked == 7329
 
+    def test_matches_the_stepwise_rule_on_a_full_box(self):
+        # Every integer sequence of length <= 6 with entries in -2..4:
+        # negative heights before a rise, after the staircase or at the end,
+        # trailing zeros, and every kind of late climb.
+        checked = 0
+        for length in range(7):
+            for s in itertools.product(range(-2, 5), repeat=length):
+                assert is_castelnuovo(s) == is_castelnuovo_stepwise(s), s
+                checked += 1
+        assert checked == 137_257
+
 
 class TestConvert:
     def test_three_collinear(self):
@@ -101,6 +113,23 @@ class TestConvert:
                 h = HilbertFunction(d)
                 assert h.diagram == d
                 assert HilbertFunction.from_values(h.transient) == h
+
+    def test_from_values_equals_the_summed_diagram(self):
+        # from_values keeps the validated values as the transient; the
+        # function built from the diagram of their differences sums them.
+        checked = 0
+        for n in range(21):
+            for d in enumerate_diagrams(n):
+                stable = sum(d.s)
+                for repeats in range(4):
+                    values = [*itertools.accumulate(d.s), *[stable] * repeats]
+                    got = HilbertFunction.from_values(values)
+                    want = HilbertFunction(CastelnuovoDiagram(map(operator.sub, values, [0, *values])))
+                    assert got.transient == want.transient and got.degree == want.degree, values
+                    assert got == want and hash(got) == hash(want), values
+                    assert got.render() == want.render() and got.diagram == want.diagram, values
+                    checked += 1
+        assert checked == 1_484
 
     def test_rejects_non_castelnuovo_values(self):
         with pytest.raises(ValueError):
