@@ -5,7 +5,8 @@ are the covers of the partial order, each annotated with its incidence
 verdict.  Emission targets are DOT (solid edge = incident, dashed = not,
 label "0" = type zero, minimal function on top) and a round-trippable JSON
 record.  Both emitters write each node and each edge with one format
-string; the JSON emitter is the one definition of its format, and the
+string, and take every height and value from one table of the decimals
+0 .. n; the JSON emitter is the one definition of its format, and the
 parser checks a record against that emitter's bytes decoded, so only
 ``parse_graph_json`` loads ``json``.
 """
@@ -73,7 +74,7 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
         ids[s] = i
         hf = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         betti = generic_betti(hf)
-        nodes.append(NodeRecord(id=i, hf=hf, dim=stratum_dim(hf), betti=betti))
+        nodes.append(NodeRecord(i, hf, stratum_dim(hf), betti))
         rows.append(cover_row(hf, betti))
     edges = []
     for i, node in enumerate(nodes):
@@ -131,8 +132,9 @@ def detect_noncatenary(g: HilbertGraph) -> "Witnesses":
     guards = ones << (width - 1)
     low = guards - ones  # every field's bits below its guard
     last = list(range(n))  # each row's last reader, or its own id
-    for e in g.edges:
-        last[e.to_id] = max(last[e.to_id], e.from_id)
+    for x, ys in enumerate(up):
+        for y in ys:
+            last[y] = x  # the ids ascend, so the last x set is the largest reader
     rows = [0] * n
     kinds = _LengthIndex()
     chunks = []  # per source with witnesses: its to-ids and length-set indices
@@ -205,7 +207,9 @@ class Witnesses(Sequence):
 class _LengthIndex(dict):
     """A field -> the index in ``lengths`` of the ascending tuple of its set
     bits, one tuple per distinct field.  A field is keyed as ``_split_fields``
-    gives it: its word when it has one, else the tuple of its words."""
+    gives it: its word when it has one, else the tuple of its words.  The
+    tuple is read from the set bits alone, lowest first (``field & -field``):
+    a field holds a few lengths spread up to the longest chain."""
 
     def __init__(self):
         self.lengths = []
@@ -213,7 +217,12 @@ class _LengthIndex(dict):
     def __missing__(self, words):
         field = words if type(words) is int else sum(w << 64 * t for t, w in enumerate(words))
         kind = self[words] = len(self.lengths)
-        self.lengths.append(tuple(l for l in range(field.bit_length()) if field >> l & 1))
+        bits = []
+        while field:
+            low = field & -field
+            bits.append(low.bit_length() - 1)
+            field ^= low
+        self.lengths.append(tuple(bits))
         return kind
 
 
@@ -279,6 +288,13 @@ _BOOL = ("false", "true")
 _COUNT = '"%d":%d'.__mod__  # one (degree, count) item, the degree as a string key
 
 
+def _decimals(n: int):
+    """The text of each decimal 0 .. n, by index.  The heights and values of
+    a weight-n Hilbert function are at most n, so both emitters write them
+    from this one table."""
+    return list(map(str, range(n + 1))).__getitem__
+
+
 def _emit_json(g: HilbertGraph) -> bytes:
     """The JSON record of the graph, the one definition of the format.
 
@@ -288,11 +304,10 @@ def _emit_json(g: HilbertGraph) -> bytes:
     counts keyed by degree, in the table's own ascending order; an edge is
     ``{"from", "to", "u", "v", "incident", "dim_ok", "tangent_ok",
     "condition_c", "type_zero"}``.  Each node and each edge is one format
-    string, and the record is joined once.  The heights and values of a
-    weight-n Hilbert function are at most n, so they are written from one
-    table of the decimals 0 .. n.
+    string, and the record is joined once.  The heights and values are
+    written from the table of ``_decimals``.
     """
-    decimal = list(map(str, range(g.n + 1))).__getitem__
+    decimal = _decimals(g.n)
     nodes = ",".join(
         f'{{"id":{i},"s":[{",".join(map(decimal, hf.diagram.s))}],'
         f'"h":[{",".join(map(decimal, hf.transient))}],"dim":{dim},'
@@ -393,7 +408,8 @@ def _show_keys(record: dict) -> str:
 def _emit_dot(g: HilbertGraph) -> bytes:
     layer = _layers(_upper_covers(g))
     lines = [f"digraph strata_{g.n} {{", "  node [shape=box];"]
-    lines.extend(f'  n{i} [label="{hf.diagram.render()}\\ndim {dim}"];' for i, hf, dim, _ in g.nodes)
+    decimal = _decimals(g.n)
+    lines.extend(f'  n{i} [label="{",".join(map(decimal, hf.diagram.s))}\\ndim {dim}"];' for i, hf, dim, _ in g.nodes)
     ranks = [[] for _ in range(max(layer, default=-1) + 1)]
     for i, depth in enumerate(layer):
         ranks[depth].append(f"n{i};")

@@ -7,10 +7,13 @@ L1, the tangent shortcut, is a finite check over clamped numerator rows;
 L2, the width algebra, is derived in its test's docstring and checked on
 every cover up to a weight; L3, the telescoped dimension delta and the
 numerator shift, is checked on a basis of height vectors, so for every
-weight; the width-0 case follows from L1 and L3; L4 is checked over a box
-of counts; L5's counts are derived from the type-zero shape in its test's
-docstring and checked over a box of shapes, and on every type-zero cover
-up to a weight.
+weight; the width-0 case follows from L1 and L3, and the width-1 and wide
+cases from L1, L2 and the rule's branches, derived in their tests'
+docstrings and checked over a box of drops and on every cover up to a
+weight; L4 is checked over a box of counts;
+L5's counts are derived from the type-zero shape in its test's docstring
+and checked over a box of shapes, and on every type-zero cover up to a
+weight.
 """
 
 from itertools import combinations_with_replacement, product
@@ -19,6 +22,7 @@ from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagra
 from hilbstrata.incidence import (
     CoverPair,
     _betti_rule,
+    _cover_counts,
     betti_criterion,
     chow_product,
     cover_moves,
@@ -357,9 +361,10 @@ def test_width_zero_needs_no_plateau():
 
 
 def _drops(s, u, v):
-    """(H, d1, e2) of the cover (u, v) of the heights ``s``."""
+    """(d0, d1, e1, e2) of the cover (u, v) of width >= 1 of the heights
+    ``s``, as named in test_l2_plateau_and_dimension_delta."""
     p = (0,) + s + (0, 0, 0, 0)  # p[i + 1] is s_i, zero outside the diagram
-    return p[u + 1], p[u - 1] - p[u], p[v + 3] - p[v + 4]
+    return p[u] - p[u + 1], p[u - 1] - p[u], p[u + 1] - p[v + 3], p[v + 3] - p[v + 4]
 
 
 def test_l2_plateau_and_dimension_delta():
@@ -395,8 +400,8 @@ def test_l2_plateau_and_dimension_delta():
                 u, v = pair.u, pair.v
                 if v == u:
                     continue
-                big_h, d1, e2 = _drops(s, u, v)
-                assert s[u : v + 2] == (big_h,) * (v - u + 2), (s, u, v)
+                _, d1, _, e2 = _drops(s, u, v)
+                assert s[u : v + 2] == (s[u],) * (v - u + 2), (s, u, v)
                 e = 1 if v == u + 1 else 0
                 assert stratum_dim(pair.psi) - dim_phi == e - d1 - e2, (s, u, v)
                 seen += 1
@@ -410,7 +415,89 @@ def test_l2_wide_cover_is_incident_exactly_when_both_drops_vanish():
             for pair in cover_moves(HilbertFunction(CastelnuovoDiagram._unchecked(s))):
                 if pair.v < pair.u + 2:
                     continue
-                _, d1, e2 = _drops(s, pair.u, pair.v)
+                _, d1, _, e2 = _drops(s, pair.u, pair.v)
                 assert resolve_incidence(pair).incident == (d1 == -1 and e2 == 0), (s, pair.u, pair.v)
                 seen += 1
     assert seen == 9_331
+
+
+# Every drop pattern up to 7: d0 in 0..7, d1 in -1..7, e1 in 1..7, e2 in 0..7.
+DROPS = list(product(range(8), range(-1, 8), range(1, 8), range(8)))
+
+
+def _drop_counts(d0, d1, e1, e2):
+    """(a_u, b_{u+1}, a_{v+2}, b_{v+3}) of a cover of width >= 1 from its
+    drops: L2's rows q_u = d0 - d1, q_{u+1} = -d0, q_{v+2} = e1 and
+    q_{v+3} = e2 - e1 split by sign, with d0 >= 0 and e1 >= 1."""
+    return max(d0 - d1, 0), d0, e1, max(e1 - e2, 0)
+
+
+def _width_one_incident(d0, d1, e1, e2):
+    """L1's shortcut and a positive dimension delta 1 - d1 - e2."""
+    return d0 > d1 and e2 < e1 and 1 - d1 - e2 > 0
+
+
+def test_width_one_rule_is_the_shortcut_and_a_positive_delta():
+    """At width 1, v = u + 1, the Betti rule holds exactly when L1's
+    shortcut holds and L2's dimension delta 1 - d1 - e2 is positive.
+
+    L2's drops give the counts a_u = max(d0 - d1, 0), b_{u+1} = d0,
+    a_{v+2} = e1 and b_{v+3} = max(e1 - e2, 0).  The rule first asks
+    a_u > 0 and b_{v+3} > 0, that is d0 > d1 and e2 < e1, which is L1's
+    shortcut q_u > 0 and q_{v+3} < 0.  Under it a_u = d0 - d1 and
+    b_{v+3} = e1 - e2, and the rule's two branches read
+      b_{u+1} <= a_u <= b_{u+1} + 1 and b_{v+3} = a_{v+2}:
+          -1 <= d1 <= 0 and e2 = 0;
+      a_u = b_{u+1} + 1 and b_{v+3} = a_{v+2} - 1:
+          d1 = -1 and e2 = 1.
+    Since d1 >= -1 and e2 >= 0, the delta 1 - d1 - e2 is positive exactly
+    for (d1, e2) = (-1, 0), (0, 0) and (-1, 1): the same three pairs.  So
+    at width 1 the Betti rule holds exactly when both comparisons do.
+    """
+    for drops in DROPS:
+        d0, d1, e1, e2 = drops
+        want = _width_one_incident(*drops)
+        assert want == (d0 > d1 and e2 < e1 and ((d1 <= 0 and e2 == 0) or (d1 == -1 and e2 == 1)))
+        assert _betti_rule(U, U + 1, *_drop_counts(*drops)) == want, drops
+    assert len(DROPS) == 4_032
+
+
+def test_wide_rule_is_both_drops_vanishing():
+    """From width 2 on the Betti rule asks a_u = b_{u+1} + 1 and
+    b_{v+3} = a_{v+2} with both nonzero.  With L2's counts the first reads
+    max(d0 - d1, 0) = d0 + 1, that is d1 = -1, and the second
+    max(e1 - e2, 0) = e1 >= 1, that is e2 = 0.  That is the condition
+    under which test_l2_wide_cover_is_incident_exactly_when_both_drops_vanish
+    finds a wide cover incident.
+    """
+    for width in (2, 3):
+        for drops in DROPS:
+            _, d1, _, e2 = drops
+            assert _betti_rule(U, U + width, *_drop_counts(*drops)) == (d1 == -1 and e2 == 0), drops
+
+
+def test_drop_counts_and_verdicts_on_every_cover():
+    # The library's side: on every cover of width >= 1, phi's generic table
+    # holds the counts read from the drops, and the verdict is the rule's.
+    seen = {1: 0, 2: 0}
+    incident = {1: 0, 2: 0}
+    for n in range(1, 41):
+        for s in iter_diagrams(n):
+            phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
+            table = generic_betti(phi)
+            for pair in cover_moves(phi):
+                u, v = pair.u, pair.v
+                if v == u:
+                    continue
+                drops = _drops(s, u, v)
+                counts = _drop_counts(*drops)
+                assert _cover_counts(table, u, v) == counts, (s, u, v)
+                verdict = resolve_incidence(pair).incident
+                assert verdict == _betti_rule(u, v, *counts), (s, u, v)
+                if v == u + 1:
+                    assert verdict == _width_one_incident(*drops), (s, u)
+                width = min(v - u, 2)
+                seen[width] += 1
+                incident[width] += verdict
+    assert (seen[1], incident[1]) == (3_155, 2_184)
+    assert (seen[2], incident[2]) == (9_331, 1_714)

@@ -382,6 +382,16 @@ class TestEmit:
             "f963139bdfb35cca88ebedf5400dff0c51567eeac1464109c35e84c75911414e"
         )
 
+    def test_dot_labels_render_two_digit_heights(self):
+        # Weight 55 is the first with a column of height 10 (the staircase
+        # 1..10), where the labels first need a two-digit decimal.
+        g = build_hilbert_graph(55)
+        lines = emit(g, "dot").decode().splitlines()
+        labels = [re.fullmatch(r'  n(\d+) \[label="(.*)\\ndim (\d+)"\];', line) for line in lines]
+        labels = [m.groups() for m in labels if m]
+        assert labels == [(str(i), hf.diagram.render(), str(dim)) for i, hf, dim, _ in g.nodes]
+        assert "1,2,3,4,5,6,7,8,9,10" in {label for _, label, _ in labels}
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(build_hilbert_graph(2), "svg")
