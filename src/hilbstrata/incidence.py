@@ -330,6 +330,14 @@ def chow_product(caps, factors) -> dict:
     discarded); ``factors`` is a list of ((c_r, c_s, c_t), multiplicity)
     entries.  Returns the nonzero coefficients by exponent triple (i, j, k)
     of r^i s^j t^k; the empty product is the unit {(0, 0, 0): 1}.
+
+    Every coefficient is positive: each factor step adds a monomial's
+    coefficient to each of its neighbours that its form names, and a
+    monomial's exponents never fall, so truncating at each step drops
+    exactly the monomials that truncating at the end would, and no step
+    leaves a zero coefficient to filter.  That holds only for the factors
+    named above, so a multiplicity below 0 or a form coefficient outside
+    {0, 1} raises ValueError, as a cap below 1 does.
     """
     alpha, beta, gamma = caps
     if alpha < 1 or beta < 1 or gamma < 1:
@@ -337,19 +345,21 @@ def chow_product(caps, factors) -> dict:
     acc = {(0, 0, 0): 1}
     for form, mult in factors:
         cr, cs, ct = form
+        if mult < 0 or cr not in (0, 1) or cs not in (0, 1) or ct not in (0, 1):
+            raise ValueError(f"factor {form!r}^{mult!r}: coefficients must be 0 or 1, multiplicities at least 0")
         for _ in range(mult):
             nxt = {}
             for (i, j, k), c in acc.items():
                 if cr and i + 1 < alpha:
                     key = (i + 1, j, k)
-                    nxt[key] = nxt.get(key, 0) + c * cr
+                    nxt[key] = nxt.get(key, 0) + c
                 if cs and j + 1 < beta:
                     key = (i, j + 1, k)
-                    nxt[key] = nxt.get(key, 0) + c * cs
+                    nxt[key] = nxt.get(key, 0) + c
                 if ct and k + 1 < gamma:
                     key = (i, j, k + 1)
-                    nxt[key] = nxt.get(key, 0) + c * ct
-            acc = {key: c for key, c in nxt.items() if c}
+                    nxt[key] = nxt.get(key, 0) + c
+            acc = nxt
     return acc
 
 

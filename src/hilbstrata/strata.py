@@ -28,8 +28,9 @@ the sections term, which depends only on m, is left out, and twice the
 degree, which depends only on the degree, is added; both cancel between
 two strata of one degree, and ``tangent_function`` takes both back on
 any window.  With the shift the values are 2 deg below degree -1, 0 from
-the last column on and between 0 and 2 deg in between (checked for
-n <= 30 in the tests); up to weight 128 they are small ints, which
+the last column on and between 0 and 2 deg in between (proved for every
+n in ``test_row_bound_proof_steps``, which checks each step for
+n <= 30); up to weight 128 they are small ints, which
 CPython shares, so a row costs one pointer per degree.  ``cover_excess``
 compares two rows on a cover's window in one C-level ``compress``/``map``
 pass.  Each row reads only its own h and its own b.  The sweep and the

@@ -102,23 +102,30 @@ def cache_entry(hf: HilbertFunction, betti: BettiTable, dim: int) -> tuple:
     return betti.q, dim, cover_row(hf, betti), last_cover_column(hf.diagram.s)
 
 
+def _failure(kind: str, pair: CoverPair, detail: str = "") -> str:
+    """One failure line of ``check_cover``: its kind, both diagrams of
+    ``pair``, the move columns and ``detail`` if any."""
+    return (
+        f"{kind}: phi={pair.phi.diagram.render()} psi={pair.psi.diagram.render()} "
+        f"u={pair.u} v={pair.v}{' ' + detail if detail else ''}"
+    )
+
+
 def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     """All cross-checks for one cover; returns failure descriptions.
 
     ``betti_phi`` is phi's Betti table, and ``entry_phi`` and ``entry_psi``
-    are the two sides' ``cache_entry`` tuples.
+    are the two sides' ``cache_entry`` tuples.  A failure line is rendered
+    by the module-level ``_failure`` only when its check fails: a closure
+    built here would cost every cover an allocation and turn the pair, the
+    columns and the failure list into cell variables, for a clean cover
+    that never calls it.
     """
-    u, v = pair.u, pair.v
+    phi, _, u, v = pair
     a, b = betti_phi.a, betti_phi.b
     q, dim_phi, row_phi, _ = entry_phi
     q_psi, dim_psi, row_psi, _ = entry_psi
     failures = []
-
-    def fail(kind, detail=""):
-        failures.append(
-            f"{kind}: phi={pair.phi.diagram.render()} psi={pair.psi.diagram.render()} "
-            f"u={u} v={v}{' ' + detail if detail else ''}"
-        )
 
     # The dimension and tangent comparisons, the independent side of every
     # equivalence below.  The two cached tangent rows are compared on the
@@ -135,20 +142,21 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     betti_ok = _betti_rule(u, v, a_u, b_u1, a_v2, b_v3)
 
     if incident != betti_ok:
-        fail("criterion-equivalence", f"dim_ok={dim_ok} tangent_ok={tangent_ok} betti={betti_ok}")
+        detail = f"dim_ok={dim_ok} tangent_ok={tangent_ok} betti={betti_ok}"
+        failures.append(_failure("criterion-equivalence", pair, detail))
 
     # Zero pattern and inequalities forced by a move wider than one column.
     if v >= u + 1:
         if not a.keys().isdisjoint(range(u + 1, v + 2)):
-            fail("betti-zero-pattern", "generator in the plateau range")
+            failures.append(_failure("betti-zero-pattern", pair, "generator in the plateau range"))
         if not b.keys().isdisjoint(range(u + 2, v + 3)):
-            fail("betti-zero-pattern", "relation in the plateau range")
+            failures.append(_failure("betti-zero-pattern", pair, "relation in the plateau range"))
         if a_u > b_u1 + 1:
-            fail("betti-zero-pattern", "a_u exceeds b_{u+1}+1")
+            failures.append(_failure("betti-zero-pattern", pair, "a_u exceeds b_{u+1}+1"))
         if a_v2 <= 0:
-            fail("betti-zero-pattern", "a_{v+2} vanishes")
+            failures.append(_failure("betti-zero-pattern", pair, "a_{v+2} vanishes"))
         if b_v3 > a_v2:
-            fail("betti-zero-pattern", "b_{v+3} exceeds a_{v+2}")
+            failures.append(_failure("betti-zero-pattern", pair, "b_{v+3} exceeds a_{v+2}"))
 
     # The two dimension-delta formulas, one over the Betti table and one
     # over the height sequence, must both give the actual difference.  The
@@ -158,14 +166,15 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     if len(q) < v + 4:
         q += (0,) * (v + 4 - len(q))
     delta_betti = e + q[u] + q[u + 1] + q[u + 2] - q[v + 1] - q[v + 2] - q[v + 3]
-    h = (0, 0) + pair.phi.diagram.s + (0, 0)  # h[i + 2] is the height of column i
+    h = (0, 0) + phi.diagram.s + (0, 0)  # h[i + 2] is the height of column i
     delta_heights = (
         -h[u] + h[u + 1] + h[u + 3] - h[u + 4] + h[v + 1] - h[v + 2] - h[v + 4] + h[v + 5] + e
     )
-    if dim_psi - dim_phi != delta_betti:
-        fail("dimension-delta", f"betti formula gives {delta_betti}, actual {dim_psi - dim_phi}")
-    if dim_psi - dim_phi != delta_heights:
-        fail("dimension-delta", f"height formula gives {delta_heights}, actual {dim_psi - dim_phi}")
+    actual = dim_psi - dim_phi
+    if actual != delta_betti:
+        failures.append(_failure("dimension-delta", pair, f"betti formula gives {delta_betti}, actual {actual}"))
+    if actual != delta_heights:
+        failures.append(_failure("dimension-delta", pair, f"height formula gives {delta_heights}, actual {actual}"))
 
     # Numerator shift between the two Betti tables: phi's row plus the
     # shift the move predicts, trimmed, must be psi's row; every degree
@@ -182,34 +191,34 @@ def check_cover(pair: CoverPair, betti_phi, entry_phi, entry_psi):
     if tuple(expected) != q_psi:
         for l, (x, y) in enumerate(zip_longest(expected, q_psi, fillvalue=0)):
             if x != y:
-                fail("numerator-shift", f"degree {l}")
+                failures.append(_failure("numerator-shift", pair, f"degree {l}"))
 
     # Pointwise tangent bound: outside two exceptional degrees the bigger
     # stratum never gains sections.
     for m in excess:
         if m not in (u - 3, v):
-            fail("tangent-bound", f"degree {m}")
+            failures.append(_failure("tangent-bound", pair, f"degree {m}"))
     shortcut = a_u != 0 and b_v3 != 0
     if tangent_ok != shortcut:
-        fail("tangent-shortcut", f"windowed={tangent_ok} shortcut={shortcut}")
+        failures.append(_failure("tangent-shortcut", pair, f"windowed={tangent_ok} shortcut={shortcut}"))
 
     # Wide moves: the dimension comparison collapses to two equalities and,
     # when it holds, the dimensions differ by exactly one.
     if v >= u + 2:
         law = a_u == b_u1 + 1 and a_v2 == b_v3
         if dim_ok != law:
-            fail("wide-move-dim-law", f"dim_ok={dim_ok} equalities={law}")
+            failures.append(_failure("wide-move-dim-law", pair, f"dim_ok={dim_ok} equalities={law}"))
         if dim_ok and dim_psi != dim_phi + 1:
-            fail("wide-move-dim-law", f"dims {dim_phi}->{dim_psi}")
+            failures.append(_failure("wide-move-dim-law", pair, f"dims {dim_phi}->{dim_psi}"))
 
     type_zero = v == u + 1 and is_type_zero(pair)  # the shape needs v = u+1
     if type_zero and not incident:
-        fail("type-zero-incidence")
+        failures.append(_failure("type-zero-incidence", pair))
 
     # betti_ok and the width are the preconditions of the certificate, so
     # its body is called without checking them again.
     if betti_ok and v >= u + 1 and not _certificate(u, v, a_u, b_u1, a_v2, b_v3):
-        fail("intersection-certificate")
+        failures.append(_failure("intersection-certificate", pair))
 
     return incident, betti_ok, type_zero, failures
 
@@ -224,10 +233,11 @@ def _sweep_chunk(task):
     docstring); a miss that phi itself reads last is not kept.
     """
     n, start, stop = task
-    summary = SweepSummary(n=n)
+    diagrams = covers = incident = type_zero = 0
+    failures = []
     cache = {}  # heights -> cache_entry
     for s in iter_diagrams(n, start, stop):
-        summary.diagrams += 1
+        diagrams += 1
         phi = HilbertFunction(CastelnuovoDiagram._unchecked(s))
         betti_phi = generic_betti(phi)
         entry_phi = cache[s] = cache_entry(phi, betti_phi, stratum_dim(phi))
@@ -241,12 +251,15 @@ def _sweep_chunk(task):
                     cache[t] = entry_psi
             elif entry_psi[3] == pair.u:
                 del cache[t]
-            incident, _, type_zero, failures = check_cover(pair, betti_phi, entry_phi, entry_psi)
-            summary.covers += 1
-            summary.incident += 1 if incident else 0
-            summary.type_zero += 1 if type_zero else 0
-            summary.failures.extend(failures)
-    return summary
+            cover_incident, _, cover_type_zero, found = check_cover(pair, betti_phi, entry_phi, entry_psi)
+            covers += 1
+            if cover_incident:
+                incident += 1
+            if cover_type_zero:
+                type_zero += 1
+            if found:
+                failures.extend(found)
+    return SweepSummary(n, diagrams, covers, incident, type_zero, failures)
 
 
 def _shard_tasks(n: int, count: int):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import lt
 
 import pytest
 
@@ -430,6 +432,52 @@ class TestChow:
         product = chow_product((10, 10, 10), [((1, 1, 0), 4)])
         assert product[(2, 2, 0)] == 6
         assert product[(1, 3, 0)] == 4
+
+    def test_negative_multiplicity_is_refused(self):
+        # Read as absent, it would return the unit.
+        with pytest.raises(ValueError):
+            chow_product((2, 3, 2), [((1, 1, 0), -1)])
+
+    def test_form_coefficient_outside_zero_one_is_refused(self):
+        # (r - s)(r + s) = r^2 - s^2 cancels the rs terms, and 2r scales them.
+        for form in ((1, -1, 0), (2, 0, 0)):
+            with pytest.raises(ValueError):
+                chow_product((3, 3, 3), [(form, 1), ((1, 1, 0), 1)])
+
+    def test_products_are_positive_and_truncating_early_equals_truncating_late(self):
+        # Up to three nonzero forms from {0,1}^3, each to a power 0..3, under
+        # every cap 1..4 in each place, against the untruncated expansion
+        # with the monomials reaching a cap dropped only at the end.
+        forms = [f for f in itertools.product((0, 1), repeat=3) if any(f)]
+        caps = list(itertools.product(range(1, 5), repeat=3))
+        seen = 0
+        for size in range(4):
+            for chosen in itertools.combinations(forms, size):
+                for mults in itertools.product(range(4), repeat=size):
+                    factors = list(zip(chosen, mults))
+                    full = _expand(factors)
+                    for cap in caps:
+                        product = chow_product(cap, factors)
+                        assert all(type(c) is int and c > 0 for c in product.values())
+                        assert product == {e: c for e, c in full.items() if all(map(lt, e, cap))}
+                        seen += 1
+        assert seen == 2605 * 64
+
+
+def _expand(factors):
+    """The product of the linear forms of ``factors`` to their powers, with
+    no monomial dropped: {(i, j, k): coefficient of r^i s^j t^k}."""
+    poly = {(0, 0, 0): 1}
+    for form, mult in factors:
+        for _ in range(mult):
+            nxt = {}
+            for e, c in poly.items():
+                for place, coefficient in enumerate(form):
+                    if coefficient:
+                        key = tuple(x + (place == i) for i, x in enumerate(e))
+                        nxt[key] = nxt.get(key, 0) + c * coefficient
+            poly = nxt
+    return poly
 
 
 class TestVerifyIntersections:

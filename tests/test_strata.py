@@ -276,6 +276,54 @@ class TestCoverRows:
                 assert row[:2] == [2 * n, 2 * n] and row[-5:] == [0] * 5
                 assert min(row) >= 0 and max(row) <= 2 * n
 
+    def test_row_bound_proof_steps(self):
+        """Every ``cover_row`` value lies in 0 .. 2 deg, for every n.
+
+        Write d for the degree, s_i for the height of column i (0 outside
+        0..L), T(m) = sum over i > m of s_i, so h(m) = d - T(m), and b_l
+        for the relation count at degree l of the generic table.
+
+        1. The row at m is h(m) - 3 h(m+1) + b_{m+3} + 2d
+           = -T(m) + 3 T(m+1) + b_{m+3} = 2 T(m+1) - s_{m+1} + b_{m+3}.
+        2. At m = -3 this is 2d, since T(-2) = d, s_{-2} = 0 and b_0 = 0.
+        3. For m >= -2, b_{m+3} = max(-q_{m+3}, 0) with
+           q_l = [l = 0] - (s_l - 2 s_{l-1} + s_{l-2}) and m + 3 >= 1, so
+           b_{m+3} >= s_{m+3} - 2 s_{m+2} + s_{m+1}, and the row is at
+           least 2 T(m+1) - 2 s_{m+2} + s_{m+3} = 2 T(m+2) + s_{m+3} >= 0.
+        4. Where b_{m+3} = 0 the row is 2 T(m+1) - s_{m+1} <= 2 T(m+1) <= 2d.
+        5. Otherwise b_{m+3} = -q_{m+3}, the bound of step 3 is an
+           equality, and the row is 2 T(m+2) + s_{m+3}
+           = 2d - 2 h(m+2) + s_{m+3}.  If s_{m+3} > 0, columns 0..m+3 are
+           all nonempty, so h(m+2) >= m + 3, and a column i holds at most
+           i + 1 squares, so s_{m+3} <= m + 4 <= 2 (m + 3) <= 2 h(m+2) for
+           m >= -2; if s_{m+3} = 0 the row is 2d - 2 h(m+2) <= 2d.  Either
+           way the row is at most 2d.
+
+        No step depends on n, so the bound holds at every weight.  The
+        identity of step 1 and the bounds of steps 3-5 are checked here for
+        n <= 30, each from the heights and the table's relation counts.
+        """
+        for n in range(1, 31):
+            for s in iter_diagrams(n):
+                h = HilbertFunction(CastelnuovoDiagram._unchecked(s))
+                table = generic_betti(h)
+                b, row = table.b, cover_row(h, table)
+                col = lambda i: s[i] if 0 <= i < len(s) else 0
+                tail = lambda m: sum(s[max(m + 1, 0) :])  # T(m)
+                for m in range(-3, len(s) + 4):
+                    value, rel = row[m + 3], b.get(m + 3, 0)
+                    assert value == 2 * tail(m + 1) - col(m + 1) + rel
+                    if m == -3:
+                        assert value == 2 * n
+                        continue
+                    assert rel >= col(m + 3) - 2 * col(m + 2) + col(m + 1)
+                    assert value >= 2 * tail(m + 2) + col(m + 3) >= 0
+                    if rel == 0:
+                        assert value <= 2 * tail(m + 1) <= 2 * n
+                    else:
+                        assert value == 2 * n - 2 * (n - tail(m + 2)) + col(m + 3)
+                        assert col(m + 3) <= 2 * (n - tail(m + 2))
+
 
 def test_dimension_delta_formulas_agree():
     # Both closed forms for dim(psi) - dim(phi) hold on every cover.
