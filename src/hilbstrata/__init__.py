@@ -12,7 +12,6 @@ from .diagrams import (
     count_diagrams,
     enumerate_diagrams,
     hf_leq,
-    is_castelnuovo,
     iter_diagrams,
     parse_diagram,
     parse_hilbert_function,
@@ -30,7 +29,7 @@ from .incidence import (
     verify_intersections,
 )
 from .laurent import IntLaurentPoly
-from .resolution import BettiTable, generic_betti, series_numerator
+from .resolution import BettiTable, generic_betti
 from .strata import stratum_dim, tangent_bundle_sections, tangent_function
 from .sweep import SweepSummary, sweep_weight, verify_range
 

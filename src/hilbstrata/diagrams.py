@@ -45,11 +45,6 @@ def _heights(seq):
     return tuple(s) if sorted(tail, reverse=True) == tail else None
 
 
-def is_castelnuovo(seq) -> bool:
-    """True iff ``seq`` (implicitly zero-padded) is a valid height sequence."""
-    return _heights(seq) is not None
-
-
 class CastelnuovoDiagram:
     """A valid height sequence, stored with trailing zeros trimmed."""
 
@@ -72,11 +67,6 @@ class CastelnuovoDiagram:
         d = cls.__new__(cls)
         d.s = s
         return d
-
-    @property
-    def weight(self) -> int:
-        """Number of unit squares."""
-        return sum(self.s)
 
     @property
     def sigma(self) -> int:
@@ -182,8 +172,8 @@ def _longest_staircase(n: int) -> int:
 
 
 def _tail_counts(n: int):
-    """Yield the rows c = 0, 1, ...: row c holds at r the number of tails
-    of weight r <= n with parts <= c.
+    """Yield the rows c = 0, 1, ...: row c holds at r the number P(r, <= c)
+    of tails of weight r <= n with parts <= c.
 
     A tail is a non-increasing sequence of positive parts.  Rows run up to
     the largest staircase k with weight <= n, the largest part a weight-n
@@ -199,34 +189,50 @@ def _tail_counts(n: int):
         yield row
 
 
-def _total(n: int, rows) -> int:
-    """Number of weight-n diagrams: the tails summed over the staircases,
-    read from any iterable of the rows of ``_tail_counts``."""
-    return sum(row[n - _staircase(k)] for k, row in enumerate(rows))
+def _lower(row, c: int, top: int):
+    """Turn row c of ``_tail_counts`` into row c - 1 in place at r <= top.
+
+    P(r, <= c-1) = P(r, <= c) - P(r - c, <= c) undoes one row step; r runs
+    down, so each P(r - c, <= c) is read before it is lowered.  The entries
+    past ``top`` keep row c, so a later call may pass the same or a lower
+    top only.
+    """
+    for r in range(top, c - 1, -1):
+        row[r] -= row[r - c]
 
 
-def _locate(n: int, rank: int, ways):
-    """(k, tail) of the weight-n diagram at ``rank`` in canonical order.
+def _locate(n: int, rank: int):
+    """(k, tail) of the weight-n diagram at ``rank`` in canonical order, or
+    None when ``rank`` is past the last diagram.
 
     Canonical order puts the longer staircase first and, within one
     staircase k, the tails in descending lexicographic order; so the walk
-    skips whole staircases, then whole first parts, by their tail counts.
-    ``ways`` is the listed ``_tail_counts(n)``, about sqrt(2n) rows of
-    n + 1 integers, read at random; only a start past rank 0 needs it.
+    skips whole staircases, then takes or skips each part size c from k
+    down, by their tail counts.  Those are read in non-increasing c, so
+    one list holds them: the top row streamed from ``_tail_counts``,
+    lowered one row at a time with ``_lower`` as the walk goes, in O(n)
+    memory.  Staircase k holds P(n - k(k+1)/2, <= k) diagrams.  Of the
+    tails of weight ``rest`` with parts <= c, the P(rest - c, <= c) that
+    begin with c come first, so the tail takes another part c while the
+    rank lies among them and otherwise skips them all.
     """
-    k = len(ways) - 1
-    while k > 0 and rank >= ways[k][n - _staircase(k)]:
-        rank -= ways[k][n - _staircase(k)]
+    for k, row in enumerate(_tail_counts(n)):
+        pass
+    while rank >= row[n - _staircase(k)]:
+        if not k:
+            return None
+        rank -= row[n - _staircase(k)]
+        _lower(row, k, n)
         k -= 1
-    tail = []
-    rest, part = n - _staircase(k), k
-    while rest:
-        part = min(rest, part)
-        while rank >= ways[part][rest - part]:
-            rank -= ways[part][rest - part]
-            part -= 1
-        tail.append(part)
-        rest -= part
+    tail, rest = [], n - _staircase(k)
+    for c in range(k, 0, -1):
+        while c <= rest:
+            if rank >= row[rest - c]:
+                rank -= row[rest - c]
+                break
+            tail.append(c)
+            rest -= c
+        _lower(row, c, rest)
     return k, tail
 
 
@@ -259,9 +265,9 @@ def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     clamped.  From rank 0 it needs no table: the first diagram is the
     longest staircase k, the largest with weight <= n, and the n - k(k+1)/2
     <= k squares left form one part; the walk holds only the current
-    diagram, O(n) integers at most.  Only a start past 0 lists the
-    tail-count table, O(n^1.5) integers, to check it against the total and
-    place it with ``_locate``; nothing before it is generated, so
+    diagram, O(n) integers at most.  A start past 0 is placed by
+    ``_locate`` in O(n) integers too, and yields nothing when it is past
+    the last diagram; nothing before it is generated, so
     ``iter_diagrams(n, r, r + 1)`` yields the diagram at rank r alone.
     Every tuple is valid by construction.
     Iterating raises ValueError for n < 0, n > ``MAX_WEIGHT`` or start < 0.
@@ -273,10 +279,10 @@ def iter_diagrams(n: int, start: int = 0, stop: int | None = None):
     if left <= 0:
         return
     if start:
-        ways = list(_tail_counts(n))
-        if start >= _total(n, ways):
+        located = _locate(n, start)
+        if located is None:
             return
-        k, tail = _locate(n, start, ways)
+        k, tail = located
     else:
         k = _longest_staircase(n)
         rest = n - _staircase(k)
@@ -314,15 +320,15 @@ def count_diagrams(n: int) -> int:
     """Number of weight-n diagrams, without listing them.
 
     They are as many as the partitions of n into distinct parts.  The count
-    is the enumerator's own: the tails of every staircase summed from the
-    rows of ``_tail_counts``, the table that ``iter_diagrams`` places a
-    start past 0 with, in O(n^1.5) steps.  The rows are read one at a time
-    and none is kept, so memory is O(n) integers.  The distinct-part count
-    is computed independently only by the test oracles.  Raises ValueError
-    for n < 0 or n > ``MAX_WEIGHT``.
+    is the enumerator's own: staircase k holds P(n - k(k+1)/2, <= k)
+    tails, read from row k of ``_tail_counts``, the counts ``_locate``
+    places a start past 0 with, in O(n^1.5) steps.  The rows are read one
+    at a time and none is kept, so memory is O(n) integers.  The
+    distinct-part count is computed independently only by the test
+    oracles.  Raises ValueError for n < 0 or n > ``MAX_WEIGHT``.
     """
     _check_weight(n)
-    return _total(n, _tail_counts(n))
+    return sum(row[n - _staircase(k)] for k, row in enumerate(_tail_counts(n)))
 
 
 def hf_leq(a: HilbertFunction, b: HilbertFunction) -> bool:

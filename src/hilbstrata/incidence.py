@@ -336,17 +336,19 @@ def chow_product(caps, factors) -> dict:
     monomial's exponents never fall, so truncating at each step drops
     exactly the monomials that truncating at the end would, and no step
     leaves a zero coefficient to filter.  That holds only for the factors
-    named above, so a multiplicity below 0 or a form coefficient outside
-    {0, 1} raises ValueError, as a cap below 1 does.
+    named above, so a multiplicity that is not an ``int`` of at least 0 or
+    a form coefficient outside {0, 1} raises ValueError, as a cap that is
+    not an ``int`` of at least 1 does: caps and multiplicities count
+    exponents, and a ``bool`` or a float is no count.
     """
     alpha, beta, gamma = caps
-    if alpha < 1 or beta < 1 or gamma < 1:
-        raise ValueError("caps must all be at least 1")
+    if not (type(alpha) is type(beta) is type(gamma) is int) or alpha < 1 or beta < 1 or gamma < 1:
+        raise ValueError(f"caps {caps!r}: each must be an int of at least 1")
     acc = {(0, 0, 0): 1}
     for form, mult in factors:
         cr, cs, ct = form
-        if mult < 0 or cr not in (0, 1) or cs not in (0, 1) or ct not in (0, 1):
-            raise ValueError(f"factor {form!r}^{mult!r}: coefficients must be 0 or 1, multiplicities at least 0")
+        if type(mult) is not int or mult < 0 or cr not in (0, 1) or cs not in (0, 1) or ct not in (0, 1):
+            raise ValueError(f"factor {form!r}^{mult!r}: coefficients must be 0 or 1, multiplicities ints of at least 0")
         for _ in range(mult):
             nxt = {}
             for (i, j, k), c in acc.items():

@@ -19,30 +19,16 @@ Its support lies in degrees 0 .. len(s) + 1 and q(1) = 1.
 Dense row.  Besides the sparse counts, a ``BettiTable`` keeps the row
 ``q = (q_0, ..., q_top)`` with q_l = a_l - b_l, trimmed after its last
 nonzero entry, so a reader of a_l - b_l at any degree, or of a whole
-numerator, indexes one tuple.  ``generic_betti`` is the one place a table
-is built: it keeps the list ``series_numerator`` computes as that row and
-splits the same list into the counts.  Every reader takes the table it is
-given and reads a count at degree d as ``t.a.get(d, 0)``.
+numerator, indexes one tuple; that row is the module's only numerator.
+``generic_betti`` is the one place a table is built: it computes q from
+the heights, keeps it as the row and splits the same list into the counts.
+Every reader takes the table it is given and reads a count at degree d as
+``t.a.get(d, 0)``.
 """
 
 from itertools import compress, count
 
 from .diagrams import HilbertFunction
-
-
-def series_numerator(hf: HilbertFunction) -> list:
-    """Numerator q(t) of the ideal's Hilbert series, q = 1 - (1-t)^2 * s(t),
-    as the dense list q_0 .. q_{L+2} (L the last column).
-
-    Always q(1) = 1 (the ideal has rank one).
-    """
-    q = []
-    before = last = 0
-    for x in hf.diagram.s + (0, 0):
-        q.append(2 * last - before - x)
-        before, last = last, x
-    q[0] += 1
-    return q
 
 
 class BettiTable:
@@ -71,14 +57,22 @@ class BettiTable:
 
 
 def generic_betti(hf: HilbertFunction) -> BettiTable:
-    """Split the numerator coefficients: a_i = max(q_i, 0), b_i = max(-q_i, 0).
+    """The numerator q = 1 - (1-t)^2 s(t) and its split into counts.
 
-    Only the nonzero degrees are visited, found by one ``compress`` pass
-    (second differences of long flat tails are mostly zero), in ascending
-    order.  The coefficient list, trimmed after its last nonzero degree,
-    becomes the table's row.
+    q is first the dense list q_0 .. q_{L+2} (L the last column), one
+    negated second difference per height, with the unit added at degree 0;
+    always q(1) = 1, as the ideal has rank one.  Then a_i = max(q_i, 0) and
+    b_i = max(-q_i, 0), visiting only the nonzero degrees, found by one
+    ``compress`` pass (second differences of long flat tails are mostly
+    zero), in ascending order.  The list, trimmed after its last nonzero
+    degree, becomes the table's row.
     """
-    q = series_numerator(hf)
+    q = []
+    before = last = 0
+    for x in hf.diagram.s + (0, 0):
+        q.append(2 * last - before - x)
+        before, last = last, x
+    q[0] += 1
     a = {}
     b = {}
     d = -1

@@ -7,7 +7,7 @@ is checking.
 
 from itertools import groupby, zip_longest
 
-from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, hf_leq, is_castelnuovo, iter_diagrams
+from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, hf_leq, iter_diagrams
 from hilbstrata.incidence import cover_moves
 from hilbstrata.resolution import BettiTable
 
@@ -52,13 +52,13 @@ def _recursive_tails(remaining, max_part):
 def diagrams_by_sorting(n):
     """All weight-n height tuples in descending lexicographic order: every
     staircase prefix 1..k with every recursively built tail of parts <= k,
-    each tuple validated by ``is_castelnuovo``, then the whole list sorted."""
+    each tuple validated by ``is_castelnuovo_stepwise``, then the whole list sorted."""
     out = [()] if n == 0 else []
     k = 1
     while k * (k + 1) // 2 <= n:
         for tail in _recursive_tails(n - k * (k + 1) // 2, k):
             s = tuple(range(1, k + 1)) + tail
-            assert is_castelnuovo(s)
+            assert is_castelnuovo_stepwise(s)
             out.append(s)
         k += 1
     return sorted(out, reverse=True)
@@ -74,7 +74,7 @@ def brute_single_square_moves(diagram):
             t = list(s)
             t[u] += 1
             t[w] -= 1
-            if is_castelnuovo(t):
+            if is_castelnuovo_stepwise(t):
                 found.append((u, w - 1))
     return sorted(found)
 
@@ -131,7 +131,7 @@ def has_intermediate_by_patterns(phi, u, v):
             if mask >> bit & 1:
                 candidate[u + bit] += 1
         diffs = [candidate[0]] + [candidate[i] - candidate[i - 1] for i in range(1, len(candidate))]
-        if is_castelnuovo(diffs):
+        if is_castelnuovo_stepwise(diffs):
             return True
     return False
 

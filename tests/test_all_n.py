@@ -10,13 +10,15 @@ numerator shift, is checked on a basis of height vectors, so for every
 weight; the width-0 case follows from L1 and L3, and the width-1 and wide
 cases from L1, L2 and the rule's branches, derived in their tests'
 docstrings and checked over a box of drops and on every cover up to a
-weight; L4 is checked over a box of counts;
+weight; L4 is derived for every count in its test's docstring, and its
+binomial steps are checked over a box of counts;
 L5's counts are derived from the type-zero shape in its test's docstring
 and checked over a box of shapes, and on every type-zero cover up to a
 weight.
 """
 
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from hilbstrata.diagrams import CastelnuovoDiagram, HilbertFunction, iter_diagrams
 from hilbstrata.incidence import (
@@ -92,6 +94,52 @@ def test_l4_wide_product_carries_the_closed_form_coefficient():
             assert got.get((big_b, 2, big_a - 1), 0) == want > 0, (a_u, big_b, big_a, b_v3)
             seen += 1
         assert seen == 144
+
+
+def test_l4_holds_at_every_count():
+    """L4 for every count tuple the rule accepts, at every width >= 1.
+
+    The caps (a_u, 3, b_{v+3}) bound the exponents of r, s and t strictly.
+    Every coefficient of a product of 0/1 forms is non-negative, so
+    ``chow_product``'s truncation at each step drops what truncating the
+    whole product would (checked in ``tests/test_incidence.py``).
+
+    Width 1.  r comes only from (r+s)^B and t only from (s+t)^A, so
+    (s+t)^A (r+s)^B is the sum of C(B, i) C(A, k) r^i s^(A+B-i-k) t^k over
+    0 <= i <= B and 0 <= k <= A, each coefficient positive.  One of them
+    survives when i < a_u, k < b_{v+3} and A+B-i-k < 3, so with i and k
+    taken largest the truncated product is nonzero exactly when
+    min(B, a_u-1) + min(A, b_{v+3}-1) >= A+B-2 (the rule makes a_u and
+    b_{v+3} at least 1).  The rule's first branch has B <= a_u <= B+1 and
+    b_{v+3} = A, so the sum is at least (B-1) + (A-1); its second has
+    a_u = B+1 and b_{v+3} = A-1, so the sum is B + (A-2).  Either way the
+    product is nonzero.
+
+    Width >= 2.  The rule gives a_u = B+1 and b_{v+3} = A >= 1, so
+    r^B s^2 t^(A-1) lies under the caps.  Taking s from (r+s+t) leaves
+    r^B s t^(A-1) of (s+t)^A (r+s)^B, with coefficient C(B, B) C(A, A-1)
+    = A, and no other term is negative, so the coefficient in
+    (r+s+t)(s+t)^A (r+s)^B is at least A > 0.
+
+    Checked over the box: the binomial expansion and the width-2 bound
+    against ``chow_product``, the truncation condition against the
+    expansion, and both branches of the rule against the condition.
+    """
+    for big_a, big_b in product(COUNTS, repeat=2):
+        free = chow_product((big_b + 1, 3 + big_a + big_b, big_a + 1), [((0, 1, 1), big_a), ((1, 1, 0), big_b)])
+        assert free == {
+            (i, big_a + big_b - i - k, k): comb(big_b, i) * comb(big_a, k)
+            for i in range(big_b + 1)
+            for k in range(big_a + 1)
+        }
+        for a_u, b_v3 in product(COUNTS[1:], repeat=2):
+            fits = any(i < a_u and j < 3 and k < b_v3 for i, j, k in free)
+            assert fits == (min(big_b, a_u - 1) + min(big_a, b_v3 - 1) >= big_a + big_b - 2)
+        if big_a:
+            wide = chow_product((big_b + 1, 3, big_a), [((1, 1, 1), 1), ((0, 1, 1), big_a), ((1, 1, 0), big_b)])
+            assert wide[big_b, 2, big_a - 1] >= free[big_b, 1, big_a - 1] == big_a
+    for (a_u, big_b, big_a, b_v3), _, _ in _accepted(1):
+        assert min(big_b, a_u - 1) + min(big_a, b_v3 - 1) >= big_a + big_b - 2
 
 
 def test_l5_type_zero_counts():

@@ -25,3 +25,12 @@ def test_smoke_run_reports_equal_digests_at_one_and_two_workers(capsys):
     assert set(sides) == {"1", "2"}
     assert set(sides["1"]) == {"runs", "wall_s", "peak_rss_mb", "stdout_sha256"}
     assert set(sides["1"]["wall_s"]) == {"q1", "median", "q3"}
+
+
+def test_failed_run_keeps_its_last_stderr_line(capsys):
+    # A weight past the bound fails before any work: exit 1, and the run
+    # names the error that the CLI printed.
+    assert e2e.main(["--n-min", "100001", "--n-max", "100001", "--workers", "1"]) == 1
+    (run,) = json.loads(capsys.readouterr().out.splitlines()[-1])["runs"]["this"]
+    assert run["exit"] == 2 and run["covers"] == {}
+    assert run["stderr_last_line"].startswith("error: weight 100001 exceeds 100000")

@@ -8,8 +8,8 @@ from conftest import hf, long_diagrams
 from hilbstrata.diagrams import (
     CastelnuovoDiagram,
     HilbertFunction,
+    _heights,
     enumerate_diagrams,
-    is_castelnuovo,
     parse_hilbert_function,
 )
 from hilbstrata.graph import build_hilbert_graph
@@ -175,9 +175,9 @@ class TestIsLengthZero:
             for d in enumerate_diagrams(n):
                 for pair in cover_moves(HilbertFunction(d)):
                     psi = pair.psi.diagram
-                    assert is_castelnuovo(psi.s) and psi.s[-1] != 0
+                    assert _heights(psi.s) == psi.s
                     checked = CastelnuovoDiagram(psi.s)
-                    assert (psi.weight, psi.sigma) == (checked.weight, checked.sigma)
+                    assert (sum(psi.s), psi.sigma) == (sum(checked.s), checked.sigma)
                     assert pair.psi == HilbertFunction(checked)
 
     def test_cover_pair_invariants(self):
@@ -428,6 +428,12 @@ class TestChow:
         with pytest.raises(ValueError):
             chow_product((0, 3, 1), [])
 
+    def test_caps_must_be_ints(self):
+        # A cap of 2.5 would act as 3 and keep r^2; True would act as 1.
+        for caps in ((2.5, 3, 2), (2, 3.0, 2), (2, 3, True), (1.0, 1, 1)):
+            with pytest.raises(ValueError, match="must be an int of at least 1"):
+                chow_product(caps, [((1, 1, 0), 2)])
+
     def test_binomial_coefficients_are_exact(self):
         product = chow_product((10, 10, 10), [((1, 1, 0), 4)])
         assert product[(2, 2, 0)] == 6
@@ -437,6 +443,12 @@ class TestChow:
         # Read as absent, it would return the unit.
         with pytest.raises(ValueError):
             chow_product((2, 3, 2), [((1, 1, 0), -1)])
+
+    def test_multiplicity_must_be_an_int(self):
+        # 1.5 would reach range() and raise TypeError; True would act as 1.
+        for mult in (1.5, 2.0, True, False):
+            with pytest.raises(ValueError, match="multiplicities ints of at least 0"):
+                chow_product((3, 3, 3), [((1, 1, 0), mult)])
 
     def test_form_coefficient_outside_zero_one_is_refused(self):
         # (r - s)(r + s) = r^2 - s^2 cancels the rs terms, and 2r scales them.

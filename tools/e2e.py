@@ -6,7 +6,9 @@ Each run is ``python -m hilbstrata.cli verify --n-min A --n-max B
 ``src`` and whose other environment is this process's.  It records the
 wall seconds, the peak resident set of the run's processes, its pool
 workers included, the SHA-256 of its stdout, its exit status and the
-covers of each weight read from its ``n=...`` lines.  The peak is the
+covers of each weight read from its ``n=...`` lines; a run that exits
+non-zero also keeps the last line of its stderr, which goes to a
+temporary file, so no pipe fills while stdout is read.  The peak is the
 ``ru_maxrss`` that ``os.wait4`` reports for that one child, so no run's
 peak leaks into the next one's, as a running maximum over all children
 (``RUSAGE_CHILDREN``) would let it.
@@ -34,6 +36,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,21 +49,26 @@ def run_verify(root: Path, n_min: int, n_max: int, workers: int) -> dict:
     command = [sys.executable, "-m", "hilbstrata.cli", "verify", "--n-min", str(n_min), "--n-max", str(n_max),
                "--workers", str(workers)]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    start = time.perf_counter()
-    child = subprocess.Popen(command, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    out = child.stdout.read()
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.stdout.close()
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return {
-        "workers": workers,
-        "wall_s": round(wall, 4),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # Linux reports KiB
-        "stdout_sha256": hashlib.sha256(out).hexdigest(),
-        "exit": child.returncode,
-        "covers": {int(n): int(c) for n, c in COUNTS.findall(out)},
-    }
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(command, cwd=root, env=env, stdout=subprocess.PIPE, stderr=err)
+        out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.stdout.close()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        record = {
+            "workers": workers,
+            "wall_s": round(wall, 4),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # Linux reports KiB
+            "stdout_sha256": hashlib.sha256(out).hexdigest(),
+            "exit": child.returncode,
+            "covers": {int(n): int(c) for n, c in COUNTS.findall(out)},
+        }
+        if child.returncode:
+            err.seek(0)
+            record["stderr_last_line"] = (err.read().decode(errors="replace").splitlines() or [""])[-1]
+    return record
 
 
 def spread(values) -> dict:
