@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit status: 0 on success (and on a clean verification sweep), 1 when the
-sweep finds a counterexample, 2 on usage or parse errors and on an output
-that cannot be written (a file, or a closed or full standard output); when
-the reader of standard output has gone (``hilbstrata enumerate -n 60 |
-head -1``), the command ends with no message.
+sweep finds a counterexample, 2 on usage or parse errors, on a parallel
+sweep whose worker process died and on an output that cannot be written
+(a file, or a closed or full standard output); when the reader of
+standard output has gone (``hilbstrata enumerate -n 60 | head -1``), the
+command ends with no message.
 """
 
 import argparse
@@ -202,7 +203,7 @@ def _run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.run(args, sys.stdout)
-    except ValueError as exc:
+    except (ValueError, ChildProcessError) as exc:  # the latter: a sweep worker died
         return _usage_error(str(exc))
 
 

@@ -2,7 +2,10 @@
 
 Nodes are the Hilbert functions of the weight, in enumeration order; edges
 are the covers of the partial order, each annotated with its incidence
-verdict.  Emission targets are DOT (solid edge = incident, dashed = not,
+verdict.  A node keeps its dimension and its Betti table and no tangent
+row: an edge reads the tangent comparison from the lower node's counts
+a_u and b_{v+3} by L1's closed form (README "The criterion at every
+weight").  Emission targets are DOT (solid edge = incident, dashed = not,
 label "0" = type zero, minimal function on top) and a round-trippable JSON
 record.  Both emitters write each node and each edge with one format
 string, and take every height and value from one table of the decimals
@@ -20,7 +23,7 @@ from typing import NamedTuple
 from .diagrams import CastelnuovoDiagram, HilbertFunction, count_diagrams, iter_diagrams
 from .incidence import IncidenceVerdict, cover_moves, cover_verdict
 from .resolution import BettiTable, generic_betti
-from .strata import cover_excess, cover_row, stratum_dim
+from .strata import stratum_dim
 
 # The most nodes a graph may have.  Weight 65 has 18,200 diagrams and
 # weight 66 has 20,132, so graphs are built and parsed up to weight 65.
@@ -58,8 +61,12 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
 
     The edges come in ascending (from_id, to_id) order with no sort: the
     nodes are read in id order, and ``cover_moves`` gives each one's
-    covers in ascending psi id.  Raises ValueError for n < 1 and for a weight with more than
-    ``MAX_NODES`` diagrams.
+    covers in ascending psi id.  An edge's tangent comparison is L1's
+    closed form, a_u != 0 and b_{v+3} != 0 in phi's table, proved for every
+    weight and checked by the sweep against the windowed rows on every
+    cover up to weight 70, past the largest weight a graph accepts; so no
+    node keeps a tangent row.  Raises ValueError for n < 1 and for a
+    weight with more than ``MAX_NODES`` diagrams.
     """
     if n < 1:
         raise ValueError("graph construction needs weight >= 1")
@@ -69,20 +76,18 @@ def build_hilbert_graph(n: int) -> HilbertGraph:
         raise ValueError(f"weight {n} has more than {MAX_NODES} diagrams, the most a graph may have")
     ids = {}
     nodes = []
-    rows = []  # each node's cover_row, read by the tangent comparisons of its covers
     for i, s in enumerate(iter_diagrams(n)):
         ids[s] = i
         hf = HilbertFunction(CastelnuovoDiagram._unchecked(s))
-        betti = generic_betti(hf)
-        nodes.append(NodeRecord(i, hf, stratum_dim(hf), betti))
-        rows.append(cover_row(hf, betti))
+        nodes.append(NodeRecord(i, hf, stratum_dim(hf), generic_betti(hf)))
     edges = []
-    for i, node in enumerate(nodes):
-        for pair in cover_moves(node.hf):
-            j = ids[pair.psi_heights]
-            excess = cover_excess(rows[i], rows[j], pair.u, pair.v)
-            verdict = cover_verdict(pair, node.betti, (node.dim, nodes[j].dim), excess)
-            edges.append(EdgeRecord(i, j, pair.u, pair.v, verdict))
+    for i, (_, hf, dim, betti) in enumerate(nodes):
+        a, b = betti.a, betti.b  # positive counts only, so a_u != 0 is u in a
+        for pair in cover_moves(hf):
+            _, t, u, v = pair
+            j = ids[t]
+            verdict = cover_verdict(pair, betti, (dim, nodes[j].dim), u in a and v + 3 in b)
+            edges.append(EdgeRecord(i, j, u, v, verdict))
     return HilbertGraph(n=n, nodes=nodes, edges=edges)
 
 

@@ -20,8 +20,11 @@ products that certify solvability of the underlying equation systems.
 
 A cover is the plain record ``CoverPair(phi, psi_heights, u, v)``.  Its
 verdict is assembled in one place, ``cover_verdict``, from the two
-dimensions and the tangent excess on the cover's window: ``resolve_incidence``
-computes those from the pair alone, and the graph from its per-node rows.
+dimensions and the tangent comparison: ``resolve_incidence`` computes
+them from the pair alone, comparing the two sides' rows on the cover's
+window, and the graph from its node records, taking the tangent
+comparison from L1's closed form a_u != 0 and b_{v+3} != 0, proved for
+every weight (README "The criterion at every weight").
 """
 
 from typing import NamedTuple
@@ -289,23 +292,27 @@ def resolve_incidence(pair: CoverPair) -> IncidenceVerdict:
     The dimension comparison asks that the smaller stratum have strictly
     smaller dimension; the tangent comparison that its tangent function
     dominate coefficientwise, compared on the window that the move (u, v)
-    of the pair decides, as the graph compares its edges.  Raises
-    ValueError for a pair of unequal degrees, whose rows do not compare.
+    of the pair decides, from each side's own ``cover_row``: the
+    comparison of the definition, which the graph's edges read from L1's
+    closed form instead.  Raises ValueError for a pair of unequal
+    degrees, whose rows do not compare.
     """
     phi, psi = pair.phi, pair.psi
     if phi.degree != psi.degree:
         raise ValueError(f"tangent comparison needs equal degrees, got {phi.degree} and {psi.degree}")
     betti_phi = generic_betti(phi)
     excess = cover_excess(cover_row(phi, betti_phi), cover_row(psi, generic_betti(psi)), pair.u, pair.v)
-    return cover_verdict(pair, betti_phi, (stratum_dim(phi), stratum_dim(psi)), excess)
+    return cover_verdict(pair, betti_phi, (stratum_dim(phi), stratum_dim(psi)), not excess)
 
 
-def cover_verdict(pair: CoverPair, betti_phi: BettiTable, dims: tuple, excess: list) -> IncidenceVerdict:
+def cover_verdict(pair: CoverPair, betti_phi: BettiTable, dims: tuple, tangent_ok: bool) -> IncidenceVerdict:
     """The verdict of ``pair`` from phi's Betti table ``betti_phi``, the
-    dimensions ``dims`` of phi and psi, and ``excess``, the degrees of the
-    cover's window where psi's tangent function exceeds phi's."""
+    dimensions ``dims`` of phi and psi, and ``tangent_ok``, whether phi's
+    tangent function dominates psi's on the cover's window.
+    ``resolve_incidence`` passes the windowed comparison of two rows, the
+    graph L1's closed form a_u != 0 and b_{v+3} != 0 (README "The
+    criterion at every weight")."""
     dim_ok = dims[0] < dims[1]
-    tangent_ok = not excess
     betti_ok = betti_criterion(pair, betti_phi)
     return IncidenceVerdict(dim_ok and tangent_ok, dim_ok, tangent_ok, betti_ok, is_type_zero(pair), dims)
 

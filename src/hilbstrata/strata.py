@@ -33,9 +33,12 @@ n in ``test_row_bound_proof_steps``, which checks each step for
 n <= 30); up to weight 128 they are small ints, which
 CPython shares, so a row costs one pointer per degree.  ``cover_excess``
 compares two rows on a cover's window in one C-level ``compress``/``map``
-pass.  Each row reads only its own h and its own b.  The sweep and the
-graph keep one row per diagram and compare all of its covers from it;
-``resolve_incidence`` builds the two rows of its one cover.
+pass.  Each row reads only its own h and its own b.  The sweep keeps one
+row per diagram and compares all of its covers from it, and
+``resolve_incidence`` builds the two rows of its one cover; the graph
+keeps none, as its edges take the comparison from L1's closed form
+(README "The criterion at every weight"), which the sweep checks against
+these rows on every cover.
 """
 
 from itertools import compress, count

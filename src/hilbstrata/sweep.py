@@ -307,16 +307,18 @@ def verify_range(n_values, workers: int = 1):
     first, so a weight past it is refused before any worker starts (one
     worker refuses it on reaching it).  When more than one remain, each
     weight is cut into one contiguous rank range per worker
-    (``_shard_tasks``; the module docstring says why no finer), and the
-    ranges of every weight go through one ordered ``imap`` of one pool,
-    started with the platform's default method, so no weight waits at a
-    barrier.  The pool plans one
-    weight at a time as it reads the ranges (in a thread of its own, so
-    each weight's range count is computed again here).  Each weight's
-    ranges go last first, the costliest first.  A weight's summary is
-    merged back in rank order and yielded when its ranges are back, so the
-    summaries, the failure order and the output do not depend on the
-    worker count.
+    (``_shard_tasks``; the module docstring says why no finer), and its
+    ranges are submitted to one process pool, started with the platform's
+    default method, before the previous weight's results are read, so the
+    pool always holds the next weight's ranges and no weight waits at a
+    barrier, while the weights are planned one ahead of the summaries, so
+    a long range starts at once.  Each weight's ranges go last first, the
+    costliest first.  A weight's summary is merged back in rank order and
+    yielded when its ranges are back, so the summaries, the failure order
+    and the output do not depend on the worker count.  A worker that dies
+    breaks the pool, and the sweep raises ChildProcessError instead of
+    waiting for the range it held.  However the sweep ends, its workers
+    are stopped at once.
     """
     ns = n_values
     if workers > 1:
@@ -328,16 +330,36 @@ def verify_range(n_values, workers: int = 1):
     if workers <= 1:
         yield from map(sweep_weight, ns)
         return
-    # Imported here: only a parallel sweep needs it, and it adds about
-    # 12 ms to every import of the package.
-    from multiprocessing import Pool
+    # Imported here: only a parallel sweep needs them, and they add about
+    # 25 ms to every import of the package.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    tasks = (task for n in ns for task in reversed(_shard_tasks(n, workers)))
-    with Pool(workers) as pool:
-        results = pool.imap(_sweep_chunk, tasks)
+    pool = ProcessPoolExecutor(workers)
+    try:
+        previous = None
         for n in ns:
-            parts = [next(results) for _ in range(min(workers, count_diagrams(n)))]
-            summary = SweepSummary(n=n)
-            for part in reversed(parts):
-                summary.merge(part)
-            yield summary
+            parts = [pool.submit(_sweep_chunk, task) for task in reversed(_shard_tasks(n, workers))]
+            if previous:
+                yield _merged(*previous)
+            previous = n, parts
+        if previous:
+            yield _merged(*previous)
+    except BrokenProcessPool:
+        raise ChildProcessError("a sweep worker process died, so the sweep is incomplete") from None
+    finally:
+        # As a multiprocessing.Pool does on leaving: a sweep that ends early
+        # must not wait for a range that can run for minutes, and the
+        # executor has no public way to stop one before Python 3.14.
+        for process in pool._processes.values():
+            process.terminate()
+        pool.shutdown(cancel_futures=True)
+
+
+def _merged(n: int, parts: list) -> SweepSummary:
+    """The summary of weight ``n`` from the futures ``parts`` of its rank
+    ranges, last first, merged in rank order."""
+    summary = SweepSummary(n=n)
+    for part in reversed(parts):
+        summary.merge(part.result())
+    return summary

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -210,11 +211,12 @@ def test_console_entry_point():
 
 def test_import_loads_no_module_that_only_one_command_needs():
     # dataclasses would bring inspect with it; json serves only the graph
-    # parser and multiprocessing only the parallel sweep, which import them
-    # when called.  The emitters write their bytes without json.
+    # parser and concurrent.futures and multiprocessing only the parallel
+    # sweep, which import them when called.  The emitters write their
+    # bytes without json.
     code = (
         "import sys, hilbstrata, hilbstrata.cli\n"
-        "loaded = sorted({'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules))\n"
+        "loaded = sorted({'concurrent', 'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules))\n"
         "from hilbstrata.graph import build_hilbert_graph, emit, parse_graph_json\n"
         "data = emit(build_hilbert_graph(5), 'json')\n"
         "emitted = 'json' in sys.modules\n"
@@ -460,3 +462,28 @@ def test_closed_pipe_during_a_parallel_sweep_exits_2_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert first.startswith(b"n=30: diagrams=296 ") and err == b""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_a_dead_sweep_worker_ends_verify_with_one_error_line(tmp_path, method):
+    # A worker that dies holding a range, as one the kernel's OOM killer
+    # ends, must not leave verify waiting for that range forever.  The
+    # script's workers call os._exit on their first range: a worker started
+    # by spawn or forkserver imports the script as __mp_main__ and so
+    # patches its own sweep module.  Weights 20..24 stay tiny, so no run
+    # here can exhaust memory, and the timeout turns a hang into a failure.
+    script = tmp_path / "dying_worker.py"
+    script.write_text(
+        "import multiprocessing, os, sys\n"
+        "from hilbstrata import cli, sweep\n"
+        "def die(task):\n"
+        "    os._exit(3)\n"
+        "sweep._sweep_chunk = die\n"
+        "sweep.available_cpus = lambda: 2\n"
+        "if __name__ == '__main__':\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    sys.exit(cli.main(['verify', '--n-min', '20', '--n-max', '24', '--workers', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a sweep worker process died, so the sweep is incomplete\n"

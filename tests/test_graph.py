@@ -71,6 +71,20 @@ class TestBuild:
             with pytest.raises(ValueError, match=f"more than {MAX_NODES} diagrams"):
                 build_hilbert_graph(n)
 
+    def test_every_accepted_weight_lies_inside_the_acceptance_sweep(self):
+        # An edge's tangent verdict is L1's closed form, proved for every
+        # weight (tests/test_all_n.py).  The acceptance sweep (criterion 2
+        # of tests/test_acceptance.py, every cover with n <= 70) compares
+        # L1 with the windowed rows on every cover, its "tangent-shortcut"
+        # check, so the closed form is also checked on every weight a graph
+        # accepts, 1..65 (test_node_bound).  The count never decreases with
+        # the weight, so refusing the first weight past the sweep refuses
+        # every later one.
+        acceptance_sweep_n_max = 70
+        assert count_diagrams(acceptance_sweep_n_max + 1) > MAX_NODES
+        with pytest.raises(ValueError, match=f"more than {MAX_NODES} diagrams"):
+            build_hilbert_graph(acceptance_sweep_n_max + 1)
+
     def test_rejects_weight_zero(self):
         with pytest.raises(ValueError):
             build_hilbert_graph(0)

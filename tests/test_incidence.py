@@ -30,6 +30,7 @@ from hilbstrata.incidence import (
     verify_intersections,
 )
 from hilbstrata.resolution import generic_betti
+from hilbstrata.strata import cover_excess, cover_row
 from oracles import (
     brute_single_square_moves,
     cover_relations_triple_loop,
@@ -392,14 +393,28 @@ class TestResolve:
         assert line == "u=1 v=1 dim: 5->6 tangent:OK C:OK type0:N => INCIDENT"
 
     def test_graph_edges_match_resolve(self):
-        # The graph compares its per-node rows, resolve the two windowed
-        # rows of the pair alone; both verdicts come from cover_verdict.
+        # The graph takes the tangent comparison from L1's closed form,
+        # resolve compares the two windowed rows of the pair alone; both
+        # verdicts come from cover_verdict.
         for n in range(1, 21):
             g = build_hilbert_graph(n)
             for e in g.edges:
                 pair = is_length_zero(g.nodes[e.from_id].hf, g.nodes[e.to_id].hf)
                 assert (pair.u, pair.v) == (e.u, e.v)
                 assert e.verdict == resolve_incidence(pair)
+
+    def test_graph_l1_tangent_verdicts_equal_the_windowed_rows(self):
+        # The independent side of the graph's closed form: each node's own
+        # cover_row, read from its own h and b, and the windowed comparison
+        # of the two rows, on all 19,144 edges with n <= 40.
+        edges = 0
+        for n in range(1, 41):
+            g = build_hilbert_graph(n)
+            rows = [cover_row(node.hf, generic_betti(node.hf)) for node in g.nodes]
+            for e in g.edges:
+                assert e.verdict.tangent_ok == (not cover_excess(rows[e.from_id], rows[e.to_id], e.u, e.v)), e
+            edges += len(g.edges)
+        assert edges == 19_144
 
     def test_internal_consistency_everywhere(self):
         for n in range(1, 21):

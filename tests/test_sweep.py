@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import inspect
 import io
@@ -355,7 +356,7 @@ def test_small_range_runs_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no worker process should start")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     summaries = list(verify_range(range(1, 3), workers=2))
     assert [(s.n, s.diagrams, s.failures) for s in summaries] == [(1, 1, []), (2, 1, [])]
 
@@ -366,33 +367,33 @@ def test_a_weight_past_the_bound_starts_no_pool(monkeypatch):
         raise AssertionError("no worker process should start")
 
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match=r"^weight 100001 exceeds 100000, the largest weight"):
         list(verify_range(range(100_001, 100_002), workers=2))
 
 
 def _stand_in_pool(monkeypatch, workers=2):
-    """Put an in-process stand-in for ``multiprocessing.Pool`` on a host
+    """Put an in-process stand-in for ``ProcessPoolExecutor`` on a host
     with ``workers`` CPUs; returns the list it records the tasks in, each
-    as its result is asked for."""
+    as it is submitted, when it also runs."""
     tasks = []
 
     class RecordingPool:
-        def __init__(self, processes):
+        _processes = {}  # the workers verify_range stops on leaving: none here
+
+        def __init__(self, max_workers):
             pass
 
-        def __enter__(self):
-            return self
+        def submit(self, func, task):
+            tasks.append(task)
+            part = concurrent.futures.Future()
+            part.set_result(func(task))
+            return part
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
-        def imap(self, func, iterable):
-            for task in iterable:
-                tasks.append(task)
-                yield func(task)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweep, "available_cpus", lambda: workers)
     return tasks
 
@@ -406,9 +407,9 @@ def _dispatched(monkeypatch, weights, workers=2):
 
 
 def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
-    # A stand-in pool that reads its tasks only as results are asked for:
-    # the first summary of the longest range two workers accept, 100,000
-    # weights, comes after planning weight 1.
+    # The pool holds the next weight's ranges while the sweep reads a
+    # weight's results: the first summary of the longest range two workers
+    # accept, 100,000 weights, comes after planning weights 1 and 2.
     planned = []
     plan = sweep._shard_tasks
 
@@ -420,7 +421,7 @@ def test_parallel_sweep_plans_one_weight_at_a_time(monkeypatch):
     monkeypatch.setattr(sweep, "_shard_tasks", recording_plan)
     first = next(verify_range(range(1, MAX_WEIGHT + 1), workers=2))
     assert (first.n, first.diagrams, first.failures) == (1, 1, [])
-    assert planned == [(1, 2)]
+    assert planned == [(1, 2), (2, 2)]
 
 
 def test_shard_tasks_are_as_many_as_the_workers_or_the_diagrams():
